@@ -40,7 +40,12 @@ from .oracle import (
     superoperator,
 )
 from .spectrum import NoiseKernels, spectrum_closed_form, spectrum_qrt
-from .trajectory import TrajectoryOptions, run_ensemble, semiclassical_run
+from .trajectory import (
+    MAX_RATE_STEP,
+    TrajectoryOptions,
+    run_ensemble,
+    semiclassical_run,
+)
 
 HBAR = 1.054571817e-34  # J s
 KB = 1.380649e-23  # J / K
@@ -165,6 +170,11 @@ def _normalize_params(raw: dict, units: str) -> tuple[PhysParams, dict]:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a configuration (or run-manifest) file."""
+    return config_from_dict(_read_document(path))
+
+
+def _read_document(path: str | Path) -> dict:
+    """The configuration object of a config or run-manifest file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError("config", f"file not found: {path}")
@@ -176,7 +186,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         doc = doc["config"]
     if not isinstance(doc, dict):
         raise ConfigError("config", "top-level document must be an object")
-    return config_from_dict(doc)
+    return doc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -226,6 +236,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         grid=dict(doc.get("grid", {})),
         out_dir=str(doc.get("output", {}).get("dir", ".")),
     )
+    if config.steps_per_window < 1:
+        raise ConfigError("engine.steps_per_window", "must be positive")
+    _check_kind(config, "params.T_q" if "T_q" in raw_params else "params.n_q")
     config.normalized = {
         "kind": kind,
         "units": "gamma",
@@ -247,6 +260,31 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         "output": {"dir": config.out_dir},
     }
     return config
+
+
+def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
+    """Reject what the kind's run would otherwise reject midway."""
+    params = config.params
+    if config.kind in ("ensemble", "spectra") and params.n_q != 0:
+        # both runs evaluate the emitter spectrum, implemented for n_q = 0 only
+        raise ConfigError(
+            n_q_field,
+            f"the {config.kind} kind needs n_q = 0 (zero-temperature emitter); "
+            f"got n_q = {params.n_q:.3g}",
+        )
+    if config.kind == "ensemble":
+        # lambda_plus >= Gamma (n_m + 1) in every window, so this bound on
+        # dt * Gamma (n_m + 1) is one the run's dt * lambda_plus check implies
+        rate = params.Gamma * (params.n_m + 1.0)
+        dt = params.mechanical_period / config.steps_per_window
+        if dt * rate > MAX_RATE_STEP + 1e-12:
+            steps = math.ceil(params.mechanical_period * rate / MAX_RATE_STEP)
+            raise ConfigError(
+                "engine.steps_per_window",
+                f"dt*Gamma*(n_m+1) = {dt * rate:.3g} exceeds {MAX_RATE_STEP}, and "
+                "lambda_plus is at least Gamma*(n_m+1); need steps_per_window >= "
+                f"{steps}",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -528,22 +566,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-            config.normalized["seed"] = args.seed
-        if args.trajectories is not None:
-            config.trajectories = args.trajectories
-            config.normalized["trajectories"] = args.trajectories
-        if args.kind is not None:
-            config.kind = args.kind
-            config.normalized["kind"] = args.kind
+        # overrides go into the document, so they are validated with it
+        doc = _read_document(args.config)
+        for key in ("seed", "trajectories", "kind"):
+            if getattr(args, key) is not None:
+                doc[key] = getattr(args, key)
+        engine = dict(doc.get("engine", {}))
         if args.workers is not None:
-            config.workers = args.workers
-            config.normalized["engine"]["workers"] = args.workers
+            engine["workers"] = args.workers
         if args.full_bloch:
-            config.full_bloch = True
-            config.normalized["engine"]["full_bloch"] = True
+            engine["full_bloch"] = True
+        doc["engine"] = engine
+        config = config_from_dict(doc)
     except ConfigError as exc:
         print(_error_json(2, "config", str(exc)), file=sys.stderr)
         return 2

@@ -13,7 +13,10 @@ factor.  The variances follow deterministic fourth-order steps of their
 moment equations, including the quadratic localisation terms that keep the
 trajectory variances conditional: ensemble-averaged first and second moments
 then reproduce the mechanical master equation exactly, and pure Gaussian
-states stay pure along a trajectory.
+states stay pure along a trajectory.  On a given schedule every trajectory
+starts from the same variances and sees the same frozen channel data, and the
+variance equations take no noise, so scheduled runs propagate one shared
+variance lane and broadcast it over the batch.
 
 Reproducibility: every trajectory owns a generator seeded by a SplitMix64
 mix of (master seed, trajectory index), so results are independent of batch
@@ -38,6 +41,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # Negative conditional-variance threshold that aborts a trajectory.
 ABORT_VA_TOL = 1e-9
+
+# Largest rate * dt allowed for the first-order dissipative and coupling scales.
+MAX_RATE_STEP = 0.1
 
 
 class TrajectoryAbort(RuntimeError):
@@ -194,9 +200,9 @@ def _check_step(params: PhysParams, dt: float, lambda_max: float | None = None) 
     if lambda_max is not None:
         rates["lambda_plus"] = lambda_max
     for name, rate in rates.items():
-        if dt * rate > 0.1 + 1e-12:
+        if dt * rate > MAX_RATE_STEP + 1e-12:
             raise ValueError(
-                f"dt*{name} = {dt * rate:.3g} too large; need <= 0.1 "
+                f"dt*{name} = {dt * rate:.3g} too large; need <= {MAX_RATE_STEP} "
                 "to resolve the slow scales"
             )
 
@@ -291,16 +297,16 @@ def step_moments(
     )
 
 
-def _draw_window_noise(gens, steps: int, dt: float):
-    """Per-trajectory complex Wiener increments for one window: (n, steps)."""
-    n = len(gens)
-    dw_p = np.empty((n, steps), dtype=complex)
-    dw_m = np.empty((n, steps), dtype=complex)
+def _draw_window_noise(gens, steps: int, dt: float, out):
+    """Fill ``out = (dw_p, dw_m)``, two (steps, n) arrays, with one window's
+    complex Wiener increments; column i holds trajectory i's draws."""
+    dw_p, dw_m = out
+    x = np.empty((steps, 4))
     scale = math.sqrt(0.5 * dt)
     for i, gen in enumerate(gens):
-        x = gen.standard_normal((steps, 4))
-        dw_p[i] = (x[:, 0] + 1j * x[:, 1]) * scale
-        dw_m[i] = (x[:, 2] + 1j * x[:, 3]) * scale
+        gen.standard_normal(out=x)
+        dw_p[:, i] = (x[:, 0] + 1j * x[:, 1]) * scale
+        dw_m[:, i] = (x[:, 2] + 1j * x[:, 3]) * scale
     return dw_p, dw_m
 
 
@@ -318,11 +324,14 @@ def _batch_run(
     """Run a batch of trajectories on a shared grid; returns raw arrays.
 
     ``seeds is None`` disables the noise (semiclassical reference); setting
-    ``dissipation`` False additionally drops the scattering channels.
+    ``dissipation`` False additionally drops the scattering channels.  With a
+    schedule, the variances and channel data live in one lane that
+    broadcasts over the batch.
     """
     noise = seeds is not None
     n = len(seeds) if noise else 1
     schedule = options.schedule
+    lanes = 1 if schedule is not None else n
     n_windows, window = resolve_windows(params, duration, schedule)
     steps = options.steps_per_window
     panels = options.panels_per_window
@@ -352,8 +361,8 @@ def _batch_run(
     )
 
     beta = np.full(n, complex(beta0), dtype=complex)
-    va = np.full(n, float(v_a0))
-    vb = np.full(n, complex(v_b0), dtype=complex)
+    va = np.full(lanes, float(v_a0))
+    vb = np.full(lanes, complex(v_b0), dtype=complex)
     alive = np.ones(n, dtype=bool)
     abort_time = np.full(n, np.nan)
 
@@ -383,8 +392,11 @@ def _batch_run(
         y_bloch = np.tile([st0.pe, st0.s.real, st0.s.imag], (n, 1))
         n_sub = max(1, math.ceil(dt * gamma / 0.045))
 
-    zeros = np.zeros(n)
-    czeros = np.zeros(n, dtype=complex)
+    if noise:
+        # step-major, so step j reads one contiguous row; refilled every window
+        noise_buf = tuple(np.empty((steps, n), dtype=complex) for _ in range(2))
+    zeros = np.zeros(lanes)
+    czeros = np.zeros(lanes, dtype=complex)
     i_rec = 0
     with np.errstate(invalid="ignore"):
         for w in range(n_windows):
@@ -393,18 +405,18 @@ def _batch_run(
                 u_p = w_p = u_m = w_m = czeros
                 theta_w = zeros
                 pe_frozen = (
-                    np.full(n, schedule[w].pe) if schedule is not None else None
+                    np.full(lanes, schedule[w].pe) if schedule is not None else None
                 )
             elif schedule is not None:
                 wc = schedule[w]
-                lam_p = np.full(n, wc.decomp.lambda_plus)
-                lam_m = np.full(n, wc.decomp.lambda_minus)
-                u_p = np.full(n, wc.decomp.v_plus[0])
-                w_p = np.full(n, wc.decomp.v_plus[1])
-                u_m = np.full(n, wc.decomp.v_minus[0])
-                w_m = np.full(n, wc.decomp.v_minus[1])
-                theta_w = np.full(n, wc.decomp.theta)
-                pe_frozen = np.full(n, wc.pe)
+                lam_p = np.full(lanes, wc.decomp.lambda_plus)
+                lam_m = np.full(lanes, wc.decomp.lambda_minus)
+                u_p = np.full(lanes, wc.decomp.v_plus[0])
+                w_p = np.full(lanes, wc.decomp.v_plus[1])
+                u_m = np.full(lanes, wc.decomp.v_minus[0])
+                w_m = np.full(lanes, wc.decomp.v_minus[1])
+                theta_w = np.full(lanes, wc.decomp.theta)
+                pe_frozen = np.full(lanes, wc.pe)
             else:
                 # fixed-axis sums keep results independent of batch chunking
                 f = 2.0 * spectrum_closed_form(params, delta0 + delta_panel)
@@ -419,6 +431,8 @@ def _batch_run(
                 u_m, w_m = v_m[..., 0], v_m[..., 1]
                 theta_w = np.broadcast_to(np.asarray(theta_w), (n,))
                 pe_frozen = None
+                # aborted lanes carry NaN rates, which would mask the maximum
+                _check_step(params, dt, float(np.max(lam_p, initial=0.0, where=alive)))
 
             consts = _channel_constants(lam_p, lam_m, u_p, w_p, u_m, w_m)
             c_damp = consts[0]
@@ -426,7 +440,7 @@ def _batch_run(
             sq_lp = np.sqrt(lam_p)
             sq_lm = np.sqrt(lam_m)
             if noise:
-                dw_p, dw_m = _draw_window_noise(gens, steps, dt)
+                dw_p, dw_m = _draw_window_noise(gens, steps, dt, noise_buf)
 
             delta_panel_next = np.empty_like(delta_panel)
             for j in range(steps):
@@ -458,8 +472,8 @@ def _batch_run(
                     a_m = u_m * vb + w_m * (va + 1.0)
                     c_m = np.conjugate(u_m) * va + np.conjugate(w_m) * vb
                     noise_term = sq_lp * (
-                        a_p * dw_p[:, j] + c_p * np.conjugate(dw_p[:, j])
-                    ) + sq_lm * (a_m * dw_m[:, j] + c_m * np.conjugate(dw_m[:, j]))
+                        a_p * dw_p[j] + c_p * np.conjugate(dw_p[j])
+                    ) + sq_lm * (a_m * dw_m[j] + c_m * np.conjugate(dw_m[j]))
                 else:
                     noise_term = 0.0
                 beta = damp_fac * beta + rot_half * (
@@ -472,6 +486,9 @@ def _batch_run(
                     # catches NaN as well: ~(va >= -tol) is True for NaN
                     bad = alive & ~(va >= -ABORT_VA_TOL)
                     if bad.any():
+                        # a shared lane aborts every trajectory at once
+                        va = np.broadcast_to(va, (n,)).copy()
+                        vb = np.broadcast_to(vb, (n,)).copy()
                         alive[bad] = False
                         abort_time[bad] = (gstep + 1) * dt
                         beta[bad] = np.nan

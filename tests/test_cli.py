@@ -259,3 +259,58 @@ def test_worker_override_changes_nothing(tmp_path):
     assert main(["--config", str(path), "--out", str(out1), "--workers", "1"]) == 0
     assert main(["--config", str(path), "--out", str(out3), "--workers", "3"]) == 0
     assert (out1 / "ensemble.csv").read_bytes() == (out3 / "ensemble.csv").read_bytes()
+
+
+def criterion8_config(**param_overrides):
+    params = {"gamma": 1.0, "g": 1.0, "delta0": 0.0, "Omega": 1e-2, "g_m": 5e-3,
+              "Gamma": 1e-3, "n_m": 1000.0}
+    params.update(param_overrides)
+    return base_config(
+        kind="ensemble", params=params, initial={"beta0": [0.0, 200.0]},
+        duration_periods=1, trajectories=8,
+        engine={"steps_per_window": 256, "record_stride": 32},
+    )
+
+
+def test_lambda_plus_step_rejected_at_load(tmp_path, capsys):
+    # dt * Gamma (n_m + 1) = 2.46 bounds dt * lambda_plus from below
+    path = write_config(tmp_path, criterion8_config())
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert "engine.steps_per_window" in payload["error"]["message"]
+    # a kind override is validated as well
+    path = write_config(tmp_path, {**criterion8_config(), "kind": "semiclassical"})
+    assert main(["--config", str(path), "--out", str(tmp_path / "sc"),
+                 "--kind", "ensemble"]) == 2
+
+
+def test_lambda_plus_step_checked_every_window(tmp_path, capsys):
+    # dt * Gamma (n_m + 1) sits just below the bound and the emitter's s0
+    # pushes dt * lambda_plus over it: the run names the step, no trajectory
+    # aborts
+    dt = 2.0 * math.pi / 1e-2 / 256
+    doc = criterion8_config(Gamma=(0.1 - 1e-5) / (1001.0 * dt))
+    doc["initial"] = {"beta0": [0.0, 0.0]}
+    path = write_config(tmp_path, doc)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert "dt*lambda_plus" in message
+    assert "aborted" not in message
+
+
+def test_nonzero_emitter_occupation_rejected_at_load(tmp_path, capsys):
+    # 10 mK at 5 GHz gives n_q = 3.8e-11, still outside the zero-temperature
+    # spectrum that the ensemble and spectra runs evaluate
+    params = {"gamma": 1e6, "g": 1e6, "Omega": 1e4, "g_m": 5e3,
+              "T_q": 0.01, "omega0": 5e9}
+    for kind in ("ensemble", "spectra"):
+        path = write_config(tmp_path, base_config(kind=kind, units="hz", params=params))
+        assert main(["--config", str(path), "--out", str(tmp_path / kind)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "params.T_q" in payload["error"]["message"]
+    with pytest.raises(ConfigError, match="params.n_q"):
+        load_config(write_config(tmp_path, base_config(
+            kind="spectra", params={"g": 1.0, "Omega": 0.01, "g_m": 0.02, "n_q": 0.1})))
+    # the semiclassical run never evaluates the spectrum
+    config = load_config(write_config(tmp_path, base_config(units="hz", params=params)))
+    assert config.params.n_q == pytest.approx(3.8e-11, rel=0.01)

@@ -267,6 +267,43 @@ def test_twisted_channels_match_master_equation():
     assert np.all(np.abs(ens.mean_beta - master.moments.b) <= 3 * ens.se_beta + 1e-9)
 
 
+def test_scheduled_ensemble_matches_single_trajectories():
+    # a scheduled batch shares one variance lane and reads its noise from a
+    # step-major buffer; each lane must still reproduce its own trajectory
+    p = PhysParams(gamma=1.0, g=1.0, Omega=0.02, g_m=0.0)
+    schedule = make_frozen_schedule(twisted_decomposition(2e-3, 4e-4, 0.55), 0.0, 2)
+    duration = 2 * p.mechanical_period
+    n_traj, master_seed, beta0, v_a0, v_b0 = 6, 41, 0.8 - 0.4j, 0.3, 0.1 + 0.05j
+
+    def options(workers):
+        return TrajectoryOptions(
+            steps_per_window=256, record_stride=32, schedule=schedule, workers=workers
+        )
+
+    ens = run_ensemble(
+        p, beta0, duration, n_traj, master_seed, options(1), v_a0, v_b0
+    )
+    recs = [
+        run_trajectory(
+            p, beta0, v_a0, v_b0, duration, derive_trajectory_seed(master_seed, i),
+            options(1),
+        )
+        for i in range(n_traj)
+    ]
+    beta = np.stack([r.beta for r in recs])
+    va = np.stack([r.v_a for r in recs])
+    vb = np.stack([r.v_b for r in recs])
+    assert np.array_equal(ens.mean_beta, beta.mean(axis=0))
+    assert np.array_equal(ens.mean_n, (va + np.abs(beta) ** 2).mean(axis=0))
+    assert np.array_equal(ens.mean_b2, (vb + beta**2).mean(axis=0))
+
+    chunked = run_ensemble(
+        p, beta0, duration, n_traj, master_seed, options(3), v_a0, v_b0
+    )
+    for name in ("mean_beta", "mean_n", "mean_b2", "var_dbeta_x", "var_dbeta_p"):
+        assert np.array_equal(getattr(ens, name), getattr(chunked, name))
+
+
 def test_full_bloch_stochastic_path_runs():
     p = tls_noise_params()
     opts = TrajectoryOptions(steps_per_window=256, record_stride=64, full_bloch=True)
