@@ -238,6 +238,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     )
     if config.steps_per_window < 1:
         raise ConfigError("engine.steps_per_window", "must be positive")
+    panels = TrajectoryOptions.panels_per_window
+    if config.steps_per_window % panels != 0:
+        raise ConfigError(
+            "engine.steps_per_window",
+            f"must be a multiple of panels_per_window = {panels}, "
+            f"got {config.steps_per_window}",
+        )
+    if config.record_stride < 1 or config.steps_per_window % config.record_stride != 0:
+        raise ConfigError(
+            "engine.record_stride",
+            f"must divide steps_per_window = {config.steps_per_window}, "
+            f"got {config.record_stride}",
+        )
     _check_kind(config, "params.T_q" if "T_q" in raw_params else "params.n_q")
     config.normalized = {
         "kind": kind,

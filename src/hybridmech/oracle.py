@@ -23,6 +23,7 @@ from .spectrum import NoiseKernels, window_kernels
 from .trajectory import (
     TrajectoryOptions,
     WindowCoefficients,
+    _draw_window_noise,
     derive_trajectory_seed,
     resolve_windows,
 )
@@ -32,6 +33,7 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-7
 TRUNCATION_TOL = 1e-6
 SSE_NORM_TOL = 1e-3
+SSE_NOISE_CHUNK = 512  # steps of Wiener increments the unraveling draws at once
 
 
 class TruncationError(RuntimeError):
@@ -49,7 +51,7 @@ class TruncationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Ladder-operator applications via index shifts (no dense matmuls needed).
+# Ladder-operator applications via index shifts (the SSE and kernel-form routes).
 
 def _sqrt_ladder(dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1.0, dim))
@@ -62,47 +64,53 @@ def destroy_matrix(dim: int) -> np.ndarray:
 
 def lower_state(psi: np.ndarray) -> np.ndarray:
     """b |psi> for state arrays shaped (dim, ...)."""
-    out = np.zeros_like(psi)
+    out = np.empty_like(psi)
     s = _sqrt_ladder(psi.shape[0])
-    out[:-1] = s.reshape((-1,) + (1,) * (psi.ndim - 1)) * psi[1:]
+    np.multiply(s.reshape((-1,) + (1,) * (psi.ndim - 1)), psi[1:], out=out[:-1])
+    out[-1] = 0
     return out
 
 
 def raise_state(psi: np.ndarray) -> np.ndarray:
     """b^dagger |psi> for state arrays shaped (dim, ...)."""
-    out = np.zeros_like(psi)
+    out = np.empty_like(psi)
     s = _sqrt_ladder(psi.shape[0])
-    out[1:] = s.reshape((-1,) + (1,) * (psi.ndim - 1)) * psi[:-1]
+    np.multiply(s.reshape((-1,) + (1,) * (psi.ndim - 1)), psi[:-1], out=out[1:])
+    out[0] = 0
     return out
 
 
 def _b_left(x: np.ndarray) -> np.ndarray:
     """b X on the last two axes."""
-    out = np.zeros_like(x)
+    out = np.empty_like(x)
     s = _sqrt_ladder(x.shape[-2])
-    out[..., :-1, :] = s[:, None] * x[..., 1:, :]
+    np.multiply(s[:, None], x[..., 1:, :], out=out[..., :-1, :])
+    out[..., -1, :] = 0
     return out
 
 
 def _bdag_left(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
+    out = np.empty_like(x)
     s = _sqrt_ladder(x.shape[-2])
-    out[..., 1:, :] = s[:, None] * x[..., :-1, :]
+    np.multiply(s[:, None], x[..., :-1, :], out=out[..., 1:, :])
+    out[..., 0, :] = 0
     return out
 
 
 def _b_right(x: np.ndarray) -> np.ndarray:
     """X b on the last two axes."""
-    out = np.zeros_like(x)
+    out = np.empty_like(x)
     s = _sqrt_ladder(x.shape[-1])
-    out[..., :, 1:] = s[None, :] * x[..., :, :-1]
+    np.multiply(s[None, :], x[..., :, :-1], out=out[..., :, 1:])
+    out[..., :, 0] = 0
     return out
 
 
 def _bdag_right(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
+    out = np.empty_like(x)
     s = _sqrt_ladder(x.shape[-1])
-    out[..., :, :-1] = s[None, :] * x[..., :, 1:]
+    np.multiply(s[None, :], x[..., :, 1:], out=out[..., :, :-1])
+    out[..., :, -1] = 0
     return out
 
 
@@ -215,36 +223,43 @@ def _hamiltonian_part(x: np.ndarray, omega: float, force: float) -> np.ndarray:
     return -1j * comm
 
 
-def _channel_dissipator(x, lam, u, w):
-    """lam D[u b + w b^dag] applied to the last two axes of x."""
-    if lam == 0.0:
-        return 0.0
-    bs_x = u * _b_left(x) + w * _bdag_left(x)
-    sandwich = np.conjugate(u) * _bdag_right(bs_x) + np.conjugate(w) * _b_right(bs_x)
-    # b_s^dag b_s X and X b_s^dag b_s
-    left = np.conjugate(u) * _bdag_left(bs_x) + np.conjugate(w) * _b_left(bs_x)
-    x_bsdag = np.conjugate(u) * _bdag_right(x) + np.conjugate(w) * _b_right(x)
-    right = u * _b_right(x_bsdag) + w * _bdag_right(x_bsdag)
-    return lam * (sandwich - 0.5 * left - 0.5 * right)
+def lindblad_generator(
+    pe: float, decomp: QuadratureDecomposition, params: PhysParams, dim: int
+):
+    """Master-equation generator assembled from the scattering channels.
+
+    Builds L_s = sqrt(lambda_s) (u_s b + w_s b^dag) and K = -i (Omega n +
+    g_m pe (b + b^dag)) - 1/2 sum_s L_s^dag L_s once, as dense matrices on the
+    truncated space, and returns rhs(x) = K x + x K^dag + sum_s L_s x L_s^dag.
+    """
+    b = destroy_matrix(dim)
+    bd = b.conj().T
+    lams, vecs = (decomp.lambda_plus, decomp.lambda_minus), (decomp.v_plus, decomp.v_minus)
+    ells = [math.sqrt(lam) * (u * b + w * bd) for lam, (u, w) in zip(lams, vecs)]
+    ham = params.Omega * np.diag(np.arange(dim, dtype=complex)) + params.g_m * pe * (b + bd)
+    k = -1j * ham - 0.5 * sum(ell.conj().T @ ell for ell in ells)
+    k_dag = k.conj().T
+    jumps = [(ell, ell.conj().T) for ell in ells]
+
+    def rhs(x: np.ndarray) -> np.ndarray:
+        out = k @ x + x @ k_dag
+        for ell, ell_dag in jumps:
+            out += ell @ x @ ell_dag
+        return out
+
+    return rhs
 
 
 def lindblad_rhs(
     rho, pe: float, decomp: QuadratureDecomposition, params: PhysParams
 ) -> np.ndarray:
-    """Master-equation generator assembled from the scattering channels.
+    """One evaluation of :func:`lindblad_generator`.
 
     Accepts a FockDensityMatrix or a plain array (stacks allowed on leading
     axes); returns the plain derivative array.
     """
     x = rho.entries if isinstance(rho, FockDensityMatrix) else np.asarray(rho)
-    out = _hamiltonian_part(x, params.Omega, params.g_m * pe)
-    out = out + _channel_dissipator(
-        x, decomp.lambda_plus, decomp.v_plus[0], decomp.v_plus[1]
-    )
-    out = out + _channel_dissipator(
-        x, decomp.lambda_minus, decomp.v_minus[0], decomp.v_minus[1]
-    )
-    return out
+    return lindblad_generator(pe, decomp, params, x.shape[-1])(x)
 
 
 def kernel_form_rhs(
@@ -443,12 +458,6 @@ def integrate_master(
     rho = np.array(rho0.entries, dtype=complex)
     dim = rho0.dim
 
-    def rhs_for(decomp, pe):
-        def rhs(x):
-            return lindblad_rhs(x, pe, decomp, params)
-
-        return rhs
-
     def window_data(w_idx, rho_now):
         if kernel_schedule is not None:
             wc = kernel_schedule[w_idx]
@@ -478,7 +487,7 @@ def integrate_master(
 
     # Step-halving accuracy probe on the first window's generator.
     decomp0, pe0 = window_data(0, rho)
-    rhs0 = rhs_for(decomp0, pe0)
+    rhs0 = lindblad_generator(pe0, decomp0, params, dim)
     full = _rk4_step(rho, h, rhs0)
     half = _rk4_step(_rk4_step(rho, 0.5 * h, rhs0), 0.5 * h, rhs0)
     local_err = float(np.max(np.abs(full - half)))
@@ -500,7 +509,7 @@ def integrate_master(
     record(0.0)
     for w in range(n_windows):
         decomp, pe = window_data(w, rho)
-        rhs = rhs_for(decomp, pe)
+        rhs = lindblad_generator(pe, decomp, params, dim)
         for j in range(steps):
             rho = _rk4_step(rho, h, rhs)
             gstep = w * steps + j + 1
@@ -585,47 +594,48 @@ def _sse_batch(
     def cmath_exp(x):
         return complex(math.cos(x), math.sin(x))
 
-    scale = math.sqrt(0.5 * h)
+    chunk = min(SSE_NOISE_CHUNK, steps)
+    noise = np.empty((2, chunk, n), dtype=complex)
+    levels = np.arange(dim, dtype=float)
+    s2 = np.sqrt(levels[2:] * (levels[2:] - 1.0))[:, None]
     record(0.0)
     for w in range(n_windows):
-        wc = schedule[w]
-        lam = (wc.decomp.lambda_plus, wc.decomp.lambda_minus)
-        uu = (wc.decomp.v_plus[0], wc.decomp.v_minus[0])
-        ww = (wc.decomp.v_plus[1], wc.decomp.v_minus[1])
-        sqlam = (math.sqrt(lam[0]), math.sqrt(lam[1]))
-        force = g_m * wc.pe
-        dw = np.empty((2, n, steps), dtype=complex)
-        for i, gen in enumerate(gens):
-            x = gen.standard_normal((steps, 4))
-            dw[0, i] = (x[:, 0] + 1j * x[:, 1]) * scale
-            dw[1, i] = (x[:, 2] + 1j * x[:, 3]) * scale
+        dec = schedule[w].decomp
+        lam = np.array([dec.lambda_plus, dec.lambda_minus])
+        ch = np.array([dec.v_plus, dec.v_minus])  # rows: channels; columns: u, w
+        # g_uw = sum_s lam_s u_s conj(w_s) etc.; mix @ dW = sum_s sqrt(lam_s) (u_s, w_s) dW_s
+        (g_uu, g_uw), (g_wu, g_ww) = ch.T @ (lam[:, None] * ch.conj())
+        mix = (np.sqrt(lam)[:, None] * ch).T
+        force_h = 1j * g_m * schedule[w].pe * h
+        # -h/2 sum_s lam_s L_s^dag L_s: q0 on the diagonal (truncated b b^dag is
+        # 0 on the top level) and q2 conj(ph)^2 on the b^dag^2 diagonal
+        q0 = (-0.5 * h) * (g_uu.real * levels + g_ww.real * np.roll(levels, -1))[:, None]
+        q2 = (-0.5 * h) * g_wu * s2
         for j in range(steps):
+            if j % chunk == 0:
+                m = min(chunk, steps - j)
+                _draw_window_noise(gens, m, h, (noise[0, :m], noise[1, :m]))
+            nu, nw = mix @ noise[:, j % chunk]
             t = (w * steps + j) * h
             ph = cmath_exp(-omega * t)
             phc = ph.conjugate()
             bpsi = lower_state(psi)
             bdpsi = raise_state(psi)
-            delta = np.zeros_like(psi)
-            if force != 0.0:
-                delta += (-1j * force * h) * (ph * bpsi + phc * bdpsi)
-            for s in range(2):
-                if lam[s] == 0.0:
-                    continue
-                u_t = uu[s] * ph
-                w_t = ww[s] * phc
-                lpsi = u_t * bpsi + w_t * bdpsi
-                expl = np.sum(np.conjugate(psi) * lpsi, axis=0)
-                ldl = np.conjugate(u_t) * raise_state(lpsi) + np.conjugate(
-                    w_t
-                ) * lower_state(lpsi)
-                delta += (lam[s] * h) * (
-                    np.conjugate(expl)[None, :] * lpsi
-                    - 0.5 * ldl
-                    - 0.5 * (np.abs(expl) ** 2)[None, :] * psi
-                )
-                delta += sqlam[s] * (lpsi - expl[None, :] * psi) * dw[s, :, j][None, :]
-            psi = psi + delta
-            norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+            # psi' = c_psi psi + c_b b psi + c_bd b^dag psi - h/2 P psi, with
+            # L_s = u_s ph b + w_s conj(ph) b^dag and z = ph <b>
+            z = ph * np.sum(np.conjugate(psi) * bpsi, axis=0)
+            zc = np.conjugate(z)
+            c_b = ph * (h * (g_uu * zc + g_uw * z) + nu - force_h)
+            c_bd = phc * (h * (g_wu * zc + g_ww * z) + nw - force_h)
+            c_psi = 1.0 - z * nu - zc * nw
+            c_psi -= (0.5 * h) * ((g_uu + g_ww).real * abs(z) ** 2 + 2 * (g_uw * z * z).real)
+            new = (c_psi + q0) * psi
+            new += c_b * bpsi
+            new += c_bd * bdpsi
+            new[2:] += (q2 * (phc * phc)) * psi[:-2]
+            new[:-2] += (np.conjugate(q2) * (ph * ph)) * psi[2:]
+            psi = new
+            norms = np.sqrt(np.sum(psi.real**2 + psi.imag**2, axis=0))
             drift = np.max(np.abs(norms - 1.0))
             if drift > SSE_NORM_TOL:
                 bad = int(np.argmax(np.abs(norms - 1.0)))
@@ -633,7 +643,7 @@ def _sse_batch(
                     f"norm drifted by {drift:.3e} in one step "
                     f"(trajectory {bad}, t={t:.6g}); reduce dt"
                 )
-            psi = psi / norms[None, :]
+            psi *= 1.0 / norms
             gstep = w * steps + j + 1
             if gstep % record_stride == 0 or gstep == n_windows * steps:
                 record(gstep * h)

@@ -314,3 +314,19 @@ def test_nonzero_emitter_occupation_rejected_at_load(tmp_path, capsys):
     # the semiclassical run never evaluates the spectrum
     config = load_config(write_config(tmp_path, base_config(units="hz", params=params)))
     assert config.params.n_q == pytest.approx(3.8e-11, rel=0.01)
+
+
+def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
+    # both used to pass the load and exit 3 from the engine, naming no field
+    cases = [
+        ("ensemble", {"steps_per_window": 32, "record_stride": 32},
+         "engine.steps_per_window"),
+        ("semiclassical", {"steps_per_window": 256, "record_stride": 3},
+         "engine.record_stride"),
+    ]
+    for kind, engine, field_name in cases:
+        path = write_config(tmp_path, base_config(kind=kind, engine=engine))
+        assert main(["--config", str(path), "--out", str(tmp_path / kind)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"]["code"] == 2
+        assert payload["error"]["message"].startswith(field_name)

@@ -332,3 +332,50 @@ def test_self_consistent_master_mode_runs():
     )
     for snap in res.states:
         assert snap.trace_defect() <= 1e-8
+
+
+def test_fused_sse_step_matches_dense_reference(params):
+    # Euler-Maruyama on dense operators, one channel at a time, with the same
+    # PCG64 draws; the state has weight on the top level, where the truncated
+    # b b^dag is 0, and the channels are twisted and pushed by a force
+    dim, seed, steps, stride, pe = 6, 31, 1024, 128, 0.4
+    amps = np.exp(0.7j * np.arange(dim)) / math.sqrt(dim)
+    dec = twisted_decomposition(4e-4, 1e-4, 0.6)
+    h = params.mechanical_period / steps
+    series = sse_run(
+        params, FockStateVector(dim=dim, amplitudes=amps), params.mechanical_period, h,
+        seed, make_frozen_schedule(dec, pe, 1), record_stride=stride,
+    )
+
+    b = destroy_matrix(dim)
+    bd = b.conj().T
+    x = np.random.Generator(np.random.PCG64(seed)).standard_normal((steps, 4))
+    dws = (x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
+    channels = ((dec.lambda_plus, *dec.v_plus), (dec.lambda_minus, *dec.v_minus))
+    psi = amps.copy()
+    expected = []
+    for j in range(steps + 1):
+        ph = np.exp(-1j * params.Omega * j * h)
+        if j % stride == 0:
+            bpsi = b @ psi
+            expected.append(
+                (ph * np.vdot(psi, bpsi), np.vdot(bpsi, bpsi).real,
+                 ph**2 * np.vdot(psi, b @ bpsi))
+            )
+        if j == steps:
+            break
+        dpsi = -1j * h * params.g_m * pe * (ph * b + np.conj(ph) * bd) @ psi
+        for (lam, u, w), dw in zip(channels, dws):
+            ell = math.sqrt(lam) * (u * ph * b + w * np.conj(ph) * bd)
+            lpsi = ell @ psi
+            e = np.vdot(psi, lpsi)
+            dpsi += h * (np.conj(e) * lpsi - 0.5 * ell.conj().T @ lpsi
+                         - 0.5 * abs(e) ** 2 * psi)
+            dpsi += (lpsi - e * psi) * dw[j] * math.sqrt(0.5 * h)
+        psi = psi + dpsi
+        psi /= np.linalg.norm(psi)
+    exp_b, exp_n, exp_b2 = (np.array(v) for v in zip(*expected))
+    assert np.allclose(series.times, np.arange(0, steps + 1, stride) * h, rtol=0, atol=1e-9)
+    assert np.max(np.abs(series.b - exp_b)) <= 1e-12
+    assert np.max(np.abs(series.n - exp_n)) <= 1e-12
+    assert np.max(np.abs(series.b2 - exp_b2)) <= 1e-12
