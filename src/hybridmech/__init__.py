@@ -39,16 +39,13 @@ from .spectrum import (
 )
 from .trajectory import (
     EnsembleResult,
-    MechGaussianState,
     TrajectoryOptions,
     TrajectoryRecord,
     WindowCoefficients,
-    complex_wiener,
     derive_trajectory_seed,
     run_ensemble,
     run_trajectory,
     semiclassical_run,
-    step_moments,
 )
 
 __all__ = [
@@ -74,14 +71,11 @@ __all__ = [
     "spectrum_qrt",
     "window_kernels",
     "EnsembleResult",
-    "MechGaussianState",
     "TrajectoryOptions",
     "TrajectoryRecord",
     "WindowCoefficients",
-    "complex_wiener",
     "derive_trajectory_seed",
     "run_ensemble",
     "run_trajectory",
     "semiclassical_run",
-    "step_moments",
 ]

@@ -9,14 +9,18 @@ scattering rates and operators frozen.
 
 The amplitude follows an Euler-Maruyama step driven by two independent
 complex Wiener increments, with the free rotation applied as an exact phase
-factor.  The variances follow deterministic fourth-order steps of their
-moment equations, including the quadratic localisation terms that keep the
-trajectory variances conditional: ensemble-averaged first and second moments
-then reproduce the mechanical master equation exactly, and pure Gaussian
-states stay pure along a trajectory.  On a given schedule every trajectory
-starts from the same variances and sees the same frozen channel data, and the
-variance equations take no noise, so scheduled runs propagate one shared
-variance lane and broadcast it over the batch.
+factor.  The variances obey their moment equations, including the quadratic
+localisation terms that keep the trajectory variances conditional:
+ensemble-averaged first and second moments then reproduce the mechanical
+master equation exactly, and pure Gaussian states stay pure along a
+trajectory.  With the channel data frozen over a window these equations are
+a Riccati equation with constant coefficients, so each window's variances
+come exactly, at every step, from the exponential of its 4x4 Hamiltonian
+matrix (Radon's lemma) rather than from a step-by-step integration.  On a
+given schedule every trajectory starts from the same variances and sees the
+same frozen channel data, and the variance equations take no noise, so
+scheduled runs propagate one shared variance lane and broadcast it over the
+batch.
 
 Reproducibility: every trajectory owns a generator seeded by a SplitMix64
 mix of (master seed, trajectory index), so results are independent of batch
@@ -45,6 +49,11 @@ ABORT_VA_TOL = 1e-9
 # Largest rate * dt allowed for the first-order dissipative and coupling scales.
 MAX_RATE_STEP = 0.1
 
+# Steps per block of the exact variance map (a power of two), and the Taylor
+# order of its one-step propagator (remainder below 1e-18 at norm 1/2).
+_VARIANCE_BLOCK = 32
+_TAYLOR_ORDER = 16
+
 
 class TrajectoryAbort(RuntimeError):
     """A trajectory left the physical domain (conditional variance < 0)."""
@@ -68,28 +77,6 @@ def derive_trajectory_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def complex_wiener(rng: np.random.Generator, dt: float) -> complex:
-    """One normalized complex Wiener increment: E|dW|^2 = dt, E[dW^2] = 0."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x = rng.standard_normal(2)
-    return complex(x[0], x[1]) * math.sqrt(0.5 * dt)
-
-
-@dataclass(frozen=True)
-class MechGaussianState:
-    """Gaussian mechanical state: amplitude and conditional variances."""
-
-    beta: complex
-    v_a: float
-    v_b: complex
-    t: float = 0.0
-
-    def physicality_defect(self) -> float:
-        """|v_b|^2 - v_a (v_a + 1); non-positive for physical states."""
-        return abs(self.v_b) ** 2 - self.v_a * (self.v_a + 1.0)
 
 
 @dataclass(frozen=True)
@@ -207,94 +194,106 @@ def _check_step(params: PhysParams, dt: float, lambda_max: float | None = None) 
             )
 
 
-def _channel_constants(lam_p, lam_m, u_p, w_p, u_m, w_m):
-    """Window constants of the moment equations."""
-    c_damp = lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2) + lam_m * (
-        np.abs(u_m) ** 2 - np.abs(w_m) ** 2
-    )
-    src_a = lam_p * np.abs(w_p) ** 2 + lam_m * np.abs(w_m) ** 2
-    src_b = lam_p * np.conjugate(u_p) * w_p + lam_m * np.conjugate(u_m) * w_m
-    return c_damp, src_a, src_b
+def _matmul(a, b):
+    """Matrix product of entry-major stacks (a[i, k] holds entry (i, k) of
+    every lane), as one sum of products: every lane gets the same arithmetic,
+    whatever the batch it runs in."""
+    return np.sum(a[:, :, None] * b[None], axis=1)
 
 
-def _variance_rhs(va, vb, omega, lam_p, lam_m, u_p, w_p, u_m, w_m, c_damp, src_a, src_b):
-    """Coupled conditional-variance derivatives (with localisation terms)."""
-    a_p = u_p * vb + w_p * (va + 1.0)
-    c_p = np.conjugate(u_p) * va + np.conjugate(w_p) * vb
-    a_m = u_m * vb + w_m * (va + 1.0)
-    c_m = np.conjugate(u_m) * va + np.conjugate(w_m) * vb
-    loc = lam_p * (np.abs(a_p) ** 2 + np.abs(c_p) ** 2) + lam_m * (
-        np.abs(a_m) ** 2 + np.abs(c_m) ** 2
-    )
-    cross = lam_p * a_p * c_p + lam_m * a_m * c_m
-    dva = -c_damp * va + src_a - loc
-    dvb = -(2j * omega + c_damp) * vb - src_b - 2.0 * cross
-    return dva, dvb
+def _riccati_generator(omega, channels):
+    """The 4x4 Hamiltonian matrix of one window's variance equations, per lane.
 
-
-def _variance_step(va, vb, dt, omega, lam_p, lam_m, u_p, w_p, u_m, w_m, consts):
-    """One classical fourth-order step of the variance equations."""
-    c_damp, src_a, src_b = consts
-
-    def rhs(a, b):
-        return _variance_rhs(
-            a, b, omega, lam_p, lam_m, u_p, w_p, u_m, w_m, c_damp, src_a, src_b
-        )
-
-    k1a, k1b = rhs(va, vb)
-    k2a, k2b = rhs(va + 0.5 * dt * k1a, vb + 0.5 * dt * k1b)
-    k3a, k3b = rhs(va + 0.5 * dt * k2a, vb + 0.5 * dt * k2b)
-    k4a, k4b = rhs(va + dt * k3a, vb + dt * k3b)
-    va = va + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    vb = vb + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return va, vb
-
-
-def step_moments(
-    state: MechGaussianState,
-    decomp: QuadratureDecomposition,
-    pe: float,
-    params: PhysParams,
-    dt: float,
-    dW_plus: complex,
-    dW_minus: complex,
-) -> MechGaussianState:
-    """One stochastic step of the Gaussian moments with frozen scattering data.
-
-    The amplitude takes an Euler-Maruyama step (exact free rotation, noise
-    coefficients built from the conditional variances); the variances take a
-    deterministic fourth-order step.  Variance fluctuations are not fed back
-    onto the amplitude.
+    With W = [[v_a + Re v_b, Im v_b], [Im v_b, v_a - Re v_b]], the quadrature
+    covariance minus its vacuum value, the moment equations (localisation
+    terms included) are the Riccati equation W' = F + A W + W A^T - W B W.
+    A channel (lam, u, w) reads the quadratures through
+    C = [[Re s, -Im s], [-Im d, -Re d]], with s = u + conj(w) and
+    d = u - conj(w), offset by G = [[Re w, -Im w], [Im w, Re w]]; so
+    B = sum lam C^T C, A = A_0 - sum lam G C and F = -sum lam [[Re z, Im z],
+    [Im z, -Re z]] with z = conj(u) w, where A_0 holds the rotation Omega and
+    the damping.  Returns H = [[A, F], [B, -A^T]], entry-major, the generator
+    of [X; Y]' = H [X; Y], whose solutions give W = X Y^-1 (Radon's lemma).
     """
-    _check_step(params, dt, decomp.lambda_plus)
-    lam_p, lam_m = decomp.lambda_plus, decomp.lambda_minus
-    u_p, w_p = decomp.v_plus
-    u_m, w_m = decomp.v_minus
-    consts = _channel_constants(lam_p, lam_m, u_p, w_p, u_m, w_m)
-    c_damp = consts[0]
+    h = np.zeros((4, 4) + np.shape(channels[0][0]))
+    a, f, b = h[:2, :2], h[:2, 2:], h[2:, :2]
+    damp = 0.0
+    for lam, u, w in channels:
+        s, d, z = u + np.conjugate(w), u - np.conjugate(w), np.conjugate(u) * w
+        c = np.array([[s.real, -s.imag], [-d.imag, -d.real]])
+        g = np.array([[w.real, -w.imag], [w.imag, w.real]])
+        b += lam * _matmul(c.swapaxes(0, 1), c)
+        a -= lam * _matmul(g, c)
+        f -= lam * np.array([[z.real, z.imag], [z.imag, -z.real]])
+        damp = damp + lam * (np.abs(u) ** 2 - np.abs(w) ** 2)
+    a[0, 0] -= 0.5 * damp
+    a[1, 1] -= 0.5 * damp
+    a[0, 1] += omega
+    a[1, 0] -= omega
+    h[2:, 2:] = -a.swapaxes(0, 1)
+    return h
 
-    va, vb, beta = state.v_a, state.v_b, state.beta
-    a_p = u_p * vb + w_p * (va + 1.0)
-    c_p = np.conjugate(u_p) * va + np.conjugate(w_p) * vb
-    a_m = u_m * vb + w_m * (va + 1.0)
-    c_m = np.conjugate(u_m) * va + np.conjugate(w_m) * vb
-    noise = math.sqrt(lam_p) * (a_p * dW_plus + c_p * np.conjugate(dW_plus)) + math.sqrt(
-        lam_m
-    ) * (a_m * dW_minus + c_m * np.conjugate(dW_minus))
 
-    rot = cmath.exp(-1j * params.Omega * dt)
-    rot_half = cmath.exp(-0.5j * params.Omega * dt)
-    beta = rot * (1.0 - 0.5 * c_damp * dt) * beta + rot_half * (
-        -1j * params.g_m * pe * dt + noise
+def _expm(m):
+    """Exponential of an entry-major stack of matrices: scaling and squaring
+    of a Taylor series.  Each matrix picks its own scaling from its own norm,
+    so a lane's result does not depend on the batch it runs in; NaN matrices
+    stay NaN."""
+    norm = np.max(np.sum(np.abs(m), axis=0), axis=0)
+    # smallest s >= 0 with norm / 2^s < 1/2; frexp gives 0 for NaN and inf
+    s = np.maximum(np.frexp(2.0 * norm)[1], 0)
+    m = m / np.ldexp(1.0, s)
+    eye = np.eye(len(m)).reshape(m.shape[:2] + (1,) * (m.ndim - 2))
+    p = eye + m / _TAYLOR_ORDER
+    for k in range(_TAYLOR_ORDER - 1, 0, -1):
+        p = eye + _matmul(m, p) / k
+    for k in range(int(np.max(s, initial=0))):
+        p = np.where(k < s, _matmul(p, p), p)
+    return p
+
+
+def _riccati_map(p, x, y, z):
+    """W -> (p_11 W + p_12)(p_21 W + p_22)^-1 on W = [[x, y], [y, z]], for an
+    entry-major 4x4 propagator p, elementwise over its broadcast with x, y, z."""
+    (x00, x01), (x10, x11), (y00, y01), (y10, y11) = [
+        (r[0] * x + r[1] * y + r[2], r[0] * y + r[1] * z + r[3]) for r in p
+    ]
+    det = y00 * y11 - y01 * y10
+    return (
+        (x00 * y11 - x01 * y10) / det,
+        0.5 * ((x01 * y00 - x00 * y01) + (x10 * y11 - x11 * y10)) / det,
+        (x11 * y00 - x10 * y01) / det,
     )
-    va, vb = _variance_step(
-        va, vb, dt, params.Omega, lam_p, lam_m, u_p, w_p, u_m, w_m, consts
+
+
+def _variance_step(va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m):
+    """Exact conditional variances across one window of frozen channel data.
+
+    Returns (steps + 1, lanes) rows of v_a and v_b; row j is the state after
+    j steps of length dt.  The one-step propagator exp(dt H) and its powers
+    up to _VARIANCE_BLOCK are formed once.  The block's power carries the
+    state from one block start to the next, and one broadcast map then gives
+    every row of every block.  Blocks keep the powers, whose entries grow
+    like exp(|H| t), close to the identity.
+    """
+    h = _riccati_generator(omega, ((lam_p, u_p, w_p), (lam_m, u_m, w_m)))
+    phi = _expm(dt * h)[:, :, None]
+    eye = np.broadcast_to(np.eye(4)[:, :, None, None], phi.shape)
+    powers = np.concatenate([eye, phi], axis=2)
+    while powers.shape[2] < _VARIANCE_BLOCK:
+        step = _matmul(powers[:, :, -1:], phi)
+        powers = np.concatenate([powers, _matmul(powers, step)], axis=2)
+    block = _matmul(powers[:, :, -1], phi[:, :, 0])
+    n_blocks = -(-(steps + 1) // _VARIANCE_BLOCK)
+    starts = np.empty((3, n_blocks) + np.shape(va))
+    starts[:, 0] = va + vb.real, vb.imag, va - vb.real
+    for q in range(1, n_blocks):
+        starts[:, q] = _riccati_map(block, *starts[:, q - 1])
+    x, y, z = (
+        r.reshape((-1,) + np.shape(va))[: steps + 1]
+        for r in _riccati_map(powers, *starts[:, :, None])
     )
-    if not va >= -ABORT_VA_TOL:
-        raise TrajectoryAbort(0, state.t + dt)
-    return MechGaussianState(
-        beta=complex(beta), v_a=float(va), v_b=complex(vb), t=state.t + dt
-    )
+    return 0.5 * (x + z), 0.5 * (x - z) + 1j * y
 
 
 def _draw_window_noise(gens, steps: int, dt: float, out):
@@ -318,15 +317,12 @@ def _batch_run(
     duration: float,
     seeds: Sequence[int] | None,
     options: TrajectoryOptions,
-    *,
-    dissipation: bool = True,
 ) -> dict:
     """Run a batch of trajectories on a shared grid; returns raw arrays.
 
-    ``seeds is None`` disables the noise (semiclassical reference); setting
-    ``dissipation`` False additionally drops the scattering channels.  With a
-    schedule, the variances and channel data live in one lane that
-    broadcasts over the batch.
+    ``seeds is None`` gives the semiclassical reference: no noise and no
+    scattering channels.  With a schedule, the variances and channel data
+    live in one lane that broadcasts over the batch.
     """
     noise = seeds is not None
     n = len(seeds) if noise else 1
@@ -351,6 +347,7 @@ def _batch_run(
     rot = cmath.exp(-1j * omega * dt)
     rot_half = cmath.exp(-0.5j * omega * dt)
     spp = steps // panels
+    per_window = steps // stride
     panel_rel_t = np.arange(panels + 1) * (spp * dt)
     panel_phases = np.exp(-2j * omega * panel_rel_t)
     panel_weights = np.ones(panels + 1) / panels
@@ -366,7 +363,7 @@ def _batch_run(
     alive = np.ones(n, dtype=bool)
     abort_time = np.full(n, np.nan)
 
-    n_rec = n_windows * steps // stride + 1
+    n_rec = n_windows * per_window + 1
     rec = {
         name: np.empty((n, n_rec), dtype=dtype)
         for name, dtype in [
@@ -380,7 +377,6 @@ def _batch_run(
             ("theta", float),
         ]
     }
-    times = np.empty(n_rec)
 
     # Kernel input for window 0: induced detuning predicted from free rotation.
     delta_panel = 2.0 * g_m * np.real(
@@ -392,15 +388,21 @@ def _batch_run(
         y_bloch = np.tile([st0.pe, st0.s.real, st0.s.imag], (n, 1))
         n_sub = max(1, math.ceil(dt * gamma / 0.045))
 
+    def population(delta_m):
+        if options.full_bloch:
+            return y_bloch[:, 0].copy()
+        if pe_frozen is not None:
+            return pe_frozen
+        return pe_closed_form(params.g, gamma, delta0 + delta_m)
+
     if noise:
         # step-major, so step j reads one contiguous row; refilled every window
         noise_buf = tuple(np.empty((steps, n), dtype=complex) for _ in range(2))
     zeros = np.zeros(lanes)
     czeros = np.zeros(lanes, dtype=complex)
-    i_rec = 0
     with np.errstate(invalid="ignore"):
         for w in range(n_windows):
-            if not dissipation:
+            if not noise:
                 lam_p, lam_m = zeros, zeros
                 u_p = w_p = u_m = w_m = czeros
                 theta_w = zeros
@@ -434,92 +436,87 @@ def _batch_run(
                 # aborted lanes carry NaN rates, which would mask the maximum
                 _check_step(params, dt, float(np.max(lam_p, initial=0.0, where=alive)))
 
-            consts = _channel_constants(lam_p, lam_m, u_p, w_p, u_m, w_m)
-            c_damp = consts[0]
+            c_damp = lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2) + lam_m * (
+                np.abs(u_m) ** 2 - np.abs(w_m) ** 2
+            )
             damp_fac = rot * (1.0 - 0.5 * c_damp * dt)
-            sq_lp = np.sqrt(lam_p)
-            sq_lm = np.sqrt(lam_m)
             if noise:
+                va_rows, vb_rows = _variance_step(
+                    va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m
+                )
+                # a lane aborts at the first step that leaves v_a below
+                # tolerance or NaN (~(va >= -tol) is True for NaN); from that
+                # step on its variances and amplitude are NaN
+                bad = ~(va_rows[1:] >= -ABORT_VA_TOL)
+                first = np.argmax(bad, axis=0)
+                hit = bad.any(axis=0)
+                late = hit & (np.arange(steps)[:, None] >= first)
+                va_rows[1:][late] = np.nan
+                vb_rows[1:][late] = np.nan
+                # a shared lane aborts every trajectory at once
+                newly = alive & np.broadcast_to(hit, (n,))
+                abort_time[newly] = (
+                    w * steps + np.broadcast_to(first, (n,))[newly] + 1
+                ) * dt
+                alive[newly] = False
+                # noise coefficients of every step, from the pre-step rows; a
+                # NaN one makes the aborting step leave the amplitude NaN
+                va_pre, vb_pre = va_rows[:-1], vb_rows[:-1]
+                sq_p, sq_m = np.sqrt(lam_p), np.sqrt(lam_m)
+                k_p = sq_p * (u_p * vb_pre + w_p * (va_pre + 1.0))
+                l_p = sq_p * (np.conjugate(u_p) * va_pre + np.conjugate(w_p) * vb_pre)
+                k_m = sq_m * (u_m * vb_pre + w_m * (va_pre + 1.0))
+                l_m = sq_m * (np.conjugate(u_m) * va_pre + np.conjugate(w_m) * vb_pre)
+                k_p[late] = np.nan
                 dw_p, dw_m = _draw_window_noise(gens, steps, dt, noise_buf)
+            else:
+                va_rows = np.broadcast_to(va, (steps + 1, lanes))
+                vb_rows = np.broadcast_to(vb, (steps + 1, lanes))
+            cols = slice(w * per_window, (w + 1) * per_window)
+            rec["v_a"][:, cols] = va_rows[:-1:stride].T
+            rec["v_b"][:, cols] = vb_rows[:-1:stride].T
+            for name, value in (
+                ("lambda_plus", lam_p), ("lambda_minus", lam_m), ("theta", theta_w)
+            ):
+                rec[name][:, cols] = value[:, None]
 
             delta_panel_next = np.empty_like(delta_panel)
             for j in range(steps):
-                gstep = w * steps + j
                 delta_m_now = 2.0 * g_m * beta.real
-                if options.full_bloch:
-                    pe_now = y_bloch[:, 0].copy()
-                elif pe_frozen is not None:
-                    pe_now = pe_frozen
-                else:
-                    pe_now = pe_closed_form(params.g, gamma, delta0 + delta_m_now)
-                if gstep % stride == 0:
-                    times[i_rec] = gstep * dt
+                pe_now = population(delta_m_now)
+                if j % stride == 0:
+                    i_rec = w * per_window + j // stride
                     rec["beta"][:, i_rec] = beta
-                    rec["v_a"][:, i_rec] = va
-                    rec["v_b"][:, i_rec] = vb
                     rec["delta_m"][:, i_rec] = delta_m_now
                     rec["pe"][:, i_rec] = pe_now
-                    rec["lambda_plus"][:, i_rec] = lam_p
-                    rec["lambda_minus"][:, i_rec] = lam_m
-                    rec["theta"][:, i_rec] = theta_w
-                    i_rec += 1
                 if j % spp == 0:
                     delta_panel_next[:, j // spp] = delta_m_now
-
                 if noise:
-                    a_p = u_p * vb + w_p * (va + 1.0)
-                    c_p = np.conjugate(u_p) * va + np.conjugate(w_p) * vb
-                    a_m = u_m * vb + w_m * (va + 1.0)
-                    c_m = np.conjugate(u_m) * va + np.conjugate(w_m) * vb
-                    noise_term = sq_lp * (
-                        a_p * dw_p[j] + c_p * np.conjugate(dw_p[j])
-                    ) + sq_lm * (a_m * dw_m[j] + c_m * np.conjugate(dw_m[j]))
-                else:
-                    noise_term = 0.0
-                beta = damp_fac * beta + rot_half * (
-                    -1j * g_m * pe_now * dt + noise_term
-                )
-                if dissipation:
-                    va, vb = _variance_step(
-                        va, vb, dt, omega, lam_p, lam_m, u_p, w_p, u_m, w_m, consts
+                    kick = (
+                        k_p[j] * dw_p[j] + l_p[j] * np.conjugate(dw_p[j])
+                        + k_m[j] * dw_m[j] + l_m[j] * np.conjugate(dw_m[j])
                     )
-                    # catches NaN as well: ~(va >= -tol) is True for NaN
-                    bad = alive & ~(va >= -ABORT_VA_TOL)
-                    if bad.any():
-                        # a shared lane aborts every trajectory at once
-                        va = np.broadcast_to(va, (n,)).copy()
-                        vb = np.broadcast_to(vb, (n,)).copy()
-                        alive[bad] = False
-                        abort_time[bad] = (gstep + 1) * dt
-                        beta[bad] = np.nan
-                        va[bad] = np.nan
-                        vb[bad] = np.nan
+                else:
+                    kick = 0.0
+                beta = damp_fac * beta + rot_half * (-1j * g_m * pe_now * dt + kick)
                 if options.full_bloch:
                     y_bloch = bloch_step_batch(
                         y_bloch, delta0 + delta_m_now, params, dt, n_sub
                     )
             delta_panel_next[:, panels] = 2.0 * g_m * beta.real
             delta_panel = delta_panel_next
+            va, vb = va_rows[-1], vb_rows[-1]
 
         # closing record
         delta_m_now = 2.0 * g_m * beta.real
-        if options.full_bloch:
-            pe_now = y_bloch[:, 0].copy()
-        elif pe_frozen is not None:
-            pe_now = pe_frozen
-        else:
-            pe_now = pe_closed_form(params.g, gamma, delta0 + delta_m_now)
-        times[i_rec] = n_windows * steps * dt
-        rec["beta"][:, i_rec] = beta
-        rec["v_a"][:, i_rec] = va
-        rec["v_b"][:, i_rec] = vb
-        rec["delta_m"][:, i_rec] = delta_m_now
-        rec["pe"][:, i_rec] = pe_now
-        rec["lambda_plus"][:, i_rec] = lam_p
-        rec["lambda_minus"][:, i_rec] = lam_m
-        rec["theta"][:, i_rec] = theta_w
+        for name, value in (
+            ("beta", beta), ("v_a", va), ("v_b", vb), ("delta_m", delta_m_now),
+            ("pe", population(delta_m_now)), ("lambda_plus", lam_p),
+            ("lambda_minus", lam_m), ("theta", theta_w),
+        ):
+            rec[name][:, -1] = value
 
-    rec["times"] = times
+    rec["times"] = np.arange(n_rec) * stride * dt
     rec["alive"] = alive
     rec["abort_time"] = abort_time
     rec["window_length"] = window
@@ -567,17 +564,15 @@ def semiclassical_run(
 ) -> TrajectoryRecord:
     """Noise-free mean-field evolution: rotation plus population force."""
     options = options or TrajectoryOptions()
-    batch = _batch_run(
-        params, beta0, 0.0, 0.0, duration, None, options, dissipation=False
-    )
+    batch = _batch_run(params, beta0, 0.0, 0.0, duration, None, options)
     return _record_from_batch(batch, 0, None)
 
 
-def _sample_variance(values: np.ndarray, axis=0) -> np.ndarray:
-    n = values.shape[axis]
-    if n < 2:
-        return np.zeros(values.shape[1 - axis] if values.ndim > 1 else ())
-    return np.var(values, axis=axis, ddof=1)
+def _sample_variance(values: np.ndarray) -> np.ndarray:
+    """Unbiased variance across trajectories (axis 0); zero for one."""
+    if len(values) < 2:
+        return np.zeros(values.shape[1:])
+    return np.var(values, axis=0, ddof=1)
 
 
 def run_ensemble(
@@ -628,9 +623,7 @@ def run_ensemble(
             f"{len(aborted)}/{n_traj} trajectories aborted: {aborted[:10]}"
         )
 
-    reference = semiclassical_run(
-        params, beta0, duration, replace_options_for_reference(options)
-    )
+    reference = semiclassical_run(params, beta0, duration, options)
 
     beta = batch["beta"][alive]
     va = batch["v_a"][alive]
@@ -670,18 +663,6 @@ def run_ensemble(
         aborted=aborted,
     )
     return result
-
-
-def replace_options_for_reference(options: TrajectoryOptions) -> TrajectoryOptions:
-    """Options for the noise-free reference run on the same grid."""
-    ref = TrajectoryOptions(
-        steps_per_window=options.steps_per_window,
-        panels_per_window=options.panels_per_window,
-        record_stride=options.record_stride,
-        full_bloch=options.full_bloch,
-        schedule=options.schedule,
-    )
-    return ref
 
 
 def _histograms(times, dbeta, params, duration, options):

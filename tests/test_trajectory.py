@@ -5,19 +5,22 @@ import pytest
 from conftest import sinusoidal_rates
 
 from hybridmech.bloch import PhysParams
-from hybridmech.lindblad import twisted_decomposition
+from hybridmech.lindblad import QuadratureDecomposition, twisted_decomposition
 from hybridmech.oracle import make_frozen_schedule, quadrature_variances
 from hybridmech.trajectory import (
+    ABORT_VA_TOL,
     EnsembleAbortError,
-    MechGaussianState,
     TrajectoryAbort,
     TrajectoryOptions,
-    complex_wiener,
+    WindowCoefficients,
+    _batch_run,
+    _draw_window_noise,
+    _expm,
+    _variance_step,
     derive_trajectory_seed,
     run_ensemble,
     run_trajectory,
     semiclassical_run,
-    step_moments,
 )
 
 
@@ -30,27 +33,36 @@ def frozen_frame_params():
     return PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
 
 
+def draw_window(seeds, steps, dt):
+    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    buf = tuple(np.empty((steps, len(seeds)), dtype=complex) for _ in range(2))
+    return _draw_window_noise(gens, steps, dt, buf)
+
+
 def test_complex_wiener_moments():
-    # one million draws from the identical stream, built vectorised
-    rng = np.random.default_rng(0)
+    # one million increments per channel, drawn as the engine draws a window
     dt = 1e-3
-    n = 1_000_000
-    x = rng.standard_normal((n, 2))
-    draws = (x[:, 0] + 1j * x[:, 1]) * math.sqrt(0.5 * dt)
-    # the scalar helper consumes the same stream
-    rng2 = np.random.default_rng(0)
-    head = [complex_wiener(rng2, dt) for _ in range(4)]
-    assert np.allclose(head, draws[:4])
-    assert np.mean(np.abs(draws) ** 2) == pytest.approx(dt, rel=0.005)
-    assert abs(np.mean(draws**2)) <= 5e-3 * dt
+    seeds = [derive_trajectory_seed(0, i) for i in range(100)]
+    dw_p, dw_m = draw_window(seeds, 10_000, dt)
+    for draws in (dw_p, dw_m):
+        assert np.mean(np.abs(draws) ** 2) == pytest.approx(dt, rel=0.005)
+        assert abs(np.mean(draws**2)) <= 5e-3 * dt
+    assert abs(np.mean(dw_p * np.conjugate(dw_m))) <= 5e-3 * dt
+    # column i holds trajectory i's stream: (x0 + i x1, x2 + i x3) sqrt(dt / 2)
+    x = np.random.Generator(np.random.PCG64(seeds[7])).standard_normal((10_000, 4))
+    assert np.array_equal(dw_p[:, 7], (x[:, 0] + 1j * x[:, 1]) * math.sqrt(0.5 * dt))
+    assert np.array_equal(dw_m[:, 7], (x[:, 2] + 1j * x[:, 3]) * math.sqrt(0.5 * dt))
 
 
 def test_complex_wiener_deterministic():
-    a = [complex_wiener(np.random.default_rng(42), 0.1) for _ in range(3)]
-    b = [complex_wiener(np.random.default_rng(42), 0.1) for _ in range(3)]
-    assert a == b
-    with pytest.raises(ValueError):
-        complex_wiener(np.random.default_rng(0), 0.0)
+    seeds = [derive_trajectory_seed(42, i) for i in range(3)]
+    a = draw_window(seeds, 64, 0.1)
+    b = draw_window(seeds, 64, 0.1)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    # a trajectory's increments do not depend on the batch it is drawn in
+    alone = draw_window(seeds[2:], 64, 0.1)
+    assert all(np.array_equal(x[:, 2], y[:, 0]) for x, y in zip(a, alone))
+    assert not np.array_equal(a[0][:, 0], a[0][:, 1])
 
 
 def test_seed_derivation_is_stable():
@@ -60,39 +72,37 @@ def test_seed_derivation_is_stable():
     assert derive_trajectory_seed(12345, 0) != derive_trajectory_seed(12345, 1)
 
 
-def test_step_moments_free_oscillator_exact():
-    p = PhysParams(gamma=1.0, g=1.0, Omega=0.02, g_m=0.0)
-    dec = twisted_decomposition(0.0, 0.0, 0.0)
-    state = MechGaussianState(beta=2.0 + 1.0j, v_a=0.0, v_b=0.0)
-    dt = 1.0
-    for _ in range(100):
-        state = step_moments(state, dec, 0.0, p, dt, 0.0, 0.0)
-    expected = (2.0 + 1.0j) * np.exp(-1j * p.Omega * 100 * dt)
-    assert state.beta == pytest.approx(expected, abs=1e-12)
-    assert state.v_a == 0.0 and state.v_b == 0.0
+def frozen_options(decomp, steps, pe=0.0):
+    """One frozen window of the given steps, recorded at every step."""
+    schedule = [WindowCoefficients(decomp=decomp, pe=pe)]
+    return TrajectoryOptions(steps_per_window=steps, record_stride=1, schedule=schedule)
 
 
-def test_step_moments_rejects_coarse_step():
+def test_free_oscillator_rotation_is_exact():
+    # zero rates: the variances stay at vacuum and beta only rotates
     p = PhysParams(gamma=1.0, g=1.0, Omega=0.02, g_m=0.0)
-    dec = twisted_decomposition(1.0, 0.0, 0.0)
-    state = MechGaussianState(beta=0.0, v_a=0.0, v_b=0.0)
+    opts = frozen_options(twisted_decomposition(0.0, 0.0, 0.0), 128)
+    rec = run_trajectory(p, 2.0 + 1.0j, 0.0, 0.0, 128.0, 5, opts)
+    expected = (2.0 + 1.0j) * np.exp(-1j * p.Omega * rec.times)
+    assert np.max(np.abs(rec.beta - expected)) <= 1e-12
+    assert np.all(rec.v_a == 0.0) and np.all(rec.v_b == 0.0)
+
+
+def test_scheduled_run_rejects_coarse_step():
+    p = PhysParams(gamma=1.0, g=1.0, Omega=0.02, g_m=0.0)
+    opts = frozen_options(twisted_decomposition(1.0, 0.0, 0.0), 64)
     with pytest.raises(ValueError, match="lambda_plus"):
-        step_moments(state, dec, 0.0, p, 1.0, 0.0, 0.0)
+        run_trajectory(p, 0j, 0.0, 0.0, 64.0, 5, opts)
 
 
 def test_displaced_fixed_point():
     # constant population, no scattering: beta spirals about -g_m pe / Omega
     p = PhysParams(gamma=1.0, g=1.0, Omega=0.02, g_m=0.01)
-    dec = twisted_decomposition(0.0, 0.0, 0.0)
     pe = 0.25
     target = -p.g_m * pe / p.Omega
-    state = MechGaussianState(beta=complex(target), v_a=0.0, v_b=0.0)
-    dt = 2 * math.pi / p.Omega / 2048
-    betas = []
-    for _ in range(2048):
-        state = step_moments(state, dec, pe, p, dt, 0.0, 0.0)
-        betas.append(state.beta)
-    center = np.mean(betas)
+    opts = frozen_options(twisted_decomposition(0.0, 0.0, 0.0), 2048, pe=pe)
+    rec = run_trajectory(p, complex(target), 0.0, 0.0, p.mechanical_period, 5, opts)
+    center = np.mean(rec.beta[1:])
     assert abs(center - target) <= 5e-3 * abs(target)
 
 
@@ -102,8 +112,6 @@ def test_thermal_variance_relaxation_of_ensemble_moments():
     Gamma, n_m = 2e-3, 2.0
     p = PhysParams(gamma=1.0, g=1.0, Omega=0.01, g_m=0.0, Gamma=Gamma, n_m=n_m)
     # thermal channels are b and b^dagger, not quadratures
-    from hybridmech.lindblad import QuadratureDecomposition
-
     dec = QuadratureDecomposition(
         lambda_plus=Gamma * (n_m + 1.0),
         lambda_minus=Gamma * n_m,
@@ -360,10 +368,10 @@ def test_variance_growth_requires_valid_durations():
 def test_unphysical_state_aborts_step():
     # localisation terms of an already-unphysical state drive v_a negative
     p = PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
-    dec = twisted_decomposition(0.01, 0.0, 0.0)
-    state = MechGaussianState(beta=0.0, v_a=0.1, v_b=100.0 + 0.0j)
-    with pytest.raises(TrajectoryAbort):
-        step_moments(state, dec, 0.0, p, 1.0, 0.0, 0.0)
+    opts = frozen_options(twisted_decomposition(0.01, 0.0, 0.0), 64)
+    with pytest.raises(TrajectoryAbort) as err:
+        run_trajectory(p, 0j, 0.1, 100.0 + 0.0j, 64.0, 5, opts)
+    assert err.value.time == 1.0
 
 
 def test_ensemble_abort_report():
@@ -373,3 +381,139 @@ def test_ensemble_abort_report():
     opts = TrajectoryOptions(steps_per_window=256, record_stride=256, schedule=schedule)
     with pytest.raises(EnsembleAbortError):
         run_ensemble(p, 0.0 + 0j, 256.0, 4, 8, opts, v_a0=0.1, v_b0=100.0 + 0.0j)
+
+
+def moment_rhs(va, vb, omega, channels):
+    """Conditional-variance equations of the moments, localisation included."""
+    dva, dvb = 0.0, -2j * omega * vb
+    for lam, u, w in channels:
+        a = u * vb + w * (va + 1.0)
+        c = u.conjugate() * va + w.conjugate() * vb
+        damp = abs(u) ** 2 - abs(w) ** 2
+        dva += lam * (-damp * va + abs(w) ** 2 - abs(a) ** 2 - abs(c) ** 2)
+        dvb += lam * (-damp * vb - u.conjugate() * w - 2.0 * a * c)
+    return dva, dvb
+
+
+def fine_rk4_rows(va, vb, dt, steps, omega, channels, sub=64):
+    h = dt / sub
+    va_rows, vb_rows = [va], [vb]
+    for _ in range(steps):
+        for _ in range(sub):
+            k1 = moment_rhs(va, vb, omega, channels)
+            k2 = moment_rhs(va + h / 2 * k1[0], vb + h / 2 * k1[1], omega, channels)
+            k3 = moment_rhs(va + h / 2 * k2[0], vb + h / 2 * k2[1], omega, channels)
+            k4 = moment_rhs(va + h * k3[0], vb + h * k3[1], omega, channels)
+            va += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            vb += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        va_rows.append(va)
+        vb_rows.append(vb)
+    return np.array(va_rows), np.array(vb_rows)
+
+
+def exact_rows(va, vb, dt, steps, omega, dec):
+    """The engine's variance rows for one lane of frozen channel data."""
+    rows = _variance_step(
+        np.array([va]), np.array([vb], dtype=complex), dt, steps, omega,
+        *(np.array([x]) for x in (dec.lambda_plus, dec.lambda_minus, *dec.v_plus,
+                                  *dec.v_minus)),
+    )
+    return rows[0][:, 0], rows[1][:, 0]
+
+
+@pytest.mark.parametrize(
+    "dec, omega, dt, va0, vb0",
+    [
+        (  # thermal channels b and b^dagger, Gamma = 2e-3, n_m = 2
+            QuadratureDecomposition(
+                6e-3, 4e-3, np.array([1.0 + 0j, 0j]), np.array([0j, 1.0 + 0j]), 0.0
+            ),
+            0.01, 2 * math.pi / 0.01 / 256, 0.5, 0j,
+        ),
+        (twisted_decomposition(0.03, 0.006, 0.6), 1e-3, 2.0, 0.3, 0.2 - 0.1j),
+        (twisted_decomposition(0.02, 0.005, 0.2), 0.05, 1.0, 1.0, 0.5j),
+    ],
+    ids=["thermal", "twisted", "rotating"],
+)
+def test_exact_variance_map_matches_fine_rk4(dec, omega, dt, va0, vb0):
+    steps = 256
+    va, vb = exact_rows(va0, vb0, dt, steps, omega, dec)
+    channels = [
+        (dec.lambda_plus, complex(dec.v_plus[0]), complex(dec.v_plus[1])),
+        (dec.lambda_minus, complex(dec.v_minus[0]), complex(dec.v_minus[1])),
+    ]
+    ref_a, ref_b = fine_rk4_rows(va0, complex(vb0), dt, steps, omega, channels)
+    assert va.shape == (steps + 1,) and va[0] == va0
+    assert np.max(np.abs(va - ref_a)) <= 1e-10
+    assert np.max(np.abs(vb - ref_b)) <= 1e-10
+    # the window moves the variances well away from their start
+    assert np.max(np.abs(va - va0)) >= 1e-3
+
+
+def test_expm_matches_eigendecomposition():
+    # norms from 1e-2 to 20 exercise the series alone and with squaring
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(4, 4, 40)) * np.logspace(-2, 1.3, 40)
+    eig, vec = np.linalg.eig(np.moveaxis(m, -1, 0))
+    ref = np.real(vec @ (np.exp(eig)[:, :, None] * np.linalg.inv(vec)))
+    got = np.moveaxis(_expm(m), -1, 0)
+    scale = np.max(np.abs(ref), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= 1e-12 * scale)
+
+
+def test_exact_variance_map_is_independent_of_the_batch():
+    # seven lanes of different channel data, one of them an aborted (NaN)
+    # lane and one coarse enough to need its own scaling and squaring
+    rng = np.random.default_rng(3)
+    decs = [twisted_decomposition(lp, 0.3 * lp, th)
+            for lp, th in zip(rng.uniform(1e-3, 0.05, 7), rng.uniform(-1, 1, 7))]
+    decs[5] = twisted_decomposition(0.5, 0.2, 0.4)
+    lanes = [np.array(x) for x in zip(*[
+        (d.lambda_plus, d.lambda_minus, *d.v_plus, *d.v_minus) for d in decs
+    ])]
+    lanes[0][2] = np.nan
+    va = rng.uniform(0.0, 1.0, 7)
+    vb = 0.3 * va * np.exp(1j * rng.uniform(0, 2 * math.pi, 7))
+
+    def run(sl):
+        return _variance_step(va[sl], vb[sl], 2.0, 256, 0.01, *(c[sl] for c in lanes))
+
+    whole = run(slice(None))
+    assert np.all(np.isnan(whole[0][1:, 2])) and np.all(np.isnan(whole[1][1:, 2]))
+    keep = np.arange(7) != 2
+    assert np.all(np.isfinite(whole[0][:, keep]))
+    assert np.all(np.isfinite(whole[1][:, keep]))
+    for size in (1, 3):
+        parts = [run(slice(i, i + size)) for i in range(0, 7, size)]
+        for k in range(2):
+            joined = np.concatenate([p[k] for p in parts], axis=1)
+            assert np.array_equal(joined, whole[k], equal_nan=True)
+
+
+def test_exact_variance_map_keeps_pure_states_pure():
+    # lambda_+ * window = 20 from the vacuum: the conditional state stays pure
+    dec = twisted_decomposition(0.05, 0.02, 0.6)
+    steps = 256
+    va, vb = exact_rows(0.0, 0j, 20.0 / (steps * 0.05), steps, 0.01, dec)
+    assert np.max(va) >= 0.01
+    assert np.max(np.abs(vb) ** 2 - va * (va + 1.0)) <= 1e-12
+
+
+def test_abort_time_is_first_step_below_tolerance():
+    # an unphysical start whose v_a falls through -ABORT_VA_TOL a few steps in
+    p = PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
+    dec = twisted_decomposition(0.01, 0.0, 0.0)
+    va, _ = exact_rows(0.1, 1.0 + 0j, 1.0, 64, p.Omega, dec)
+    first = int(np.argmax(~(va[1:] >= -ABORT_VA_TOL)))
+    assert va[first + 1] < -ABORT_VA_TOL and 0 < first < 63
+    opts = frozen_options(dec, 64)
+    with pytest.raises(TrajectoryAbort) as err:
+        run_trajectory(p, 0j, 0.1, 1.0 + 0j, 64.0, 5, opts)
+    assert err.value.time == first + 1.0
+    batch = _batch_run(p, 0j, 0.1, 1.0 + 0j, 64.0, [5, 6], opts)
+    assert not batch["alive"].any()
+    assert np.all(batch["abort_time"] == first + 1.0)
+    # records up to the aborting step are finite, and NaN after it
+    assert np.all(np.isfinite(batch["v_a"][:, : first + 1]))
+    assert np.all(np.isnan(batch["v_a"][:, first + 1 :]))
+    assert np.all(np.isnan(batch["beta"][:, first + 1 :]))
