@@ -23,9 +23,8 @@ from .lindblad import (
     QuadratureDecomposition,
     RegimeLabel,
     classify_regime,
-    diagonalize,
+    decompose,
     effective_thermal,
-    h_matrix,
     twisted_decomposition,
 )
 from .spectrum import (
@@ -59,9 +58,8 @@ __all__ = [
     "QuadratureDecomposition",
     "RegimeLabel",
     "classify_regime",
-    "diagonalize",
+    "decompose",
     "effective_thermal",
-    "h_matrix",
     "twisted_decomposition",
     "NoiseKernels",
     "UnsupportedConfigError",

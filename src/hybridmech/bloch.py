@@ -214,11 +214,6 @@ def bloch_integrate(
     return BlochTrajectory(times=times, pe=pe, s=s)
 
 
-def _bloch_rhs_batch(y: np.ndarray, delta: np.ndarray, g, gamma, n_q) -> np.ndarray:
-    """Vectorised Bloch right-hand side for (n, 3) state batches."""
-    return _bloch_rhs(y, delta, g, gamma, n_q)
-
-
 def bloch_step_batch(
     y: np.ndarray, delta: np.ndarray, params: PhysParams, dt: float, n_sub: int
 ) -> np.ndarray:
@@ -230,9 +225,9 @@ def bloch_step_batch(
     h = dt / n_sub
     g, gamma, n_q = params.g, params.gamma, params.n_q
     for _ in range(n_sub):
-        k1 = _bloch_rhs_batch(y, delta, g, gamma, n_q)
-        k2 = _bloch_rhs_batch(y + 0.5 * h * k1, delta, g, gamma, n_q)
-        k3 = _bloch_rhs_batch(y + 0.5 * h * k2, delta, g, gamma, n_q)
-        k4 = _bloch_rhs_batch(y + h * k3, delta, g, gamma, n_q)
+        k1 = _bloch_rhs(y, delta, g, gamma, n_q)
+        k2 = _bloch_rhs(y + 0.5 * h * k1, delta, g, gamma, n_q)
+        k3 = _bloch_rhs(y + 0.5 * h * k2, delta, g, gamma, n_q)
+        k4 = _bloch_rhs(y + h * k3, delta, g, gamma, n_q)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y

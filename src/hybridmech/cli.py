@@ -25,12 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import PhysParams
-from .lindblad import (
-    QuadratureDecomposition,
-    classify_regime,
-    eigenpairs,
-    twisted_decomposition,
-)
+from .lindblad import classify_regime, decompose, twisted_decomposition
 from .oracle import (
     coherent_density,
     integrate_master,
@@ -39,7 +34,7 @@ from .oracle import (
     make_frozen_schedule,
     superoperator,
 )
-from .spectrum import NoiseKernels, spectrum_closed_form, spectrum_qrt
+from .spectrum import WINDOW_PANELS, NoiseKernels, spectrum_closed_form, spectrum_qrt
 from .trajectory import (
     MAX_RATE_STEP,
     TrajectoryOptions,
@@ -109,6 +104,14 @@ class ExperimentConfig:
         )
 
 
+def _number(field_name: str, value, kind=float):
+    """``kind(value)``, or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(field_name, f"expected a number, got {value!r}") from exc
+
+
 _PARAM_FIELDS = ("gamma", "g", "delta0", "Omega", "g_m", "Gamma", "n_q", "n_m")
 _RATE_FIELDS = ("gamma", "g", "delta0", "Omega", "g_m", "Gamma")
 
@@ -130,20 +133,24 @@ def _normalize_params(raw: dict, units: str) -> tuple[PhysParams, dict]:
     else:
         raise ConfigError("units", f"must be one of gamma/hz/rad_s, got {units!r}")
 
-    gamma_in = float(raw.get("gamma", 1.0))
+    gamma_in = _number("params.gamma", raw.get("gamma", 1.0))
     if gamma_in <= 0:
         raise ConfigError("params.gamma", "must be positive")
 
     values = {}
     for name in _RATE_FIELDS:
-        values[name] = float(raw.get(name, 1.0 if name == "gamma" else 0.0))
+        values[name] = _number(
+            f"params.{name}", raw.get(name, 1.0 if name == "gamma" else 0.0)
+        )
 
     for occ, temp in (("n_m", "T_m"), ("n_q", "T_q")):
         if occ in raw and temp in raw:
             raise ConfigError(
                 f"params.{temp}", f"conflicts with params.{occ}; give exactly one"
             )
-    occupations = {"n_m": float(raw.get("n_m", 0.0)), "n_q": float(raw.get("n_q", 0.0))}
+    occupations = {
+        occ: _number(f"params.{occ}", raw.get(occ, 0.0)) for occ in ("n_m", "n_q")
+    }
     for occ, temp, freq in (("n_m", "T_m", "Omega"), ("n_q", "T_q", "omega0")):
         if temp in raw:
             if to_angular is None:
@@ -156,15 +163,20 @@ def _normalize_params(raw: dict, units: str) -> tuple[PhysParams, dict]:
                     raise ConfigError(
                         "params.omega0", "required to convert T_q to an occupation"
                     )
-                omega_abs = float(raw["omega0"]) * to_angular
+                omega_abs = _number("params.omega0", raw["omega0"]) * to_angular
             else:
                 omega_abs = values["Omega"] * to_angular
-            occupations[occ] = bose_occupation(omega_abs, float(raw[temp]))
+            occupations[occ] = bose_occupation(
+                omega_abs, _number(f"params.{temp}", raw[temp])
+            )
 
     normalized = {name: values[name] / gamma_in for name in _RATE_FIELDS}
     normalized["gamma"] = 1.0
     normalized.update(occupations)
-    params = PhysParams(**normalized)
+    try:
+        params = PhysParams(**normalized)
+    except ValueError as exc:  # its message starts with the field's name
+        raise ConfigError(f"params.{str(exc).split()[0]}", str(exc)) from exc
     return params, normalized
 
 
@@ -203,21 +215,27 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if isinstance(beta0_raw, (int, float)):
         beta0 = complex(float(beta0_raw), 0.0)
     elif isinstance(beta0_raw, (list, tuple)) and len(beta0_raw) == 2:
-        beta0 = complex(float(beta0_raw[0]), float(beta0_raw[1]))
+        beta0 = complex(*(_number("initial.beta0", x) for x in beta0_raw))
     else:
         raise ConfigError("initial.beta0", "expected a number or [re, im] pair")
 
     engine = doc.get("engine", {})
-    duration = float(doc.get("duration_periods", 10.0))
+
+    def engine_int(name, default):
+        return _number(f"engine.{name}", engine.get(name, default), int)
+
+    duration = _number("duration_periods", doc.get("duration_periods", 10.0))
     if duration <= 0:
         raise ConfigError("duration_periods", "must be positive")
-    trajectories = int(doc.get("trajectories", 100))
+    trajectories = _number("trajectories", doc.get("trajectories", 100), int)
     if trajectories < 1:
         raise ConfigError("trajectories", "must be at least 1")
-    seed = int(doc.get("seed", 0))
+    seed = _number("seed", doc.get("seed", 0), int)
     histogram_periods = engine.get("histogram_periods")
     if histogram_periods is not None:
-        histogram_periods = [float(p) for p in histogram_periods]
+        histogram_periods = [
+            _number("engine.histogram_periods", p) for p in histogram_periods
+        ]
 
     config = ExperimentConfig(
         kind=kind,
@@ -226,11 +244,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         duration_periods=duration,
         trajectories=trajectories,
         seed=seed,
-        steps_per_window=int(engine.get("steps_per_window", 256)),
-        record_stride=int(engine.get("record_stride", 4)),
+        steps_per_window=engine_int("steps_per_window", 256),
+        record_stride=engine_int("record_stride", 4),
         full_bloch=bool(engine.get("full_bloch", False)),
-        workers=int(engine.get("workers", 1)),
-        histogram_bins=int(engine.get("histogram_bins", 41)),
+        workers=engine_int("workers", 1),
+        histogram_bins=engine_int("histogram_bins", 41),
         histogram_periods=histogram_periods,
         sweep=dict(doc.get("sweep", {})),
         grid=dict(doc.get("grid", {})),
@@ -238,11 +256,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     )
     if config.steps_per_window < 1:
         raise ConfigError("engine.steps_per_window", "must be positive")
-    panels = TrajectoryOptions.panels_per_window
-    if config.steps_per_window % panels != 0:
+    if config.steps_per_window % WINDOW_PANELS != 0:
         raise ConfigError(
             "engine.steps_per_window",
-            f"must be a multiple of panels_per_window = {panels}, "
+            f"must be a multiple of the {WINDOW_PANELS} kernel panels per window, "
             f"got {config.steps_per_window}",
         )
     if config.record_stride < 1 or config.steps_per_window % config.record_stride != 0:
@@ -251,6 +268,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             f"must divide steps_per_window = {config.steps_per_window}, "
             f"got {config.record_stride}",
         )
+    if config.histogram_bins < 1:
+        raise ConfigError("engine.histogram_bins", "must be at least 1")
     _check_kind(config, "params.T_q" if "T_q" in raw_params else "params.n_q")
     config.normalized = {
         "kind": kind,
@@ -453,7 +472,8 @@ def _run_validate(config: ExperimentConfig, out: Path) -> list[str]:
         n_m = 10.0 ** rng.uniform(-2, 3)
         h11 = Gamma * (n_m + 1) + s0
         h22 = Gamma * n_m + s0
-        lam_p, lam_m, *_ = eigenpairs(Gamma, h11, h22, s2)
+        dec = decompose(Gamma, n_m, s0, s2)
+        lam_p, lam_m = dec.lambda_plus, dec.lambda_minus
         ref = np.linalg.eigvalsh(np.array([[h11, s2], [np.conj(s2), h22]]))
         scale = max(h11, 1.0)
         worst_eig = max(
@@ -475,12 +495,7 @@ def _run_validate(config: ExperimentConfig, out: Path) -> list[str]:
         Gamma = 10.0 ** rng.uniform(-2, 1)
         n_m = 10.0 ** rng.uniform(-1, 1)
         kernels = NoiseKernels(s0=s0, s2=s2)
-        lam_p, lam_m, v_p, v_m, theta = eigenpairs(
-            Gamma, Gamma * (n_m + 1) + s0, Gamma * n_m + s0, s2
-        )
-        decomp = QuadratureDecomposition(
-            float(lam_p), float(lam_m), np.asarray(v_p), np.asarray(v_m), float(theta)
-        )
+        decomp = decompose(Gamma, n_m, s0, s2)
         a = superoperator(lambda x: lindblad_rhs(x, 0.3, decomp, p10), 10)
         b = superoperator(
             lambda x: kernel_form_rhs(x, 0.3, Gamma, n_m, kernels, p10), 10
@@ -569,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--kind", default=None, choices=KINDS, help="override kind")
     parser.add_argument(
-        "--workers", type=int, default=None, help="override worker (chunk) count"
+        "--workers", type=int, default=None, help="no effect; kept for old configs"
     )
     parser.add_argument(
         "--full-bloch",

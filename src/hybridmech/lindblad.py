@@ -70,20 +70,6 @@ class RegimeLabel:
     n_m: float
 
 
-def h_matrix(Gamma: float, n_m: float, kernels: NoiseKernels) -> np.ndarray:
-    """Dissipation matrix combining thermal rates and emitter noise kernels."""
-    if Gamma < 0 or n_m < 0:
-        raise ValueError("Gamma and n_m must be non-negative")
-    s0, s2 = kernels.s0, kernels.s2
-    return np.array(
-        [
-            [Gamma * (n_m + 1.0) + s0, s2],
-            [np.conjugate(s2), Gamma * n_m + s0],
-        ],
-        dtype=complex,
-    )
-
-
 def eigenpairs(Gamma, h11, h22, s2):
     """Closed-form eigenpairs of h; vectorised over trailing array shapes.
 
@@ -133,22 +119,15 @@ def eigenpairs(Gamma, h11, h22, s2):
     return lam_p, lam_m, v_p, v_m, theta
 
 
-def diagonalize(
-    h: np.ndarray, Gamma: float, kernels: NoiseKernels
+def decompose(
+    Gamma: float, n_m: float, s0: float, s2: complex
 ) -> QuadratureDecomposition:
-    """Closed-form diagonalisation of the dissipation matrix.
-
-    ``h`` supplies the diagonal (thermal plus s0) part; the off-diagonal must
-    agree with ``kernels.s2``.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2):
-        raise ValueError("h must be a 2x2 matrix")
-    scale = max(float(np.max(np.abs(h))), 1e-300)
-    if abs(h[0, 1] - kernels.s2) > 1e-9 * scale:
-        raise ValueError("h off-diagonal disagrees with kernels.s2")
+    """Closed-form eigen-decomposition of the dissipation matrix
+    h = [[Gamma (n_m + 1) + s0, s2], [conj(s2), Gamma n_m + s0]]."""
+    if Gamma < 0 or n_m < 0:
+        raise ValueError("Gamma and n_m must be non-negative")
     lam_p, lam_m, v_p, v_m, theta = eigenpairs(
-        Gamma, h[0, 0].real, h[1, 1].real, kernels.s2
+        Gamma, Gamma * (n_m + 1.0) + s0, Gamma * n_m + s0, s2
     )
     return QuadratureDecomposition(
         lambda_plus=float(lam_p),

@@ -11,6 +11,7 @@ dimension a few tens.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,10 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .bloch import PhysParams, pe_closed_form
-from .lindblad import QuadratureDecomposition, eigenpairs
+from .lindblad import QuadratureDecomposition, decompose
 from .spectrum import NoiseKernels, window_kernels
 from .trajectory import (
-    TrajectoryOptions,
     WindowCoefficients,
     _draw_window_noise,
     derive_trajectory_seed,
@@ -80,37 +80,58 @@ def raise_state(psi: np.ndarray) -> np.ndarray:
     return out
 
 
+# The four matrix-side shifts below work on the last two axes flattened into
+# one, so that numpy runs one long contiguous inner loop per matrix instead of
+# one short loop per row.  A shift along a row then crosses into the
+# neighbouring row at the edge column; the weight there is 0, which zeroes
+# that entry exactly as the truncated ladder operator does (finite input).
+
+@functools.lru_cache(maxsize=None)
+def _flat_weights(kind: str, rows: int, cols: int) -> np.ndarray:
+    if kind == "left":  # sqrt(i + 1) for every entry of row i < rows - 1
+        w = np.repeat(_sqrt_ladder(rows), cols)
+    elif kind == "right":  # sqrt(j) at column j, j >= 1 of the output
+        w = np.tile(np.concatenate(([0.0], _sqrt_ladder(cols))), rows)[1:]
+    else:  # "right_dag": sqrt(j + 1) at column j < cols - 1 of the output
+        w = np.tile(np.concatenate((_sqrt_ladder(cols), [0.0])), rows)[:-1]
+    w.flags.writeable = False
+    return w
+
+
+def _flat_pair(x: np.ndarray):
+    rows, cols = x.shape[-2:]
+    flat = x.shape[:-2] + (rows * cols,)
+    out = np.empty(x.shape, dtype=x.dtype)
+    return out, out.reshape(flat), x.reshape(flat), rows, cols
+
+
 def _b_left(x: np.ndarray) -> np.ndarray:
     """b X on the last two axes."""
-    out = np.empty_like(x)
-    s = _sqrt_ladder(x.shape[-2])
-    np.multiply(s[:, None], x[..., 1:, :], out=out[..., :-1, :])
-    out[..., -1, :] = 0
+    out, of, xf, rows, cols = _flat_pair(x)
+    np.multiply(_flat_weights("left", rows, cols), xf[..., cols:], out=of[..., :-cols])
+    of[..., -cols:] = 0
     return out
 
 
 def _bdag_left(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    s = _sqrt_ladder(x.shape[-2])
-    np.multiply(s[:, None], x[..., :-1, :], out=out[..., 1:, :])
-    out[..., 0, :] = 0
+    out, of, xf, rows, cols = _flat_pair(x)
+    np.multiply(_flat_weights("left", rows, cols), xf[..., :-cols], out=of[..., cols:])
+    of[..., :cols] = 0
     return out
 
 
 def _b_right(x: np.ndarray) -> np.ndarray:
     """X b on the last two axes."""
-    out = np.empty_like(x)
-    s = _sqrt_ladder(x.shape[-1])
-    np.multiply(s[None, :], x[..., :, :-1], out=out[..., :, 1:])
-    out[..., :, 0] = 0
+    out, of, xf, rows, cols = _flat_pair(x)
+    np.multiply(_flat_weights("right", rows, cols), xf[..., :-1], out=of[..., 1:])
+    of[..., 0] = 0
     return out
 
 
 def _bdag_right(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    s = _sqrt_ladder(x.shape[-1])
-    np.multiply(s[None, :], x[..., :, 1:], out=out[..., :, :-1])
-    out[..., :, -1] = 0
+    out, of, xf, rows, cols = _flat_pair(x)
+    np.multiply(_flat_weights("right_dag", rows, cols), xf[..., 1:], out=of[..., :-1])
+    of[..., -1] = 0
     return out
 
 
@@ -469,19 +490,7 @@ def integrate_master(
             return 2.0 * params.g_m * (mean_b * np.exp(-1j * params.Omega * (tp - t_w))).real
 
         kernels = window_kernels(params, delta_m, t_w)
-        lam_p, lam_m, v_p, v_m, theta = eigenpairs(
-            params.Gamma,
-            params.Gamma * (params.n_m + 1.0) + kernels.s0,
-            params.Gamma * params.n_m + kernels.s0,
-            kernels.s2,
-        )
-        decomp = QuadratureDecomposition(
-            lambda_plus=float(lam_p),
-            lambda_minus=float(lam_m),
-            v_plus=np.asarray(v_p, dtype=complex),
-            v_minus=np.asarray(v_m, dtype=complex),
-            theta=float(theta),
-        )
+        decomp = decompose(params.Gamma, params.n_m, kernels.s0, kernels.s2)
         pe = float(pe_closed_form(params.g, params.gamma, params.delta0 + delta_m(t_w)))
         return decomp, pe
 
@@ -714,16 +723,3 @@ def make_frozen_schedule(
 ) -> list[WindowCoefficients]:
     """Repeat one set of scattering data over every window."""
     return [WindowCoefficients(decomp=decomp, pe=pe)] * n_windows
-
-
-def gaussian_ensemble_options(
-    schedule: Sequence[WindowCoefficients],
-    steps_per_window: int = 256,
-    record_stride: int = 16,
-) -> TrajectoryOptions:
-    """Trajectory options matching an oracle comparison grid."""
-    return TrajectoryOptions(
-        steps_per_window=steps_per_window,
-        record_stride=record_stride,
-        schedule=list(schedule),
-    )

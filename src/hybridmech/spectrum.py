@@ -16,7 +16,9 @@ import numpy as np
 
 from .bloch import BlochVector, PhysParams, bloch_steady_state
 
-MIN_WINDOW_PANELS = 64
+# Trapezoid panels per window: the engine's count, and the default and the
+# minimum of window_kernels.
+WINDOW_PANELS = 64
 
 
 class UnsupportedConfigError(ValueError):
@@ -114,10 +116,19 @@ def spectrum_closed_form(params: PhysParams, delta):
     return out
 
 
-def _trapezoid_weights(panels: int) -> np.ndarray:
-    w = np.ones(panels + 1)
-    w[0] = w[-1] = 0.5
-    return w / panels
+def panel_kernels(params: PhysParams, delta, phases):
+    """Window kernels (s0, s2) by the trapezoid rule on equal panels.
+
+    ``delta`` holds the detuning on the closed panel grid along its last axis
+    (leading axes are lanes); ``phases`` holds exp(-2i Omega t') on that grid.
+    Sums run over the last axis only, so a lane's kernels do not depend on
+    the batch it runs in.
+    """
+    panels = np.shape(delta)[-1] - 1
+    w = np.ones(panels + 1) / panels
+    w[0] = w[-1] = 0.5 / panels
+    f = 2.0 * spectrum_closed_form(params, delta)
+    return np.sum(f * w, axis=-1), np.sum(f * (phases * w), axis=-1)
 
 
 def window_kernels(
@@ -131,27 +142,25 @@ def window_kernels(
     ``delta_m_of_t`` gives the mechanically induced detuning at absolute time
     t'; the spectrum is evaluated at delta0 + delta_m(t').  The window is
     sampled on a closed trapezoid grid; ``dt_sample`` must divide the window
-    into at least ``MIN_WINDOW_PANELS`` panels (default: exactly that many).
+    into at least ``WINDOW_PANELS`` panels (default: exactly that many).
     """
     window = params.mechanical_period
     if dt_sample is None:
-        panels = MIN_WINDOW_PANELS
+        panels = WINDOW_PANELS
     else:
         if dt_sample <= 0:
             raise ValueError("dt_sample must be positive")
         panels = int(round(window / dt_sample))
-        if panels < MIN_WINDOW_PANELS:
+        if panels < WINDOW_PANELS:
             raise ValueError(
                 f"dt_sample={dt_sample:.3g} gives {panels} panels; "
-                f"need at least {MIN_WINDOW_PANELS}"
+                f"need at least {WINDOW_PANELS}"
             )
     t_prime = t + window * np.arange(panels + 1) / panels
     delta = params.delta0 + np.asarray(
         [delta_m_of_t(tp) for tp in t_prime], dtype=float
     )
-    values = 2.0 * spectrum_closed_form(params, delta)
-    weights = _trapezoid_weights(panels)
-    phases = np.exp(-2j * params.Omega * t_prime)
-    s0 = float(np.sum(weights * values))
-    s2 = complex(np.sum(weights * values * phases))
-    return NoiseKernels(s0=s0, s2=s2, window_start=t, window_length=window)
+    s0, s2 = panel_kernels(params, delta, np.exp(-2j * params.Omega * t_prime))
+    return NoiseKernels(
+        s0=float(s0), s2=complex(s2), window_start=t, window_length=window
+    )

@@ -38,7 +38,7 @@ import numpy as np
 
 from .bloch import PhysParams, bloch_step_batch, bloch_steady_state, pe_closed_form
 from .lindblad import QuadratureDecomposition, eigenpairs
-from .spectrum import spectrum_closed_form
+from .spectrum import WINDOW_PANELS, panel_kernels
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -95,11 +95,14 @@ class TrajectoryOptions:
     recomputed, the windows partition the run duration evenly, and the
     population is frozen per window.  Otherwise the two-step loop runs with
     one-period windows and the adiabatic closed-form population (or the full
-    Bloch equations when ``full_bloch`` is set).
+    Bloch equations when ``full_bloch`` is set).  ``steps_per_window`` must
+    be a multiple of the spectrum's ``WINDOW_PANELS`` kernel panels.
+
+    ``workers`` has no effect: the batch always runs as one.  It is accepted
+    so that older callers and run manifests that set it keep working.
     """
 
     steps_per_window: int = 256
-    panels_per_window: int = 64
     record_stride: int = 4
     full_bloch: bool = False
     schedule: Sequence[WindowCoefficients] | None = None
@@ -330,10 +333,10 @@ def _batch_run(
     lanes = 1 if schedule is not None else n
     n_windows, window = resolve_windows(params, duration, schedule)
     steps = options.steps_per_window
-    panels = options.panels_per_window
+    panels = WINDOW_PANELS
     stride = options.record_stride
     if steps % panels != 0:
-        raise ValueError("steps_per_window must be a multiple of panels_per_window")
+        raise ValueError(f"steps_per_window must be a multiple of {panels}")
     if steps % stride != 0:
         raise ValueError("steps_per_window must be a multiple of record_stride")
     dt = window / steps
@@ -350,8 +353,6 @@ def _batch_run(
     per_window = steps // stride
     panel_rel_t = np.arange(panels + 1) * (spp * dt)
     panel_phases = np.exp(-2j * omega * panel_rel_t)
-    panel_weights = np.ones(panels + 1) / panels
-    panel_weights[0] = panel_weights[-1] = 0.5 / panels
 
     gens = (
         [np.random.Generator(np.random.PCG64(int(s))) for s in seeds] if noise else None
@@ -420,10 +421,7 @@ def _batch_run(
                 theta_w = np.full(lanes, wc.decomp.theta)
                 pe_frozen = np.full(lanes, wc.pe)
             else:
-                # fixed-axis sums keep results independent of batch chunking
-                f = 2.0 * spectrum_closed_form(params, delta0 + delta_panel)
-                s0 = np.sum(f * panel_weights, axis=-1)
-                s2 = np.sum(f * (panel_phases * panel_weights), axis=-1)
+                s0, s2 = panel_kernels(params, delta0 + delta_panel, panel_phases)
                 h11 = Gamma * (n_m + 1.0) + s0
                 h22 = Gamma * n_m + s0
                 lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, h11, h22, s2)
@@ -587,32 +585,16 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run independent trajectories and aggregate cross-trajectory statistics.
 
-    Per-trajectory seeds derive deterministically from the master seed;
-    ``options.workers`` only chunks the batch (fixed index-ordered reduction),
-    so results are identical for any worker count.  Fails when more than 1%
-    of trajectories abort.
+    Per-trajectory seeds derive deterministically from the master seed, and
+    all trajectories run as one batch whose lanes do not interact, so each
+    trajectory matches its own :func:`run_trajectory`; ``options.workers``
+    has no effect.  Fails when more than 1% of trajectories abort.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     options = options or TrajectoryOptions()
     seeds = [derive_trajectory_seed(master_seed, i) for i in range(n_traj)]
-
-    workers = max(1, int(options.workers))
-    chunks = np.array_split(np.arange(n_traj), min(workers, n_traj))
-    parts = [
-        _batch_run(params, beta0, v_a0, v_b0, duration, [seeds[i] for i in idx], options)
-        for idx in chunks
-        if len(idx)
-    ]
-    batch = parts[0]
-    if len(parts) > 1:
-        merged = {}
-        for key in ("beta", "v_a", "v_b", "delta_m", "pe", "lambda_plus",
-                    "lambda_minus", "theta", "alive", "abort_time"):
-            merged[key] = np.concatenate([p[key] for p in parts], axis=0)
-        merged["times"] = batch["times"]
-        merged["window_length"] = batch["window_length"]
-        batch = merged
+    batch = _batch_run(params, beta0, v_a0, v_b0, duration, seeds, options)
 
     alive = batch["alive"]
     aborted = [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridmech.bloch import PhysParams
-from hybridmech.lindblad import QuadratureDecomposition, eigenpairs
+from hybridmech.lindblad import decompose
 from hybridmech.spectrum import NoiseKernels
 
 
@@ -23,18 +23,7 @@ def random_kernel_set(rng, s0_range=(-3, 3), gamma_range=(-3, 3), n_range=(-2, 3
 
 
 def decomposition_from_set(Gamma, n_m, s0, s2):
-    kernels = NoiseKernels(s0=s0, s2=s2)
-    lam_p, lam_m, v_p, v_m, theta = eigenpairs(
-        Gamma, Gamma * (n_m + 1.0) + s0, Gamma * n_m + s0, s2
-    )
-    decomp = QuadratureDecomposition(
-        lambda_plus=float(lam_p),
-        lambda_minus=float(lam_m),
-        v_plus=np.asarray(v_p, dtype=complex),
-        v_minus=np.asarray(v_m, dtype=complex),
-        theta=float(theta),
-    )
-    return kernels, decomp
+    return NoiseKernels(s0=s0, s2=s2), decompose(Gamma, n_m, s0, s2)
 
 
 def sinusoidal_kernels(params, amplitude):

@@ -21,6 +21,7 @@ from hybridmech.bloch import PhysParams, bloch_steady_state, pe_closed_form
 from hybridmech.cli import bose_occupation, main
 from hybridmech.lindblad import (
     classify_regime,
+    decompose,
     eigenpairs,
     twisted_decomposition,
 )
@@ -32,9 +33,8 @@ from hybridmech.oracle import (
     quadrature_variances,
     sse_ensemble,
 )
-from hybridmech.spectrum import NoiseKernels, spectrum_closed_form, spectrum_qrt
+from hybridmech.spectrum import spectrum_closed_form, spectrum_qrt
 from hybridmech.trajectory import TrajectoryOptions, run_ensemble, semiclassical_run
-from hybridmech.lindblad import QuadratureDecomposition
 
 GRID_G = (0.1, 0.5, 1.0, 2.0, 10.0)
 GRID_DELTA = (0.0, 0.25, 0.5, 1.0, 2.0, 5.0)
@@ -133,47 +133,45 @@ def test_criterion_03_diagonalization_certificate():
 
     dim = 10
     basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    x = basis[None, :, :, :]
+    # images of the basis that no set's coefficients enter, taken once
+    b_x, bd_x = _b_left(x), _bdag_left(x)
+    x_bd, x_b = _bdag_right(x), _b_right(x)
+    # D[b], D[b^dag] and the two anomalous parts of the kernel form
+    d_down = _bdag_right(b_x) - 0.5 * (_bdag_left(b_x) + _b_right(x_bd))
+    d_up = _b_right(bd_x) - 0.5 * (_b_left(bd_x) + _bdag_right(x_b))
+    d_anom = _b_right(b_x) - 0.5 * (_b_left(b_x) + _b_right(x_b))
+    d_anom_dag = _bdag_right(bd_x) - 0.5 * (_bdag_left(bd_x) + _bdag_right(x_bd))
 
-    def channels_batch(x, lam, u, w):
+    def channels_batch(lam, u, w):
+        # D[L] X for L = u b + w b^dag, each set's L applied to the basis
         uc, wc = np.conjugate(u), np.conjugate(w)
-        bs = u * _b_left(x) + w * _bdag_left(x)
+        bs = u * b_x + w * bd_x
         sandwich = uc * _bdag_right(bs) + wc * _b_right(bs)
         left = uc * _bdag_left(bs) + wc * _b_left(bs)
-        x_bsd = uc * _bdag_right(x) + wc * _b_right(x)
+        x_bsd = uc * x_bd + wc * x_b
         right = u * _b_right(x_bsd) + w * _bdag_right(x_bsd)
         return lam * (sandwich - 0.5 * (left + right))
 
-    def kernel_batch(x, Gam, nm, s0v, s2v):
-        down = (Gam * (nm + 1.0) + s0v) * (
-            _bdag_right(_b_left(x))
-            - 0.5 * (_bdag_left(_b_left(x)) + _b_right(_bdag_right(x)))
-        )
-        up = (Gam * nm + s0v) * (
-            _b_right(_bdag_left(x))
-            - 0.5 * (_b_left(_bdag_left(x)) + _bdag_right(_b_right(x)))
-        )
-        anom = s2v * (
-            _b_right(_b_left(x))
-            - 0.5 * (_b_left(_b_left(x)) + _b_right(_b_right(x)))
-        ) + np.conjugate(s2v) * (
-            _bdag_right(_bdag_left(x))
-            - 0.5 * (_bdag_left(_bdag_left(x)) + _bdag_right(_bdag_right(x)))
-        )
+    def kernel_batch(Gam, nm, s0v, s2v):
+        down = (Gam * (nm + 1.0) + s0v) * d_down
+        up = (Gam * nm + s0v) * d_up
+        anom = s2v * d_anom + np.conjugate(s2v) * d_anom_dag
         return down + up + anom
 
     worst_gen = 0.0
-    chunk = 100
+    # a few sets per chunk keep the (chunk, 100, 10, 10) work arrays in cache
+    chunk = 4
     expand = (slice(None), None, None, None)
     for lo in range(0, n_sets, chunk):
         sel = slice(lo, lo + chunk)
-        x = basis[None, :, :, :]
         eig_form = channels_batch(
-            x, lam_p[sel][expand], v_p[sel, 0][expand], v_p[sel, 1][expand]
+            lam_p[sel][expand], v_p[sel, 0][expand], v_p[sel, 1][expand]
         ) + channels_batch(
-            x, lam_m[sel][expand], v_m[sel, 0][expand], v_m[sel, 1][expand]
+            lam_m[sel][expand], v_m[sel, 0][expand], v_m[sel, 1][expand]
         )
         ker_form = kernel_batch(
-            x, Gamma[sel][expand], n_m[sel][expand], s0[sel][expand], s2[sel][expand]
+            Gamma[sel][expand], n_m[sel][expand], s0[sel][expand], s2[sel][expand]
         )
         worst_gen = max(worst_gen, float(np.max(np.abs(eig_form - ker_form))))
     elapsed = time.monotonic() - start
@@ -189,13 +187,7 @@ def test_criterion_04_weak_coupling_effective_bath():
     start = time.monotonic()
     s0, Gamma, n_m = 1.0, 50.0, 1.0
     s2 = 0.5 + 0.0j
-    kern = NoiseKernels(s0=s0, s2=s2)
-    lam_p, lam_m, v_p, v_m, theta = eigenpairs(
-        Gamma, Gamma * (n_m + 1.0) + s0, Gamma * n_m + s0, s2
-    )
-    dec = QuadratureDecomposition(
-        float(lam_p), float(lam_m), np.asarray(v_p), np.asarray(v_m), float(theta)
-    )
+    dec = decompose(Gamma, n_m, s0, s2)
     gamma_eff = Gamma + 2.0 * abs(s2) ** 2 / Gamma
     n_eff = n_m + s0 / Gamma
     with warnings.catch_warnings():

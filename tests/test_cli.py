@@ -330,3 +330,33 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"]["code"] == 2
         assert payload["error"]["message"].startswith(field_name)
+
+
+@pytest.mark.parametrize(
+    "keys, value, field_name",
+    [
+        (("params", "Omega"), 0, "params.Omega"),
+        (("params", "g"), -1, "params.g"),
+        (("trajectories",), "abc", "trajectories"),
+        (("params", "g"), "x", "params.g"),
+        (("engine", "steps_per_window"), "many", "engine.steps_per_window"),
+        (("initial", "beta0"), ["a", 1], "initial.beta0"),
+        (("duration_periods",), None, "duration_periods"),
+        (("engine", "histogram_bins"), 0, "engine.histogram_bins"),
+    ],
+    ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
+         "beta0-text", "duration-null", "bins-zero"],
+)
+def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
+    # each used to escape as a traceback (exit 1) or, for the bins, to fail
+    # with numpy's message after the whole run (exit 3)
+    doc = base_config(kind="ensemble")
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = write_config(tmp_path, doc)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"]["code"] == 2
+    assert payload["error"]["message"].startswith(field_name + ":")

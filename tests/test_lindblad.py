@@ -8,30 +8,30 @@ from hybridmech.bloch import PhysParams
 from hybridmech.lindblad import (
     NoiseRegime,
     classify_regime,
-    diagonalize,
+    decompose,
     effective_thermal,
-    h_matrix,
     twisted_decomposition,
 )
 from hybridmech.spectrum import NoiseKernels
 
 
-def test_h_matrix_structure():
-    kern = NoiseKernels(s0=0.5, s2=0.2 + 0.1j)
-    h = h_matrix(0.0, 3.0, kern)
-    assert np.allclose(h, [[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])
-    h = h_matrix(2.0, 3.0, NoiseKernels(s0=0.0, s2=0.0))
-    assert np.allclose(h, np.diag([8.0, 6.0]))
-    kern = NoiseKernels(s0=1.0, s2=0.3 - 0.4j)
-    h = h_matrix(0.7, 1.2, kern)
-    assert np.array_equal(h, h.conj().T)
+def dissipation_matrix(Gamma, n_m, s0, s2):
+    """The 2x2 matrix h that ``decompose`` diagonalises, written out."""
+    return np.array(
+        [[Gamma * (n_m + 1.0) + s0, s2], [np.conjugate(s2), Gamma * n_m + s0]]
+    )
+
+
+def test_decompose_rejects_negative_thermal_rates():
+    with pytest.raises(ValueError, match="non-negative"):
+        decompose(-1e-3, 1.0, 0.5, 0.1)
+    with pytest.raises(ValueError, match="non-negative"):
+        decompose(1e-3, -1.0, 0.5, 0.1)
 
 
 def test_diagonalize_pure_scattering_limit():
     # Gamma = 0 with real positive s2: quadrature channels at theta = 0
-    kern = NoiseKernels(s0=1.0, s2=0.4 + 0j)
-    h = h_matrix(0.0, 0.0, kern)
-    dec = diagonalize(h, 0.0, kern)
+    dec = decompose(0.0, 0.0, 1.0, 0.4 + 0j)
     assert dec.lambda_plus == pytest.approx(1.4, rel=1e-14)
     assert dec.lambda_minus == pytest.approx(0.6, rel=1e-14)
     r = 1 / math.sqrt(2)
@@ -45,8 +45,7 @@ def test_diagonalize_matches_twisted_form_at_zero_damping():
     for _ in range(20):
         s0 = 10.0 ** rng.uniform(-2, 2)
         s2 = s0 * rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
-        kern = NoiseKernels(s0=s0, s2=s2)
-        dec = diagonalize(h_matrix(0.0, 0.0, kern), 0.0, kern)
+        dec = decompose(0.0, 0.0, s0, s2)
         ref = twisted_decomposition(s0 + abs(s2), s0 - abs(s2), -0.5 * np.angle(s2))
         assert dec.lambda_plus == pytest.approx(ref.lambda_plus, rel=1e-12)
         assert dec.lambda_minus == pytest.approx(ref.lambda_minus, abs=1e-12 * s0)
@@ -57,9 +56,7 @@ def test_diagonalize_matches_twisted_form_at_zero_damping():
 
 
 def test_diagonalize_diagonal_case_channel_assignment():
-    kern = NoiseKernels(s0=0.3, s2=0.0)
-    h = h_matrix(1.0, 2.0, kern)
-    dec = diagonalize(h, 1.0, kern)
+    dec = decompose(1.0, 2.0, 0.3, 0.0)
     assert dec.lambda_plus == pytest.approx(1.0 * 3.0 + 0.3)
     assert dec.lambda_minus == pytest.approx(1.0 * 2.0 + 0.3)
     assert np.allclose(dec.v_plus, [1, 0])
@@ -68,9 +65,7 @@ def test_diagonalize_diagonal_case_channel_assignment():
 
 
 def test_diagonalize_fully_degenerate_convention():
-    kern = NoiseKernels(s0=0.7, s2=0.0)
-    h = h_matrix(0.0, 0.0, kern)
-    dec = diagonalize(h, 0.0, kern)
+    dec = decompose(0.0, 0.0, 0.7, 0.0)
     assert dec.lambda_plus == dec.lambda_minus == pytest.approx(0.7)
     assert np.allclose(dec.v_plus, [1, 0])
     assert np.allclose(dec.v_minus, [0, 1])
@@ -80,9 +75,8 @@ def test_diagonalize_against_generic_eigensolver():
     rng = np.random.default_rng(7)
     for _ in range(500):
         Gamma, n_m, s0, s2 = random_kernel_set(rng)
-        kern = NoiseKernels(s0=s0, s2=s2)
-        h = h_matrix(Gamma, n_m, kern)
-        dec = diagonalize(h, Gamma, kern)
+        h = dissipation_matrix(Gamma, n_m, s0, s2)
+        dec = decompose(Gamma, n_m, s0, s2)
         scale = float(np.max(np.abs(h)))
         evals, evecs = np.linalg.eigh(h)
         assert abs(dec.lambda_minus - evals[0]) <= 1e-12 * scale
@@ -96,9 +90,8 @@ def test_decomposition_orthonormal_and_reconstructs():
     rng = np.random.default_rng(13)
     for _ in range(200):
         Gamma, n_m, s0, s2 = random_kernel_set(rng)
-        kern = NoiseKernels(s0=s0, s2=s2)
-        h = h_matrix(Gamma, n_m, kern)
-        dec = diagonalize(h, Gamma, kern)
+        h = dissipation_matrix(Gamma, n_m, s0, s2)
+        dec = decompose(Gamma, n_m, s0, s2)
         assert abs(np.vdot(dec.v_plus, dec.v_plus) - 1) < 1e-13
         assert abs(np.vdot(dec.v_minus, dec.v_minus) - 1) < 1e-13
         assert abs(np.vdot(dec.v_plus, dec.v_minus)) < 1e-13
@@ -113,8 +106,7 @@ def test_weak_coupling_channel_limit():
     errs = []
     for eps in (1e-2, 1e-3, 1e-4):
         s2 = eps * s2_phase
-        kern = NoiseKernels(s0=2 * eps, s2=s2)
-        dec = diagonalize(h_matrix(Gamma, 0.5, kern), Gamma, kern)
+        dec = decompose(Gamma, 0.5, 2 * eps, s2)
         v = dec.v_plus / dec.v_plus[0]
         errs.append(abs(v[1] - np.conj(s2) / Gamma))
         # residual beyond first order only

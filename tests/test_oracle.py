@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import decomposition_from_set, random_kernel_set
-from hybridmech.bloch import PhysParams
-from hybridmech.lindblad import twisted_decomposition
+from conftest import decomposition_from_set, random_kernel_set, sinusoidal_kernels
+from hybridmech.bloch import PhysParams, pe_closed_form
+from hybridmech.lindblad import decompose, twisted_decomposition
 from hybridmech.oracle import (
     FockStateVector,
     MomentSeries,
@@ -27,7 +27,7 @@ from hybridmech.oracle import (
     superoperator,
     thermal_density,
 )
-from hybridmech.spectrum import NoiseKernels
+from hybridmech.spectrum import NoiseKernels, window_kernels
 from hybridmech.trajectory import WindowCoefficients
 
 
@@ -332,6 +332,44 @@ def test_self_consistent_master_mode_runs():
     )
     for snap in res.states:
         assert snap.trace_defect() <= 1e-8
+
+
+def test_self_consistent_master_mode_matches_its_exact_schedule():
+    # from a coherent state at real beta0 the mean-field detuning over the
+    # first window is swing * cos(Omega t), whose kernels conftest gives in
+    # closed form; the self-consistent window must then match a frozen
+    # one-window schedule built from them, with pe at the window start
+    p = PhysParams(gamma=1.0, g=1.0, Omega=0.05, g_m=0.1, Gamma=1e-4, n_m=2.0)
+    beta0, dim, steps = 1.5, 30, 512
+    period = p.mechanical_period
+    swing = 2.0 * p.g_m * beta0
+    s0, s2 = sinusoidal_kernels(p, swing)
+    pe = float(pe_closed_form(p.g, p.gamma, p.delta0 + swing))
+    schedule = make_frozen_schedule(decompose(p.Gamma, p.n_m, s0, s2), pe, 1)
+    rho0 = coherent_density(dim, beta0)
+    runs = [
+        integrate_master(p, rho0, period, period / steps, schedule, record_stride=64),
+        integrate_master(
+            p, rho0, period, period / steps, self_consistent=True, record_stride=64
+        ),
+    ]
+    exact, self_consistent = (r.moments for r in runs)
+
+    # Tolerance: the runs differ only through the 64-panel quadrature error e
+    # of the kernels.  The generator is linear in (s0, s2), with coefficients
+    # on these moments below 2 (2 n + 1), so over one window the moments move
+    # by at most 4 (2 n + 1) e T.  Each run also rounds at every RK4 step,
+    # which adds at most steps * eps * the largest moment.
+    quad = window_kernels(p, lambda t: swing * math.cos(p.Omega * t), 0.0)
+    quad_err = max(abs(quad.s0 - s0), abs(quad.s2 - s2))
+    scale = max(np.max(np.abs(m)) for m in (exact.b, exact.n, exact.b2))
+    tol = (
+        4.0 * (2.0 * np.max(exact.n) + 1.0) * quad_err * period
+        + steps * np.finfo(float).eps * scale
+    )
+    for name in ("b", "n", "b2"):
+        diff = np.max(np.abs(getattr(self_consistent, name) - getattr(exact, name)))
+        assert diff <= tol, (name, diff, tol)
 
 
 def test_fused_sse_step_matches_dense_reference(params):

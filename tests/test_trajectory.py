@@ -153,20 +153,30 @@ def test_ensemble_single_trajectory_matches_run_trajectory():
     assert np.array_equal(ens.mean_pe, single.pe)
 
 
-def test_ensemble_worker_chunking_is_bit_identical():
+def test_self_scheduled_ensemble_matches_single_trajectories():
+    # every self-scheduled lane builds its own kernels, channels and
+    # variances inside one batch; each must still reproduce its own trajectory
     p = tls_noise_params()
     dur = 2 * p.mechanical_period
-    a = run_ensemble(
-        p, 200j, dur, 12, 9,
-        TrajectoryOptions(steps_per_window=256, record_stride=64, workers=1),
-    )
-    b = run_ensemble(
-        p, 200j, dur, 12, 9,
-        TrajectoryOptions(steps_per_window=256, record_stride=64, workers=5),
-    )
-    assert np.array_equal(a.mean_beta, b.mean_beta)
-    assert np.array_equal(a.var_dbeta_x, b.var_dbeta_x)
-    assert np.array_equal(a.mean_lambda_plus, b.mean_lambda_plus)
+    n_traj, master_seed = 12, 9
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=64)
+    ens = run_ensemble(p, 200j, dur, n_traj, master_seed, opts)
+    recs = [
+        run_trajectory(
+            p, 200j, 0.0, 0.0, dur, derive_trajectory_seed(master_seed, i), opts
+        )
+        for i in range(n_traj)
+    ]
+    beta = np.stack([r.beta for r in recs])
+    va = np.stack([r.v_a for r in recs])
+    vb = np.stack([r.v_b for r in recs])
+    assert np.array_equal(ens.mean_beta, beta.mean(axis=0))
+    assert np.array_equal(ens.mean_n, (va + np.abs(beta) ** 2).mean(axis=0))
+    assert np.array_equal(ens.mean_b2, (vb + beta**2).mean(axis=0))
+    assert np.array_equal(ens.mean_pe, np.stack([r.pe for r in recs]).mean(axis=0))
+    for name in ("lambda_plus", "lambda_minus", "theta"):
+        rows = np.stack([getattr(r, name) for r in recs])
+        assert np.array_equal(getattr(ens, "mean_" + name), rows.mean(axis=0))
 
 
 def test_decoupled_system_without_coupling():
