@@ -38,6 +38,7 @@ from .spectrum import WINDOW_PANELS, NoiseKernels, spectrum_closed_form, spectru
 from .trajectory import (
     MAX_RATE_STEP,
     TrajectoryOptions,
+    machine_diagnostics,
     run_ensemble,
     semiclassical_run,
 )
@@ -105,11 +106,22 @@ class ExperimentConfig:
 
 
 def _number(field_name: str, value, kind=float):
-    """``kind(value)``, or a ConfigError naming the field."""
+    """``kind(value)`` as a finite number, or a ConfigError naming the field."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(field_name, f"expected a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(field_name, f"expected a finite number, got {value!r}")
+    return number
+
+
+def _section(doc: dict, name: str) -> dict:
+    """The object ``doc[name]`` ({} when absent), or a ConfigError naming it."""
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(name, f"expected an object, got {value!r}")
+    return value
 
 
 _PARAM_FIELDS = ("gamma", "g", "delta0", "Omega", "g_m", "Gamma", "n_q", "n_m")
@@ -166,6 +178,8 @@ def _normalize_params(raw: dict, units: str) -> tuple[PhysParams, dict]:
                 omega_abs = _number("params.omega0", raw["omega0"]) * to_angular
             else:
                 omega_abs = values["Omega"] * to_angular
+            if not omega_abs > 0:  # the Bose law divides by expm1(0)
+                raise ConfigError(f"params.{freq}", f"{freq} must be positive")
             occupations[occ] = bose_occupation(
                 omega_abs, _number(f"params.{temp}", raw[temp])
             )
@@ -211,15 +225,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError("params", "missing params object")
     params, normalized_params = _normalize_params(raw_params, units)
 
-    beta0_raw = doc.get("initial", {}).get("beta0", [0.0, 0.0])
+    beta0_raw = _section(doc, "initial").get("beta0", [0.0, 0.0])
     if isinstance(beta0_raw, (int, float)):
-        beta0 = complex(float(beta0_raw), 0.0)
+        beta0 = complex(_number("initial.beta0", beta0_raw), 0.0)
     elif isinstance(beta0_raw, (list, tuple)) and len(beta0_raw) == 2:
         beta0 = complex(*(_number("initial.beta0", x) for x in beta0_raw))
     else:
         raise ConfigError("initial.beta0", "expected a number or [re, im] pair")
 
-    engine = doc.get("engine", {})
+    engine = _section(doc, "engine")
 
     def engine_int(name, default):
         return _number(f"engine.{name}", engine.get(name, default), int)
@@ -233,6 +247,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     seed = _number("seed", doc.get("seed", 0), int)
     histogram_periods = engine.get("histogram_periods")
     if histogram_periods is not None:
+        if not isinstance(histogram_periods, list):
+            raise ConfigError(
+                "engine.histogram_periods",
+                f"expected a list of periods, got {histogram_periods!r}",
+            )
         histogram_periods = [
             _number("engine.histogram_periods", p) for p in histogram_periods
         ]
@@ -250,9 +269,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         workers=engine_int("workers", 1),
         histogram_bins=engine_int("histogram_bins", 41),
         histogram_periods=histogram_periods,
-        sweep=dict(doc.get("sweep", {})),
-        grid=dict(doc.get("grid", {})),
-        out_dir=str(doc.get("output", {}).get("dir", ".")),
+        sweep=dict(_section(doc, "sweep")),
+        grid=dict(_section(doc, "grid")),
+        out_dir=str(_section(doc, "output").get("dir", ".")),
     )
     if config.steps_per_window < 1:
         raise ConfigError("engine.steps_per_window", "must be positive")
@@ -400,9 +419,9 @@ def _run_ensemble(config: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_spectra(config: ExperimentConfig, out: Path) -> list[str]:
     sweep = config.sweep
-    lo = float(sweep.get("delta_min", -20.0))
-    hi = float(sweep.get("delta_max", 20.0))
-    points = int(sweep.get("points", 201))
+    lo = _number("sweep.delta_min", sweep.get("delta_min", -20.0))
+    hi = _number("sweep.delta_max", sweep.get("delta_max", 20.0))
+    points = _number("sweep.points", sweep.get("points", 201), int)
     if points < 2 or hi <= lo:
         raise ConfigError("sweep", "need delta_min < delta_max and points >= 2")
     deltas = np.linspace(lo, hi, points)
@@ -413,11 +432,11 @@ def _run_spectra(config: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_phase_diagram(config: ExperimentConfig, out: Path) -> list[str]:
     grid = config.grid
-    n_lo = float(grid.get("n_m_min", 1e-2))
-    n_hi = float(grid.get("n_m_max", 1e4))
-    r_lo = float(grid.get("ratio_min", 1e-3))
-    r_hi = float(grid.get("ratio_max", 1e3))
-    points = int(grid.get("points", 50))
+    n_lo = _number("grid.n_m_min", grid.get("n_m_min", 1e-2))
+    n_hi = _number("grid.n_m_max", grid.get("n_m_max", 1e4))
+    r_lo = _number("grid.ratio_min", grid.get("ratio_min", 1e-3))
+    r_hi = _number("grid.ratio_max", grid.get("ratio_max", 1e3))
+    points = _number("grid.points", grid.get("points", 50), int)
     if points < 2 or n_lo <= 0 or r_lo <= 0:
         raise ConfigError("grid", "log grid needs positive bounds and points >= 2")
     n_ms = np.logspace(math.log10(n_lo), math.log10(n_hi), points)
@@ -560,6 +579,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[str]:
         "config": config.normalized,
         "outputs": files,
         "wall_time_s": time.monotonic() - started,
+        "diagnostics": machine_diagnostics(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return files + ["manifest.json"]
@@ -599,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         for key in ("seed", "trajectories", "kind"):
             if getattr(args, key) is not None:
                 doc[key] = getattr(args, key)
-        engine = dict(doc.get("engine", {}))
+        engine = dict(_section(doc, "engine"))
         if args.workers is not None:
             engine["workers"] = args.workers
         if args.full_bloch:

@@ -24,13 +24,17 @@ batch.
 
 Reproducibility: every trajectory owns a generator seeded by a SplitMix64
 mix of (master seed, trajectory index), so results are independent of batch
-partitioning and execution order.
+partitioning and execution order.  Each window's Wiener increments are drawn
+on up to as many threads as the process has CPUs, each thread filling its own
+trajectories' columns from their own generators, so the results do not depend
+on the thread count either.  ``TrajectoryOptions.workers`` does nothing.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -98,8 +102,10 @@ class TrajectoryOptions:
     Bloch equations when ``full_bloch`` is set).  ``steps_per_window`` must
     be a multiple of the spectrum's ``WINDOW_PANELS`` kernel panels.
 
-    ``workers`` has no effect: the batch always runs as one.  It is accepted
-    so that older callers and run manifests that set it keep working.
+    ``workers`` has no effect: the batch always runs as one, and only the
+    Wiener draws use threads, as many as the process has CPUs, without
+    changing any result.  It is accepted so that older callers and run
+    manifests that set it keep working.
     """
 
     steps_per_window: int = 256
@@ -299,16 +305,85 @@ def _variance_step(va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m):
     return 0.5 * (x + z), 0.5 * (x - z) + 1j * y
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Most threads that fill one window's Wiener increments, and the trajectories
+# each thread draws per scratch block.  Neither changes any draw.
+_DRAW_THREADS = _usable_cpus()
+_DRAW_BLOCK = 32
+# A ThreadPoolExecutor, started by the first draw that splits over threads.
+_draw_pool = None
+
+
+def machine_diagnostics() -> dict:
+    """The numpy version, the CPUs this process may use and the most threads
+    the Wiener draws use, as a run manifest records them."""
+    return {
+        "numpy": np.__version__,
+        "nproc": _usable_cpus(),
+        "draw_threads": _DRAW_THREADS,
+    }
+
+
+def _forget_draw_pool() -> None:
+    global _draw_pool
+    _draw_pool = None
+
+
+# a forked child inherits the pool object but none of its threads
+os.register_at_fork(after_in_child=_forget_draw_pool)
+
+
+def _draw_blocks(gens, lo: int, hi: int, steps: int, scale: float, dw_p, dw_m):
+    """Trajectories lo..hi-1 of :func:`_draw_window_noise`, a block at a time."""
+    x = np.empty((min(_DRAW_BLOCK, hi - lo), steps, 4))
+    for start in range(lo, hi, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, hi)
+        xb = x[: stop - start]
+        for k in range(stop - start):
+            gens[start + k].standard_normal(out=xb[k])
+        xb *= scale
+        z = xb.view(complex)  # (block, steps, 2): x0 + i x1 and x2 + i x3
+        dw_p[:, start:stop] = z[:, :, 0].T
+        dw_m[:, start:stop] = z[:, :, 1].T
+
+
 def _draw_window_noise(gens, steps: int, dt: float, out):
     """Fill ``out = (dw_p, dw_m)``, two (steps, n) arrays, with one window's
-    complex Wiener increments; column i holds trajectory i's draws."""
+    complex Wiener increments; column i holds trajectory i's draws,
+    ``(x0 + i x1, x2 + i x3) * sqrt(dt / 2)`` from its ``(steps, 4)`` normals.
+
+    Contiguous ranges of 32-trajectory blocks go to up to ``_DRAW_THREADS``
+    threads.  Each generator is used by one thread and each thread writes
+    its own columns, so the draws do not depend on the thread count.
+    """
+    global _draw_pool
     dw_p, dw_m = out
-    x = np.empty((steps, 4))
+    n = len(gens)
     scale = math.sqrt(0.5 * dt)
-    for i, gen in enumerate(gens):
-        gen.standard_normal(out=x)
-        dw_p[:, i] = (x[:, 0] + 1j * x[:, 1]) * scale
-        dw_m[:, i] = (x[:, 2] + 1j * x[:, 3]) * scale
+    n_blocks = -(-n // _DRAW_BLOCK)
+    threads = max(1, min(_DRAW_THREADS, n_blocks))
+    # block boundaries of each thread's contiguous range
+    edges = [_DRAW_BLOCK * (n_blocks * t // threads) for t in range(threads)] + [n]
+    if threads > 1 and _draw_pool is None:
+        # imported here: concurrent.futures imports logging, which would add
+        # milliseconds to every import of the package
+        from concurrent.futures import ThreadPoolExecutor
+
+        _draw_pool = ThreadPoolExecutor(max_workers=_DRAW_THREADS - 1)
+    futures = [
+        _draw_pool.submit(_draw_blocks, gens, lo, hi, steps, scale, dw_p, dw_m)
+        for lo, hi in zip(edges[1:-1], edges[2:])
+    ]
+    _draw_blocks(gens, edges[0], edges[1], steps, scale, dw_p, dw_m)
+    for f in futures:
+        f.result()
     return dw_p, dw_m
 
 
@@ -587,8 +662,10 @@ def run_ensemble(
 
     Per-trajectory seeds derive deterministically from the master seed, and
     all trajectories run as one batch whose lanes do not interact, so each
-    trajectory matches its own :func:`run_trajectory`; ``options.workers``
-    has no effect.  Fails when more than 1% of trajectories abort.
+    trajectory matches its own :func:`run_trajectory`.  The Wiener draws run
+    on up to as many threads as the process has CPUs, and the results do not
+    depend on that number; ``options.workers`` has no effect.  Fails when
+    more than 1% of trajectories abort.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

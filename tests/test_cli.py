@@ -142,6 +142,19 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_manifest_records_the_machine(tmp_path):
+    path = write_config(tmp_path, base_config(kind="ensemble", trajectories=6))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    diagnostics = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "diagnostics"
+    ]
+    assert set(diagnostics) == {"numpy", "nproc", "draw_threads"}
+    assert diagnostics["numpy"] == np.__version__
+    assert isinstance(diagnostics["nproc"], int) and diagnostics["nproc"] >= 1
+    assert isinstance(diagnostics["draw_threads"], int)
+    assert 1 <= diagnostics["draw_threads"] <= diagnostics["nproc"]
+
+
 def test_ensemble_schema_and_histogram_mass(tmp_path):
     path = write_config(tmp_path, base_config(kind="ensemble", trajectories=10))
     out = tmp_path / "out"
@@ -343,13 +356,27 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("initial", "beta0"), ["a", 1], "initial.beta0"),
         (("duration_periods",), None, "duration_periods"),
         (("engine", "histogram_bins"), 0, "engine.histogram_bins"),
+        (("params", "g"), math.nan, "params.g"),
+        (("duration_periods",), math.nan, "duration_periods"),
+        (("params", "g_m"), math.inf, "params.g_m"),
+        (("initial", "beta0"), math.nan, "initial.beta0"),
+        (("engine", "histogram_periods"), [0.5, -math.inf], "engine.histogram_periods"),
+        (("engine",), [1], "engine"),
+        (("initial",), "x", "initial"),
+        (("output",), 3, "output"),
+        (("sweep",), 5, "sweep"),
+        (("grid",), 5, "grid"),
+        (("engine", "histogram_periods"), 5, "engine.histogram_periods"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
-         "beta0-text", "duration-null", "bins-zero"],
+         "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
+         "g_m-inf", "beta0-nan", "periods-inf", "engine-list", "initial-text",
+         "output-number", "sweep-number", "grid-number", "periods-number"],
 )
 def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
-    # each used to escape as a traceback (exit 1) or, for the bins, to fail
-    # with numpy's message after the whole run (exit 3)
+    # each used to escape as a traceback (exit 1), to fail with a misleading
+    # message after the run started (exit 3) or, for a NaN or infinite
+    # number, to pass the load
     doc = base_config(kind="ensemble")
     target = doc
     for key in keys[:-1]:
@@ -359,4 +386,42 @@ def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name)
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"]["code"] == 2
+    assert payload["error"]["message"].startswith(field_name + ":")
+
+
+@pytest.mark.parametrize(
+    "params, field_name",
+    [
+        ({"Omega": 0.0, "T_m": 4.0}, "params.Omega"),
+        ({"T_q": 0.01, "omega0": 0.0}, "params.omega0"),
+    ],
+    ids=["Omega-zero-T_m", "omega0-zero-T_q"],
+)
+def test_temperature_with_zero_frequency_names_field(
+    tmp_path, capsys, params, field_name
+):
+    # the Bose law divided by expm1(0) before the frequency was checked (exit 1)
+    doc = base_config(units="hz", params={
+        "gamma": 1e6, "g": 1e6, "Omega": 1e4, "g_m": 1e3, **params})
+    path = write_config(tmp_path, doc)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"]["message"].startswith(field_name + ":")
+
+
+@pytest.mark.parametrize(
+    "kind, section, key, field_name",
+    [
+        ("spectra", "sweep", "delta_min", "sweep.delta_min"),
+        ("phase-diagram", "grid", "n_m_max", "grid.n_m_max"),
+    ],
+)
+def test_sweep_and_grid_numbers_must_be_finite(
+    tmp_path, capsys, kind, section, key, field_name
+):
+    # a NaN bound used to give NaN rows and exit 0
+    doc = base_config(kind=kind, **{section: {key: math.nan, "points": 5}})
+    path = write_config(tmp_path, doc)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"]["message"].startswith(field_name + ":")

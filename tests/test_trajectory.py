@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from conftest import sinusoidal_rates
 
+from hybridmech import trajectory
 from hybridmech.bloch import PhysParams
 from hybridmech.lindblad import QuadratureDecomposition, twisted_decomposition
 from hybridmech.oracle import make_frozen_schedule, quadrature_variances
@@ -63,6 +66,76 @@ def test_complex_wiener_deterministic():
     alone = draw_window(seeds[2:], 64, 0.1)
     assert all(np.array_equal(x[:, 2], y[:, 0]) for x, y in zip(a, alone))
     assert not np.array_equal(a[0][:, 0], a[0][:, 1])
+
+
+NPROC = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+# one thread, and two where the host has the cores for them
+DRAW_THREADS = sorted({1, min(2, NPROC)})
+
+
+def window_formula(seeds, steps, dt):
+    """Each trajectory's increments written out, one generator at a time."""
+    scale = math.sqrt(0.5 * dt)
+    x = np.stack(
+        [np.random.Generator(np.random.PCG64(s)).standard_normal((steps, 4))
+         for s in seeds],
+        axis=1,
+    )
+    return (x[..., 0] + 1j * x[..., 1]) * scale, (x[..., 2] + 1j * x[..., 3]) * scale
+
+
+@pytest.mark.parametrize("threads", DRAW_THREADS)
+@pytest.mark.parametrize("steps", [64, 512])
+@pytest.mark.parametrize("n", [1, 31, 33, 67])
+def test_window_draw_matches_per_trajectory_formula(monkeypatch, n, steps, threads):
+    # blocks of 32 trajectories, a partial last block, and threads that split
+    # the blocks leave every increment as the per-trajectory formula gives it
+    monkeypatch.setattr(trajectory, "_DRAW_THREADS", threads)
+    dt = 0.37
+    seeds = [derive_trajectory_seed(2024, i) for i in range(n)]
+    want = window_formula(seeds, steps, dt)
+    got = draw_window(seeds, steps, dt)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the SSE passes the first steps of a (2, chunk, n) buffer
+    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    noise = np.full((2, steps + 7, n), np.nan + 0j)
+    _draw_window_noise(gens, steps, dt, (noise[0, :steps], noise[1, :steps]))
+    assert all(np.array_equal(noise[c, :steps], want[c]) for c in range(2))
+    assert np.isnan(noise[:, steps:]).all()
+
+
+def test_ensemble_is_independent_of_draw_threads(monkeypatch):
+    # criterion 6's frozen schedule, grid and seed on 200 trajectories (seven
+    # blocks, the last one partial)
+    params = PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
+    schedule = make_frozen_schedule(twisted_decomposition(5e-3, 5e-4, 0.0), 0.0, 5)
+    opts = TrajectoryOptions(
+        steps_per_window=1024, record_stride=128, schedule=schedule
+    )
+    runs = []
+    for threads in DRAW_THREADS:
+        monkeypatch.setattr(trajectory, "_DRAW_THREADS", threads)
+        runs.append(run_ensemble(
+            params, 1.0 + 0.0j, 5 * 2.0 * math.pi / 0.01, 200, 1112, opts
+        ))
+    first, last = runs[0], runs[-1]
+    for f in dataclasses.fields(first):
+        a, b = getattr(first, f.name), getattr(last, f.name)
+        if f.name == "histograms":
+            assert all(
+                ta == tb and np.array_equal(ea, eb) and np.array_equal(ca, cb)
+                for (ta, ea, ca), (tb, eb, cb) in zip(a, b, strict=True)
+            )
+        elif f.name == "reference":
+            assert all(
+                np.array_equal(getattr(a, r.name), getattr(b, r.name))
+                for r in dataclasses.fields(a)
+            )
+        else:
+            assert np.array_equal(a, b), f.name
 
 
 def test_seed_derivation_is_stable():
