@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .bloch import (
     BlochVector,
     PhysParams,
-    bloch_integrate,
     bloch_steady_state,
     pe_closed_form,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "__version__",
     "BlochVector",
     "PhysParams",
-    "bloch_integrate",
     "bloch_steady_state",
     "pe_closed_form",
     "NoiseRegime",

@@ -6,6 +6,13 @@ of the lowering operator.  The drive enters through the Rabi frequency g and
 the instantaneous detuning delta, which may be modulated in time by the
 mechanical displacement.
 
+With the detuning held fixed over a step, the Bloch equations are affine with
+constant coefficients; ``bloch_step_batch`` advances a batch of states by one
+such step exactly, through the exponential of the augmented 4x4 generator
+(Torrey, Phys. Rev. 76, 1059 (1949)) taken by scaling and squaring (Moler and
+Van Loan, SIAM Rev. 45, 3 (2003)).  The same exponential serves the
+trajectory engine's exact variance map.
+
 Unit convention: all rates and frequencies are angular frequencies in units
 of the spontaneous-emission rate gamma; time is in units of 1/gamma.
 """
@@ -18,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest integration step that still resolves the fastest rate (gamma).
-MAX_BLOCH_STEP = 0.05
-
 # Adiabaticity is taken for granted below this ratio of Omega, g_m to gamma.
 ADIABATIC_RATIO = 0.1
+
+# Taylor order of the matrix exponential (remainder below 1e-18 at norm 1/2).
+_TAYLOR_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,6 @@ def pe_closed_form(g, gamma, delta):
     """
     g = np.asarray(g, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    out = np.zeros(np.broadcast(g, delta).shape)
     driven = g > 0
     gd = np.where(driven, g, 1.0)
     val = 1.0 / (2.0 + (2.0 * delta / gd) ** 2 + (gamma / gd) ** 2)
@@ -126,14 +132,45 @@ def pe_closed_form(g, gamma, delta):
     return out
 
 
-def _bloch_rhs(y, delta, g, gamma, n_q):
-    """Right-hand side of the Bloch equations for y = (pe, Re s, Im s)."""
-    pe, re_s, im_s = y[..., 0], y[..., 1], y[..., 2]
-    gperp = 0.5 * gamma * (2.0 * n_q + 1.0)
-    dpe = -gamma * (2.0 * n_q + 1.0) * pe + gamma * n_q - g * im_s
-    dre = delta * im_s - gperp * re_s
-    dim = -delta * re_s - gperp * im_s + 0.5 * g * (2.0 * pe - 1.0)
-    return np.stack([dpe, dre, dim], axis=-1)
+def _matmul(a, b):
+    """Matrix product of entry-major stacks (a[i, k] holds entry (i, k) of
+    every lane), as one sum of products: every lane gets the same arithmetic,
+    whatever the batch it runs in."""
+    return np.sum(a[:, :, None] * b[None], axis=1)
+
+
+def _expm(m):
+    """Exponential of an entry-major stack of matrices: scaling and squaring
+    of a Taylor series.  Each matrix picks its own scaling from its own norm,
+    so a lane's result does not depend on the batch it runs in; NaN matrices
+    stay NaN."""
+    norm = np.max(np.sum(np.abs(m), axis=0), axis=0)
+    # smallest s >= 0 with norm / 2^s < 1/2; frexp gives 0 for NaN and inf
+    s = np.maximum(np.frexp(2.0 * norm)[1], 0)
+    m = m / np.ldexp(1.0, s)
+    eye = np.eye(len(m)).reshape(m.shape[:2] + (1,) * (m.ndim - 2))
+    p = eye + m / _TAYLOR_ORDER
+    for k in range(_TAYLOR_ORDER - 1, 0, -1):
+        p = eye + _matmul(m, p) / k
+    for k in range(int(np.max(s, initial=0))):
+        p = np.where(k < s, _matmul(p, p), p)
+    return p
+
+
+def _bloch_generator(params: PhysParams, delta) -> np.ndarray:
+    """Augmented generator [[M, c], [0, 0]] of the Bloch equations.
+
+    For y = (pe, Re s, Im s) the equations read y' = M(delta) y + c.  The
+    4x4 matrix is entry-major: entry (i, k) has the shape of ``delta``.
+    """
+    g, gamma, n_q = params.g, params.gamma, params.n_q
+    delta = np.asarray(delta, dtype=float)
+    gamma_par = gamma * (2.0 * n_q + 1.0)
+    m = np.zeros((4, 4) + delta.shape)
+    m[0, 0], m[0, 2], m[0, 3] = -gamma_par, -g, gamma * n_q
+    m[1, 1], m[1, 2] = -0.5 * gamma_par, delta
+    m[2, 0], m[2, 1], m[2, 2], m[2, 3] = g, -delta, -0.5 * gamma_par, -0.5 * g
+    return m
 
 
 def bloch_steady_state(params: PhysParams, delta: float) -> BlochVector:
@@ -142,92 +179,27 @@ def bloch_steady_state(params: PhysParams, delta: float) -> BlochVector:
     Solves the 3x3 linear system obtained by setting the Bloch equations to
     zero.  For ``n_q = 0`` the population coincides with ``pe_closed_form``.
     """
-    g, gamma, n_q = params.g, params.gamma, params.n_q
-    gperp = 0.5 * gamma * (2.0 * n_q + 1.0)
-    a = np.array(
-        [
-            [-gamma * (2.0 * n_q + 1.0), 0.0, -g],
-            [0.0, -gperp, delta],
-            [g, -delta, -gperp],
-        ]
-    )
-    rhs = -np.array([gamma * n_q, 0.0, -0.5 * g])
+    m = _bloch_generator(params, delta)
     try:
-        pe, re_s, im_s = np.linalg.solve(a, rhs)
+        pe, re_s, im_s = np.linalg.solve(m[:3, :3], -m[:3, 3])
     except np.linalg.LinAlgError as exc:  # unreachable for gamma > 0
         raise RuntimeError("internal error: singular Bloch steady state") from exc
     return BlochVector(pe=float(pe), s=complex(re_s, im_s))
 
 
-@dataclass(frozen=True)
-class BlochTrajectory:
-    """Time series produced by :func:`bloch_integrate`."""
-
-    times: np.ndarray
-    pe: np.ndarray
-    s: np.ndarray
-
-    @property
-    def final(self) -> BlochVector:
-        return BlochVector(pe=float(self.pe[-1]), s=complex(self.s[-1]))
-
-
-def bloch_integrate(
-    params: PhysParams,
-    delta_of_t,
-    state0: BlochVector,
-    t_span: tuple[float, float],
-    dt: float,
-) -> BlochTrajectory:
-    """Fixed-step 4th-order integration of the Bloch equations.
-
-    ``delta_of_t`` is the instantaneous detuning as a function of time.  The
-    step is refused when it does not resolve the emitter decay.
-    """
-    if dt > MAX_BLOCH_STEP / params.gamma:
-        raise ValueError(
-            f"dt={dt:.3g} too large; need dt <= {MAX_BLOCH_STEP}/gamma "
-            f"= {MAX_BLOCH_STEP / params.gamma:.3g} to resolve the decay rate"
-        )
-    t0, t1 = t_span
-    if t1 <= t0:
-        raise ValueError("t_span must have positive length")
-    n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
-    h = (t1 - t0) / n_steps
-
-    g, gamma, n_q = params.g, params.gamma, params.n_q
-    y = np.array([state0.pe, state0.s.real, state0.s.imag])
-    times = np.empty(n_steps + 1)
-    pe = np.empty(n_steps + 1)
-    s = np.empty(n_steps + 1, dtype=complex)
-    times[0], pe[0], s[0] = t0, y[0], complex(y[1], y[2])
-    for k in range(n_steps):
-        t = t0 + k * h
-        k1 = _bloch_rhs(y, delta_of_t(t), g, gamma, n_q)
-        k2 = _bloch_rhs(y + 0.5 * h * k1, delta_of_t(t + 0.5 * h), g, gamma, n_q)
-        k3 = _bloch_rhs(y + 0.5 * h * k2, delta_of_t(t + 0.5 * h), g, gamma, n_q)
-        k4 = _bloch_rhs(y + h * k3, delta_of_t(t + h), g, gamma, n_q)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times[k + 1] = t0 + (k + 1) * h
-        pe[k + 1] = y[0]
-        s[k + 1] = complex(y[1], y[2])
-    return BlochTrajectory(times=times, pe=pe, s=s)
-
-
 def bloch_step_batch(
-    y: np.ndarray, delta: np.ndarray, params: PhysParams, dt: float, n_sub: int
+    y: np.ndarray, delta: np.ndarray, params: PhysParams, dt: float
 ) -> np.ndarray:
-    """Advance a batch of Bloch states by dt using n_sub RK4 substeps.
+    """Advance Bloch states y[..., :] = (pe, Re s, Im s) by one exact step dt.
 
-    The detuning is held fixed during the step; used by the trajectory
-    engine when the adiabatic shortcut is disabled.
+    The detuning is held fixed during the step, so the equations are affine
+    with constant coefficients and the step is y -> P y + q, read off the
+    exponential [[P, q], [0, 1]] of dt times the augmented generator.  Each
+    lane takes its own exponential: its result does not depend on the batch
+    it runs in, and a NaN lane stays NaN.
     """
-    h = dt / n_sub
-    g, gamma, n_q = params.g, params.gamma, params.n_q
-    for _ in range(n_sub):
-        k1 = _bloch_rhs(y, delta, g, gamma, n_q)
-        k2 = _bloch_rhs(y + 0.5 * h * k1, delta, g, gamma, n_q)
-        k3 = _bloch_rhs(y + 0.5 * h * k2, delta, g, gamma, n_q)
-        k4 = _bloch_rhs(y + h * k3, delta, g, gamma, n_q)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+    p = _expm(dt * _bloch_generator(params, delta))
+    pe, re_s, im_s = y[..., 0], y[..., 1], y[..., 2]
+    return np.stack(
+        [r[0] * pe + r[1] * re_s + r[2] * im_s + r[3] for r in p[:3]], axis=-1
+    )

@@ -256,6 +256,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             _number("engine.histogram_periods", p) for p in histogram_periods
         ]
 
+    full_bloch = engine.get("full_bloch", False)
+    if not isinstance(full_bloch, bool):
+        raise ConfigError(
+            "engine.full_bloch", f"expected true or false, got {full_bloch!r}"
+        )
+
     config = ExperimentConfig(
         kind=kind,
         params=params,
@@ -265,7 +271,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         seed=seed,
         steps_per_window=engine_int("steps_per_window", 256),
         record_stride=engine_int("record_stride", 4),
-        full_bloch=bool(engine.get("full_bloch", False)),
+        full_bloch=full_bloch,
         workers=engine_int("workers", 1),
         histogram_bins=engine_int("histogram_bins", 41),
         histogram_periods=histogram_periods,

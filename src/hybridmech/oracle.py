@@ -345,41 +345,6 @@ class MomentSeries:
     b2: np.ndarray
 
 
-@dataclass(frozen=True)
-class MomentComparison:
-    """Worst-case differences between two moment series."""
-
-    max_abs_b: float
-    max_abs_n: float
-    max_abs_b2: float
-    diff_b: np.ndarray
-    diff_n: np.ndarray
-    diff_b2: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        return max(self.max_abs_b, self.max_abs_n, self.max_abs_b2)
-
-
-def compare_moments(a: MomentSeries, b: MomentSeries) -> MomentComparison:
-    """Per-time differences of two moment series on congruent grids."""
-    if a.times.shape != b.times.shape or np.max(
-        np.abs(a.times - b.times)
-    ) > 1e-9 * max(1.0, float(np.max(np.abs(a.times)))):
-        raise ValueError("moment series are on different time grids")
-    diff_b = a.b - b.b
-    diff_n = a.n - b.n
-    diff_b2 = a.b2 - b.b2
-    return MomentComparison(
-        max_abs_b=float(np.max(np.abs(diff_b))),
-        max_abs_n=float(np.max(np.abs(diff_n))),
-        max_abs_b2=float(np.max(np.abs(diff_b2))),
-        diff_b=diff_b,
-        diff_n=diff_n,
-        diff_b2=diff_b2,
-    )
-
-
 def moments_from_density(rho: FockDensityMatrix | np.ndarray):
     """(⟨b⟩, ⟨b†b⟩, ⟨b²⟩) from a density matrix."""
     x = rho.entries if isinstance(rho, FockDensityMatrix) else np.asarray(rho)

@@ -40,7 +40,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .bloch import PhysParams, bloch_step_batch, bloch_steady_state, pe_closed_form
+from .bloch import (
+    PhysParams,
+    _expm,
+    _matmul,
+    bloch_step_batch,
+    bloch_steady_state,
+    pe_closed_form,
+)
 from .lindblad import QuadratureDecomposition, eigenpairs
 from .spectrum import WINDOW_PANELS, panel_kernels
 
@@ -53,10 +60,8 @@ ABORT_VA_TOL = 1e-9
 # Largest rate * dt allowed for the first-order dissipative and coupling scales.
 MAX_RATE_STEP = 0.1
 
-# Steps per block of the exact variance map (a power of two), and the Taylor
-# order of its one-step propagator (remainder below 1e-18 at norm 1/2).
+# Steps per block of the exact variance map (a power of two).
 _VARIANCE_BLOCK = 32
-_TAYLOR_ORDER = 16
 
 
 class TrajectoryAbort(RuntimeError):
@@ -98,8 +103,10 @@ class TrajectoryOptions:
     ``schedule`` switches the engine to scheduled mode: kernels are not
     recomputed, the windows partition the run duration evenly, and the
     population is frozen per window.  Otherwise the two-step loop runs with
-    one-period windows and the adiabatic closed-form population (or the full
-    Bloch equations when ``full_bloch`` is set).  ``steps_per_window`` must
+    one-period windows and the adiabatic closed-form population.  With
+    ``full_bloch`` set, the population comes instead from the Bloch
+    equations, advanced by one exact step per engine step with the detuning
+    frozen at its value at the start of the step.  ``steps_per_window`` must
     be a multiple of the spectrum's ``WINDOW_PANELS`` kernel panels.
 
     ``workers`` has no effect: the batch always runs as one, and only the
@@ -203,13 +210,6 @@ def _check_step(params: PhysParams, dt: float, lambda_max: float | None = None) 
             )
 
 
-def _matmul(a, b):
-    """Matrix product of entry-major stacks (a[i, k] holds entry (i, k) of
-    every lane), as one sum of products: every lane gets the same arithmetic,
-    whatever the batch it runs in."""
-    return np.sum(a[:, :, None] * b[None], axis=1)
-
-
 def _riccati_generator(omega, channels):
     """The 4x4 Hamiltonian matrix of one window's variance equations, per lane.
 
@@ -241,24 +241,6 @@ def _riccati_generator(omega, channels):
     a[1, 0] -= omega
     h[2:, 2:] = -a.swapaxes(0, 1)
     return h
-
-
-def _expm(m):
-    """Exponential of an entry-major stack of matrices: scaling and squaring
-    of a Taylor series.  Each matrix picks its own scaling from its own norm,
-    so a lane's result does not depend on the batch it runs in; NaN matrices
-    stay NaN."""
-    norm = np.max(np.sum(np.abs(m), axis=0), axis=0)
-    # smallest s >= 0 with norm / 2^s < 1/2; frexp gives 0 for NaN and inf
-    s = np.maximum(np.frexp(2.0 * norm)[1], 0)
-    m = m / np.ldexp(1.0, s)
-    eye = np.eye(len(m)).reshape(m.shape[:2] + (1,) * (m.ndim - 2))
-    p = eye + m / _TAYLOR_ORDER
-    for k in range(_TAYLOR_ORDER - 1, 0, -1):
-        p = eye + _matmul(m, p) / k
-    for k in range(int(np.max(s, initial=0))):
-        p = np.where(k < s, _matmul(p, p), p)
-    return p
 
 
 def _riccati_map(p, x, y, z):
@@ -462,7 +444,6 @@ def _batch_run(
     if options.full_bloch:
         st0 = bloch_steady_state(params, delta0 + 2.0 * g_m * beta0.real)
         y_bloch = np.tile([st0.pe, st0.s.real, st0.s.imag], (n, 1))
-        n_sub = max(1, math.ceil(dt * gamma / 0.045))
 
     def population(delta_m):
         if options.full_bloch:
@@ -574,7 +555,7 @@ def _batch_run(
                 beta = damp_fac * beta + rot_half * (-1j * g_m * pe_now * dt + kick)
                 if options.full_bloch:
                     y_bloch = bloch_step_batch(
-                        y_bloch, delta0 + delta_m_now, params, dt, n_sub
+                        y_bloch, delta0 + delta_m_now, params, dt
                     )
             delta_panel_next[:, panels] = 2.0 * g_m * beta.real
             delta_panel = delta_panel_next

@@ -367,11 +367,14 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("sweep",), 5, "sweep"),
         (("grid",), 5, "grid"),
         (("engine", "histogram_periods"), 5, "engine.histogram_periods"),
+        (("engine", "full_bloch"), "false", "engine.full_bloch"),
+        (("engine", "full_bloch"), 1, "engine.full_bloch"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
          "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
          "g_m-inf", "beta0-nan", "periods-inf", "engine-list", "initial-text",
-         "output-number", "sweep-number", "grid-number", "periods-number"],
+         "output-number", "sweep-number", "grid-number", "periods-number",
+         "full_bloch-text", "full_bloch-number"],
 )
 def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
     # each used to escape as a traceback (exit 1), to fail with a misleading

@@ -8,11 +8,9 @@ from hybridmech.bloch import PhysParams, pe_closed_form
 from hybridmech.lindblad import decompose, twisted_decomposition
 from hybridmech.oracle import (
     FockStateVector,
-    MomentSeries,
     TruncationError,
     coherent_density,
     coherent_state,
-    compare_moments,
     destroy_matrix,
     integrate_master,
     kernel_form_rhs,
@@ -300,23 +298,11 @@ def test_sse_ensemble_matches_master(params):
         params, coherent_density(24, 1.0 + 0j), duration, dt, schedule,
         record_stride=512,
     )
-    comp = compare_moments(sse.moments, master.moments)
-    assert np.all(np.abs(comp.diff_n) <= 4.0 * sse.se_n + 1e-9)
-    assert np.all(np.abs(comp.diff_b) <= 4.0 * sse.se_b + 1e-9)
-    assert np.all(np.abs(comp.diff_b2) <= 4.0 * sse.se_b2 + 1e-9)
-
-
-def test_compare_moments_reports_and_rejects():
-    t = np.linspace(0, 1, 5)
-    a = MomentSeries(times=t, b=np.ones(5, complex), n=np.ones(5), b2=np.zeros(5, complex))
-    same = compare_moments(a, a)
-    assert same.max_abs == 0.0
-    shifted = MomentSeries(times=t, b=a.b + 0.25, n=a.n, b2=a.b2)
-    diff = compare_moments(a, shifted)
-    assert diff.max_abs_b == pytest.approx(0.25)
-    other = MomentSeries(times=t + 0.5, b=a.b, n=a.n, b2=a.b2)
-    with pytest.raises(ValueError, match="grid"):
-        compare_moments(a, other)
+    a, b = sse.moments, master.moments
+    assert np.array_equal(a.times, b.times)
+    assert np.all(np.abs(a.n - b.n) <= 4.0 * sse.se_n + 1e-9)
+    assert np.all(np.abs(a.b - b.b) <= 4.0 * sse.se_b + 1e-9)
+    assert np.all(np.abs(a.b2 - b.b2) <= 4.0 * sse.se_b2 + 1e-9)
 
 
 def test_self_consistent_master_mode_runs():

@@ -7,7 +7,7 @@ import pytest
 from conftest import sinusoidal_rates
 
 from hybridmech import trajectory
-from hybridmech.bloch import PhysParams
+from hybridmech.bloch import PhysParams, _expm
 from hybridmech.lindblad import QuadratureDecomposition, twisted_decomposition
 from hybridmech.oracle import make_frozen_schedule, quadrature_variances
 from hybridmech.trajectory import (
@@ -18,7 +18,6 @@ from hybridmech.trajectory import (
     WindowCoefficients,
     _batch_run,
     _draw_window_noise,
-    _expm,
     _variance_step,
     derive_trajectory_seed,
     run_ensemble,
