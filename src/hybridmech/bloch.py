@@ -115,21 +115,18 @@ class BlochVector:
         return -tol <= self.pe <= 1.0 + tol and self.ball_excess() <= tol
 
 
-def pe_closed_form(g, gamma, delta):
+def pe_closed_form(g: float, gamma, delta):
     """Saturation (steady-state) population of the resonantly damped emitter.
 
-    Accepts scalars or numpy arrays for ``delta`` (and ``g``).  An undriven
-    emitter at zero temperature returns 0.
+    ``g`` is one scalar Rabi frequency; ``delta`` is a scalar or a numpy
+    array, and the result has its shape.  An undriven emitter (g <= 0) at
+    zero temperature returns 0.
     """
-    g = np.asarray(g, dtype=float)
+    if g <= 0:
+        return np.zeros(np.shape(delta)) if np.ndim(delta) else 0.0
     delta = np.asarray(delta, dtype=float)
-    driven = g > 0
-    gd = np.where(driven, g, 1.0)
-    val = 1.0 / (2.0 + (2.0 * delta / gd) ** 2 + (gamma / gd) ** 2)
-    out = np.where(driven, val, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = 1.0 / (2.0 + (2.0 * delta / g) ** 2 + (gamma / g) ** 2)
+    return float(out) if out.ndim == 0 else out
 
 
 def _matmul(a, b):

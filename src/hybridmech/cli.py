@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -452,16 +452,7 @@ def _run_phase_diagram(config: ExperimentConfig, out: Path) -> list[str]:
     rows = []
     for n_m in n_ms:
         for ratio in ratios:
-            params = PhysParams(
-                gamma=base.gamma,
-                g=base.g,
-                Omega=base.Omega,
-                g_m=base.g_m,
-                delta0=base.delta0,
-                n_q=base.n_q,
-                Gamma=ratio * tls_rate,
-                n_m=float(n_m),
-            )
+            params = replace(base, Gamma=ratio * tls_rate, n_m=float(n_m))
             label = classify_regime(params).regime.value
             rows.append((float(n_m), float(ratio), label))
     write_csv(out / "phase_diagram.csv", ["n_m", "gamma_ratio", "label"], rows)

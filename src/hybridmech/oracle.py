@@ -24,6 +24,7 @@ from .spectrum import NoiseKernels, window_kernels
 from .trajectory import (
     WindowCoefficients,
     _draw_window_noise,
+    _standard_error,
     derive_trajectory_seed,
     resolve_windows,
 )
@@ -394,9 +395,12 @@ def _window_plan(
     duration: float,
     dt: float,
     schedule: Sequence[WindowCoefficients] | None,
+    record_stride: int,
 ):
     n_windows, window = resolve_windows(params, duration, schedule)
     steps = max(1, round(window / dt))
+    if record_stride < 1 or steps % record_stride != 0:
+        raise ValueError("record_stride must be a positive divisor of the window's steps")
     return n_windows, window, steps, window / steps
 
 
@@ -407,21 +411,20 @@ def integrate_master(
     dt: float,
     kernel_schedule: Sequence[WindowCoefficients] | None = None,
     *,
-    self_consistent: bool = False,
     record_stride: int = 16,
 ) -> MasterResult:
     """Fourth-order integration of the mechanical master equation.
 
     With a ``kernel_schedule`` the scattering data follow the supplied
     frozen per-window sequence (the same object the trajectory engine
-    consumes).  With ``self_consistent=True`` the kernels are recomputed each
-    window from the mean-field induced detuning Tr[rho (b+b^dag)] g_m,
-    propagated across the window by free rotation, with the population frozen
-    at its window-start value.  State invariants are validated at every
-    record; a failing truncation-health check raises with a suggested size.
+    consumes).  With no schedule the run is self-consistent: the kernels are
+    recomputed each window from the mean-field induced detuning
+    Tr[rho (b+b^dag)] g_m, propagated across the window by free rotation,
+    with the population frozen at its window-start value.  ``record_stride``,
+    the steps between records, must divide the steps per window.  State
+    invariants are validated at every record; a failing truncation-health
+    check raises with a suggested size.
     """
-    if kernel_schedule is None and not self_consistent:
-        raise ValueError("integrate_master needs a kernel_schedule or self_consistent")
     if duration == 0:
         snap = FockDensityMatrix(dim=rho0.dim, entries=rho0.entries.copy(), t=0.0)
         snap.validate()
@@ -437,9 +440,9 @@ def integrate_master(
                 b2=np.array([mb2]),
             ),
         )
-    n_windows, window, steps, h = _window_plan(params, duration, dt, kernel_schedule)
-    if steps % record_stride != 0 and record_stride <= steps:
-        raise ValueError("record_stride must divide the steps per window")
+    n_windows, window, steps, h = _window_plan(
+        params, duration, dt, kernel_schedule, record_stride
+    )
 
     rho = np.array(rho0.entries, dtype=complex)
     dim = rho0.dim
@@ -487,7 +490,7 @@ def integrate_master(
         for j in range(steps):
             rho = _rk4_step(rho, h, rhs)
             gstep = w * steps + j + 1
-            if gstep % record_stride == 0 or gstep == n_windows * steps:
+            if gstep % record_stride == 0:
                 rho = 0.5 * (rho + rho.conj().T)
                 t = gstep * h
                 trace = float(np.real(np.trace(rho)))
@@ -535,7 +538,9 @@ def _sse_batch(
     one Euler-Maruyama step per dt, followed by explicit renormalisation.
     Returns per-trajectory moment arrays in the lab frame.
     """
-    n_windows, window, steps, h = _window_plan(params, duration, dt, schedule)
+    n_windows, window, steps, h = _window_plan(
+        params, duration, dt, schedule, record_stride
+    )
     lam_max = max(wc.decomp.lambda_plus for wc in schedule)
     if h * lam_max > 1e-3 + 1e-12:
         raise ValueError(
@@ -619,7 +624,7 @@ def _sse_batch(
                 )
             psi *= 1.0 / norms
             gstep = w * steps + j + 1
-            if gstep % record_stride == 0 or gstep == n_windows * steps:
+            if gstep % record_stride == 0:
                 record(gstep * h)
     return times, out_b, out_n, out_b2
 
@@ -662,23 +667,24 @@ def sse_ensemble(
     kernel_schedule: Sequence[WindowCoefficients],
     record_stride: int = 16,
 ) -> SseEnsemble:
-    """Average many unraveling trajectories (deterministic per-index seeds)."""
+    """Average ``n_traj`` >= 1 unraveling trajectories, trajectory i seeded by
+    ``derive_trajectory_seed(master_seed, i)``.  ``record_stride`` must divide
+    the steps per window; one trajectory gives zero standard errors."""
+    if n_traj < 1:
+        raise ValueError("n_traj must be at least 1")
     amps = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
     seeds = [derive_trajectory_seed(master_seed, i) for i in range(n_traj)]
     times, b, n, b2 = _sse_batch(
         params, amps, duration, dt, seeds, kernel_schedule, record_stride
     )
-    rt = math.sqrt(n_traj)
     moments = MomentSeries(
         times=times, b=b.mean(axis=0), n=n.mean(axis=0), b2=b2.mean(axis=0)
     )
     return SseEnsemble(
         moments=moments,
-        se_b=np.sqrt(np.var(b.real, axis=0, ddof=1) + np.var(b.imag, axis=0, ddof=1))
-        / rt,
-        se_n=np.std(n, axis=0, ddof=1) / rt,
-        se_b2=np.sqrt(np.var(b2.real, axis=0, ddof=1) + np.var(b2.imag, axis=0, ddof=1))
-        / rt,
+        se_b=_standard_error(b),
+        se_n=_standard_error(n),
+        se_b2=_standard_error(b2),
         n_traj=n_traj,
     )
 

@@ -138,7 +138,6 @@ class TrajectoryRecord:
     lambda_minus: np.ndarray
     theta: np.ndarray
     seed: int | None
-    window_length: float
 
 
 @dataclass(frozen=True)
@@ -448,47 +447,34 @@ def _batch_run(
     def population(delta_m):
         if options.full_bloch:
             return y_bloch[:, 0].copy()
-        if pe_frozen is not None:
+        if schedule is not None:
             return pe_frozen
         return pe_closed_form(params.g, gamma, delta0 + delta_m)
 
     if noise:
         # step-major, so step j reads one contiguous row; refilled every window
         noise_buf = tuple(np.empty((steps, n), dtype=complex) for _ in range(2))
-    zeros = np.zeros(lanes)
-    czeros = np.zeros(lanes, dtype=complex)
     with np.errstate(invalid="ignore"):
         for w in range(n_windows):
-            if not noise:
-                lam_p, lam_m = zeros, zeros
-                u_p = w_p = u_m = w_m = czeros
-                theta_w = zeros
-                pe_frozen = (
-                    np.full(lanes, schedule[w].pe) if schedule is not None else None
+            if schedule is not None:
+                d = schedule[w].decomp
+                data = d.lambda_plus, d.lambda_minus, *d.v_plus, *d.v_minus, d.theta
+                lam_p, lam_m, u_p, w_p, u_m, w_m, theta_w = (
+                    np.full(lanes, x) for x in data
                 )
-            elif schedule is not None:
-                wc = schedule[w]
-                lam_p = np.full(lanes, wc.decomp.lambda_plus)
-                lam_m = np.full(lanes, wc.decomp.lambda_minus)
-                u_p = np.full(lanes, wc.decomp.v_plus[0])
-                w_p = np.full(lanes, wc.decomp.v_plus[1])
-                u_m = np.full(lanes, wc.decomp.v_minus[0])
-                w_m = np.full(lanes, wc.decomp.v_minus[1])
-                theta_w = np.full(lanes, wc.decomp.theta)
-                pe_frozen = np.full(lanes, wc.pe)
-            else:
+                pe_frozen = np.full(lanes, schedule[w].pe)
+            elif noise:
                 s0, s2 = panel_kernels(params, delta0 + delta_panel, panel_phases)
-                h11 = Gamma * (n_m + 1.0) + s0
-                h22 = Gamma * n_m + s0
-                lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, h11, h22, s2)
-                lam_p = np.broadcast_to(np.asarray(lam_p), (n,))
-                lam_m = np.broadcast_to(np.asarray(lam_m), (n,))
-                u_p, w_p = v_p[..., 0], v_p[..., 1]
-                u_m, w_m = v_m[..., 0], v_m[..., 1]
-                theta_w = np.broadcast_to(np.asarray(theta_w), (n,))
-                pe_frozen = None
+                lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(
+                    Gamma, Gamma * (n_m + 1.0) + s0, Gamma * n_m + s0, s2
+                )
+                (u_p, w_p), (u_m, w_m) = v_p.T, v_m.T
                 # aborted lanes carry NaN rates, which would mask the maximum
                 _check_step(params, dt, float(np.max(lam_p, initial=0.0, where=alive)))
+            if not noise:
+                # the noise-free reference scatters through no channel
+                lam_p = lam_m = theta_w = np.zeros(lanes)
+                u_p = w_p = u_m = w_m = np.zeros(lanes, dtype=complex)
 
             c_damp = lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2) + lam_m * (
                 np.abs(u_m) ** 2 - np.abs(w_m) ** 2
@@ -573,7 +559,6 @@ def _batch_run(
     rec["times"] = np.arange(n_rec) * stride * dt
     rec["alive"] = alive
     rec["abort_time"] = abort_time
-    rec["window_length"] = window
     return rec
 
 
@@ -589,7 +574,6 @@ def _record_from_batch(batch: dict, lane: int, seed: int | None) -> TrajectoryRe
         lambda_minus=batch["lambda_minus"][lane].copy(),
         theta=batch["theta"][lane].copy(),
         seed=seed,
-        window_length=batch["window_length"],
     )
 
 
@@ -627,6 +611,14 @@ def _sample_variance(values: np.ndarray) -> np.ndarray:
     if len(values) < 2:
         return np.zeros(values.shape[1:])
     return np.var(values, axis=0, ddof=1)
+
+
+def _standard_error(values: np.ndarray) -> np.ndarray:
+    """Monte Carlo standard error of the mean across trajectories (axis 0)."""
+    var = _sample_variance(values.real)
+    if np.iscomplexobj(values):  # a real array's .imag would allocate zeros
+        var = var + _sample_variance(values.imag)
+    return np.sqrt(var) / math.sqrt(len(values))
 
 
 def run_ensemble(
@@ -668,17 +660,12 @@ def run_ensemble(
     beta = batch["beta"][alive]
     va = batch["v_a"][alive]
     vb = batch["v_b"][alive]
-    n_alive = int(alive.sum())
 
     n_vals = va + np.abs(beta) ** 2
     b2_vals = vb + beta**2
     dbeta = beta - reference.beta[None, :]
 
-    sqrt_n = math.sqrt(n_alive)
-    se_beta = np.sqrt(
-        _sample_variance(dbeta.real) + _sample_variance(dbeta.imag)
-    ) / sqrt_n
-    result = EnsembleResult(
+    return EnsembleResult(
         times=batch["times"].copy(),
         mean_beta=beta.mean(axis=0),
         mean_pe=batch["pe"][alive].mean(axis=0),
@@ -686,11 +673,9 @@ def run_ensemble(
         mean_b2=b2_vals.mean(axis=0),
         var_dbeta_x=_sample_variance(dbeta.real),
         var_dbeta_p=_sample_variance(dbeta.imag),
-        se_beta=se_beta,
-        se_n=np.sqrt(_sample_variance(n_vals)) / sqrt_n,
-        se_b2=np.sqrt(
-            _sample_variance(b2_vals.real) + _sample_variance(b2_vals.imag)
-        ) / sqrt_n,
+        se_beta=_standard_error(dbeta),
+        se_n=_standard_error(n_vals),
+        se_b2=_standard_error(b2_vals),
         mean_lambda_plus=batch["lambda_plus"][alive].mean(axis=0),
         mean_lambda_minus=batch["lambda_minus"][alive].mean(axis=0),
         mean_theta=batch["theta"][alive].mean(axis=0),
@@ -702,7 +687,6 @@ def run_ensemble(
         master_seed=master_seed,
         aborted=aborted,
     )
-    return result
 
 
 def _histograms(times, dbeta, params, duration, options):

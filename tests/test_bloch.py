@@ -80,6 +80,10 @@ def test_pe_closed_form_vectorised():
     assert vals.shape == deltas.shape
     assert np.all(vals > 0)
     assert np.all(vals <= 0.5)
+    # an undriven emitter gives zeros of the detuning's shape
+    zeros = pe_closed_form(0.0, 1.0, deltas.reshape(1, -1))
+    assert zeros.shape == (1, deltas.size) and zeros.dtype == float
+    assert not np.any(zeros)
 
 
 def test_steady_state_matches_closed_form_at_zero_occupation():

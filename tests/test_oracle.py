@@ -305,6 +305,37 @@ def test_sse_ensemble_matches_master(params):
     assert np.all(np.abs(a.b2 - b.b2) <= 4.0 * sse.se_b2 + 1e-9)
 
 
+@pytest.mark.parametrize("stride", [1000, 3000, 0])
+@pytest.mark.parametrize("integrator", ["master", "sse"])
+def test_record_stride_must_divide_the_window(params, integrator, stride):
+    # 4096 steps per window; both integrators refuse before stepping
+    schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 1)
+    period = params.mechanical_period
+    with pytest.raises(ValueError, match="record_stride must be a positive divisor"):
+        if integrator == "master":
+            integrate_master(
+                params, coherent_density(12, 0.5), period, period / 4096, schedule,
+                record_stride=stride,
+            )
+        else:
+            sse_ensemble(
+                params, coherent_state(12, 0.5), period, period / 4096, 2, 1,
+                schedule, record_stride=stride,
+            )
+
+
+def test_sse_ensemble_trajectory_count(params):
+    schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 1)
+    period = params.mechanical_period
+    psi0 = coherent_state(12, 0.5)
+    with pytest.raises(ValueError, match="n_traj must be at least 1"):
+        sse_ensemble(params, psi0, period, period / 512, 0, 1, schedule)
+    # one trajectory has no spread to estimate: zero standard errors
+    one = sse_ensemble(params, psi0, period, period / 512, 1, 1, schedule)
+    for se in (one.se_b, one.se_n, one.se_b2):
+        assert not np.any(se)
+
+
 def test_self_consistent_master_mode_runs():
     p = PhysParams(gamma=1.0, g=1.0, Omega=0.05, g_m=0.02)
     res = integrate_master(
@@ -313,7 +344,6 @@ def test_self_consistent_master_mode_runs():
         p.mechanical_period,
         p.mechanical_period / 512,
         kernel_schedule=None,
-        self_consistent=True,
         record_stride=128,
     )
     for snap in res.states:
@@ -335,9 +365,7 @@ def test_self_consistent_master_mode_matches_its_exact_schedule():
     rho0 = coherent_density(dim, beta0)
     runs = [
         integrate_master(p, rho0, period, period / steps, schedule, record_stride=64),
-        integrate_master(
-            p, rho0, period, period / steps, self_consistent=True, record_stride=64
-        ),
+        integrate_master(p, rho0, period, period / steps, record_stride=64),
     ]
     exact, self_consistent = (r.moments for r in runs)
 

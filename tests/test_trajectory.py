@@ -456,6 +456,24 @@ def test_unphysical_state_aborts_step():
     assert err.value.time == 1.0
 
 
+@pytest.mark.parametrize("scheduled", [True, False], ids=["schedule", "self-scheduled"])
+def test_reference_carries_no_channels(scheduled):
+    # the noise-free reference scatters through no channel, whether the
+    # stochastic lanes take theirs from a schedule or from their own kernels
+    if scheduled:
+        p = frozen_frame_params()
+        dec = twisted_decomposition(5e-3, 5e-4, 0.4)
+        schedule = make_frozen_schedule(dec, 0.0, 2)
+    else:
+        p, schedule = tls_noise_params(), None
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=32, schedule=schedule)
+    ref = semiclassical_run(p, 1.0 + 0j, 2 * 2.0 * math.pi / 0.01, opts)
+    for name in ("lambda_plus", "lambda_minus", "theta"):
+        assert np.all(getattr(ref, name) == 0.0), name
+    assert np.all(ref.v_a == 0.0)
+    assert np.all(ref.v_b == 0.0)
+
+
 def test_ensemble_abort_report():
     p = PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
     dec = twisted_decomposition(0.01, 0.0, 0.0)
