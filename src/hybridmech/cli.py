@@ -116,11 +116,32 @@ def _number(field_name: str, value, kind=float):
     return number
 
 
+# the keys each section accepts; any other key is a ConfigError naming it
+_SECTION_FIELDS = {
+    "initial": {"beta0"},
+    "engine": {"steps_per_window", "record_stride", "full_bloch", "workers",
+               "histogram_bins", "histogram_periods"},
+    "sweep": {"delta_min", "delta_max", "points"},
+    "grid": {"n_m_min", "n_m_max", "ratio_min", "ratio_max", "points"},
+    "output": {"dir"},
+}
+_TOP_FIELDS = {"kind", "units", "params", "duration_periods", "trajectories", "seed",
+               *_SECTION_FIELDS}
+
+
+def _reject_unknown(keys, known, prefix: str = "") -> None:
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}", "unknown field")
+
+
 def _section(doc: dict, name: str) -> dict:
-    """The object ``doc[name]`` ({} when absent), or a ConfigError naming it."""
+    """The object ``doc[name]`` ({} when absent), or a ConfigError naming it
+    or its first unknown key."""
     value = doc.get(name, {})
     if not isinstance(value, dict):
         raise ConfigError(name, f"expected an object, got {value!r}")
+    _reject_unknown(value, _SECTION_FIELDS[name], f"{name}.")
     return value
 
 
@@ -132,9 +153,7 @@ def _normalize_params(raw: dict, units: str) -> tuple[PhysParams, dict]:
     for required in ("g", "Omega", "g_m"):
         if required not in raw:
             raise ConfigError(f"params.{required}", "missing required field")
-    unknown = set(raw) - set(_PARAM_FIELDS) - {"T_m", "T_q", "omega0"}
-    if unknown:
-        raise ConfigError(f"params.{sorted(unknown)[0]}", "unknown field")
+    _reject_unknown(raw, (*_PARAM_FIELDS, "T_m", "T_q", "omega0"), "params.")
 
     if units == "gamma":
         to_angular = None
@@ -216,6 +235,7 @@ def _read_document(path: str | Path) -> dict:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    _reject_unknown(doc, _TOP_FIELDS)
     kind = doc.get("kind", "semiclassical")
     if kind not in KINDS:
         raise ConfigError("kind", f"must be one of {KINDS}, got {kind!r}")

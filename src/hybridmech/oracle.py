@@ -11,6 +11,7 @@ dimension a few tens.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from .bloch import PhysParams, pe_closed_form
 from .lindblad import QuadratureDecomposition, decompose
-from .spectrum import NoiseKernels, window_kernels
+from .spectrum import NoiseKernels, steps_in_window, window_kernels
 from .trajectory import (
     WindowCoefficients,
     _draw_window_noise,
@@ -147,13 +148,12 @@ def _number_right(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# State containers.
+# States are plain arrays; a master run records validated density matrices.
 
 @dataclass
 class FockDensityMatrix:
-    """Truncated-Fock density matrix with invariant checks."""
+    """Recorded truncated-Fock density matrix with invariant checks."""
 
-    dim: int
     entries: np.ndarray
     t: float = 0.0
 
@@ -183,23 +183,13 @@ class FockDensityMatrix:
                 f"negative eigenvalue {self.min_eigenvalue():.3e} at t={self.t}"
             )
         if self.top_population() > TRUNCATION_TOL:
-            raise TruncationError(self.dim, self.top_population())
+            raise TruncationError(len(self.entries), self.top_population())
 
 
-@dataclass
-class FockStateVector:
-    """Truncated-Fock pure state."""
-
-    dim: int
-    amplitudes: np.ndarray
-    t: float = 0.0
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def coherent_amplitudes(dim: int, beta: complex) -> np.ndarray:
-    """Normalised coherent-state amplitudes on the truncated space."""
+def coherent_state(dim: int, beta: complex) -> np.ndarray:
+    """Normalised coherent-state amplitudes on the truncated space; raises
+    :class:`TruncationError` when the truncation loses more than 1e-6 of the
+    norm."""
     amps = np.empty(dim, dtype=complex)
     amps[0] = 1.0
     for k in range(1, dim):
@@ -211,16 +201,12 @@ def coherent_amplitudes(dim: int, beta: complex) -> np.ndarray:
     return amps / norm
 
 
-def coherent_state(dim: int, beta: complex) -> FockStateVector:
-    return FockStateVector(dim=dim, amplitudes=coherent_amplitudes(dim, beta))
+def coherent_density(dim: int, beta: complex) -> np.ndarray:
+    amps = coherent_state(dim, beta)
+    return np.outer(amps, amps.conj())
 
 
-def coherent_density(dim: int, beta: complex) -> FockDensityMatrix:
-    amps = coherent_amplitudes(dim, beta)
-    return FockDensityMatrix(dim=dim, entries=np.outer(amps, amps.conj()))
-
-
-def thermal_density(dim: int, n_m: float) -> FockDensityMatrix:
+def thermal_density(dim: int, n_m: float) -> np.ndarray:
     """Thermal state, renormalised on the truncation."""
     if n_m <= 0:
         pops = np.zeros(dim)
@@ -229,7 +215,7 @@ def thermal_density(dim: int, n_m: float) -> FockDensityMatrix:
         ratio = n_m / (n_m + 1.0)
         pops = ratio ** np.arange(dim)
         pops /= pops.sum()
-    return FockDensityMatrix(dim=dim, entries=np.diag(pops).astype(complex))
+    return np.diag(pops).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +259,15 @@ def lindblad_generator(
 
 
 def lindblad_rhs(
-    rho, pe: float, decomp: QuadratureDecomposition, params: PhysParams
+    rho: np.ndarray, pe: float, decomp: QuadratureDecomposition, params: PhysParams
 ) -> np.ndarray:
-    """One evaluation of :func:`lindblad_generator`.
-
-    Accepts a FockDensityMatrix or a plain array (stacks allowed on leading
-    axes); returns the plain derivative array.
-    """
-    x = rho.entries if isinstance(rho, FockDensityMatrix) else np.asarray(rho)
-    return lindblad_generator(pe, decomp, params, x.shape[-1])(x)
+    """One evaluation of :func:`lindblad_generator` (stacks allowed on
+    leading axes)."""
+    return lindblad_generator(pe, decomp, params, rho.shape[-1])(rho)
 
 
 def kernel_form_rhs(
-    rho,
+    x: np.ndarray,
     pe: float,
     Gamma: float,
     n_m: float,
@@ -298,7 +280,6 @@ def kernel_form_rhs(
     the s2 terms; serves as the independent counterpart of
     :func:`lindblad_rhs` in equivalence tests.
     """
-    x = rho.entries if isinstance(rho, FockDensityMatrix) else np.asarray(rho)
     s0, s2 = kernels.s0, kernels.s2
     out = _hamiltonian_part(x, params.Omega, params.g_m * pe)
 
@@ -346,9 +327,8 @@ class MomentSeries:
     b2: np.ndarray
 
 
-def moments_from_density(rho: FockDensityMatrix | np.ndarray):
+def moments_from_density(x: np.ndarray):
     """(⟨b⟩, ⟨b†b⟩, ⟨b²⟩) from a density matrix."""
-    x = rho.entries if isinstance(rho, FockDensityMatrix) else np.asarray(rho)
     dim = x.shape[-1]
     s1 = _sqrt_ladder(dim)
     ks = np.arange(dim)
@@ -398,7 +378,7 @@ def _window_plan(
     record_stride: int,
 ):
     n_windows, window = resolve_windows(params, duration, schedule)
-    steps = max(1, round(window / dt))
+    steps = steps_in_window(window, dt, "dt")
     if record_stride < 1 or steps % record_stride != 0:
         raise ValueError("record_stride must be a positive divisor of the window's steps")
     return n_windows, window, steps, window / steps
@@ -406,46 +386,32 @@ def _window_plan(
 
 def integrate_master(
     params: PhysParams,
-    rho0: FockDensityMatrix,
+    rho0: np.ndarray,
     duration: float,
     dt: float,
     kernel_schedule: Sequence[WindowCoefficients] | None = None,
     *,
     record_stride: int = 16,
 ) -> MasterResult:
-    """Fourth-order integration of the mechanical master equation.
+    """Fourth-order integration of the mechanical master equation from the
+    ``(dim, dim)`` density matrix ``rho0`` over ``duration`` > 0.
 
-    With a ``kernel_schedule`` the scattering data follow the supplied
-    frozen per-window sequence (the same object the trajectory engine
-    consumes).  With no schedule the run is self-consistent: the kernels are
-    recomputed each window from the mean-field induced detuning
-    Tr[rho (b+b^dag)] g_m, propagated across the window by free rotation,
-    with the population frozen at its window-start value.  ``record_stride``,
-    the steps between records, must divide the steps per window.  State
-    invariants are validated at every record; a failing truncation-health
-    check raises with a suggested size.
+    ``dt`` must divide the window.  With a ``kernel_schedule`` the scattering
+    data follow the supplied frozen per-window sequence (the same object the
+    trajectory engine consumes).  With no schedule the run is self-consistent:
+    the kernels are recomputed each window from the mean-field induced
+    detuning Tr[rho (b+b^dag)] g_m, propagated across the window by free
+    rotation, with the population frozen at its window-start value.
+    ``record_stride``, the steps between records, must divide the steps per
+    window.  State invariants are validated at every record; a failing
+    truncation-health check raises with a suggested size.
     """
-    if duration == 0:
-        snap = FockDensityMatrix(dim=rho0.dim, entries=rho0.entries.copy(), t=0.0)
-        snap.validate()
-        mb, mn, mb2 = moments_from_density(snap)
-        times = np.zeros(1)
-        return MasterResult(
-            times=times,
-            states=[snap],
-            moments=MomentSeries(
-                times=times,
-                b=np.array([mb]),
-                n=np.array([mn]),
-                b2=np.array([mb2]),
-            ),
-        )
     n_windows, window, steps, h = _window_plan(
         params, duration, dt, kernel_schedule, record_stride
     )
 
-    rho = np.array(rho0.entries, dtype=complex)
-    dim = rho0.dim
+    rho = np.array(rho0, dtype=complex)
+    dim = rho.shape[0]
 
     def window_data(w_idx, rho_now):
         if kernel_schedule is not None:
@@ -476,12 +442,14 @@ def integrate_master(
 
     times = []
     states = []
+    moments = []
 
     def record(t):
-        snap = FockDensityMatrix(dim=dim, entries=rho.copy(), t=t)
+        snap = FockDensityMatrix(rho.copy(), t)
         snap.validate()
         times.append(t)
         states.append(snap)
+        moments.append(moments_from_density(rho))
 
     record(0.0)
     for w in range(n_windows):
@@ -492,23 +460,11 @@ def integrate_master(
             gstep = w * steps + j + 1
             if gstep % record_stride == 0:
                 rho = 0.5 * (rho + rho.conj().T)
-                t = gstep * h
-                trace = float(np.real(np.trace(rho)))
-                if abs(trace - 1.0) > TRACE_TOL * (1.0 + t):
-                    raise RuntimeError(f"trace drift {trace - 1.0:.3e} at t={t}")
-                record(t)
+                record(gstep * h)
 
     times_arr = np.array(times)
-    mb = np.empty(len(states), dtype=complex)
-    mn = np.empty(len(states))
-    mb2 = np.empty(len(states), dtype=complex)
-    for i, snap in enumerate(states):
-        mb[i], mn[i], mb2[i] = moments_from_density(snap)
-    return MasterResult(
-        times=times_arr,
-        states=states,
-        moments=MomentSeries(times=times_arr, b=mb, n=mn, b2=mb2),
-    )
+    mb, mn, mb2 = (np.array(m) for m in zip(*moments))
+    return MasterResult(times_arr, states, MomentSeries(times_arr, mb, mn, mb2))
 
 
 def _rk4_step(x, h, rhs):
@@ -563,15 +519,12 @@ def _sse_batch(
     def record(t):
         nonlocal i_rec
         mb, mn, mb2 = moments_from_state(psi)
-        ph = cmath_exp(-omega * t)
+        ph = cmath.exp(-1j * omega * t)
         out_b[:, i_rec] = ph * mb
         out_n[:, i_rec] = mn
         out_b2[:, i_rec] = ph * ph * mb2
         times[i_rec] = t
         i_rec += 1
-
-    def cmath_exp(x):
-        return complex(math.cos(x), math.sin(x))
 
     chunk = min(SSE_NOISE_CHUNK, steps)
     noise = np.empty((2, chunk, n), dtype=complex)
@@ -596,7 +549,7 @@ def _sse_batch(
                 _draw_window_noise(gens, m, h, (noise[0, :m], noise[1, :m]))
             nu, nw = mix @ noise[:, j % chunk]
             t = (w * steps + j) * h
-            ph = cmath_exp(-omega * t)
+            ph = cmath.exp(-1j * omega * t)
             phc = ph.conjugate()
             bpsi = lower_state(psi)
             bdpsi = raise_state(psi)
@@ -629,23 +582,6 @@ def _sse_batch(
     return times, out_b, out_n, out_b2
 
 
-def sse_run(
-    params: PhysParams,
-    psi0: FockStateVector,
-    duration: float,
-    dt: float,
-    seed: int,
-    kernel_schedule: Sequence[WindowCoefficients],
-    record_stride: int = 16,
-) -> MomentSeries:
-    """One stochastic wave-function trajectory; emits mechanical moments."""
-    amps = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
-    times, b, n, b2 = _sse_batch(
-        params, amps, duration, dt, [seed], kernel_schedule, record_stride
-    )
-    return MomentSeries(times=times, b=b[0], n=n[0], b2=b2[0])
-
-
 @dataclass(frozen=True)
 class SseEnsemble:
     """Trajectory-averaged moments with Monte Carlo standard errors."""
@@ -659,7 +595,7 @@ class SseEnsemble:
 
 def sse_ensemble(
     params: PhysParams,
-    psi0: FockStateVector,
+    psi0: np.ndarray,
     duration: float,
     dt: float,
     n_traj: int,
@@ -667,26 +603,21 @@ def sse_ensemble(
     kernel_schedule: Sequence[WindowCoefficients],
     record_stride: int = 16,
 ) -> SseEnsemble:
-    """Average ``n_traj`` >= 1 unraveling trajectories, trajectory i seeded by
-    ``derive_trajectory_seed(master_seed, i)``.  ``record_stride`` must divide
-    the steps per window; one trajectory gives zero standard errors."""
+    """Average ``n_traj`` >= 1 unraveling trajectories from the amplitude
+    array ``psi0`` (normalised here), trajectory i seeded by
+    ``derive_trajectory_seed(master_seed, i)``.  ``dt`` must divide the window
+    and ``record_stride`` the steps per window; one trajectory gives zero
+    standard errors, and its mean is that trajectory."""
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    amps = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
+    amps = psi0 / np.linalg.norm(psi0)
     seeds = [derive_trajectory_seed(master_seed, i) for i in range(n_traj)]
     times, b, n, b2 = _sse_batch(
         params, amps, duration, dt, seeds, kernel_schedule, record_stride
     )
-    moments = MomentSeries(
-        times=times, b=b.mean(axis=0), n=n.mean(axis=0), b2=b2.mean(axis=0)
-    )
-    return SseEnsemble(
-        moments=moments,
-        se_b=_standard_error(b),
-        se_n=_standard_error(n),
-        se_b2=_standard_error(b2),
-        n_traj=n_traj,
-    )
+    means = (x.mean(axis=0) for x in (b, n, b2))
+    errors = (_standard_error(x) for x in (b, n, b2))
+    return SseEnsemble(MomentSeries(times, *means), *errors, n_traj)
 
 
 def make_frozen_schedule(

@@ -131,6 +131,18 @@ def panel_kernels(params: PhysParams, delta, phases):
     return np.sum(f * w, axis=-1), np.sum(f * (phases * w), axis=-1)
 
 
+def steps_in_window(window: float, step: float, name: str) -> int:
+    """Steps of length ``step`` in ``window``; a ``ValueError`` names ``name``
+    unless ``step`` is positive and divides the window to 1e-9 relative."""
+    if not step > 0:
+        raise ValueError(f"{name} must be positive")
+    ratio = window / step
+    count = round(ratio)
+    if count < 1 or abs(ratio - count) > 1e-9 * ratio:
+        raise ValueError(f"{name}={step:.6g} must divide the window {window:.6g}")
+    return count
+
+
 def window_kernels(
     params: PhysParams,
     delta_m_of_t,
@@ -142,15 +154,14 @@ def window_kernels(
     ``delta_m_of_t`` gives the mechanically induced detuning at absolute time
     t'; the spectrum is evaluated at delta0 + delta_m(t').  The window is
     sampled on a closed trapezoid grid; ``dt_sample`` must divide the window
-    into at least ``WINDOW_PANELS`` panels (default: exactly that many).
+    (to 1e-9 relative, else ``ValueError``) into at least ``WINDOW_PANELS``
+    panels (default: exactly that many).
     """
     window = params.mechanical_period
     if dt_sample is None:
         panels = WINDOW_PANELS
     else:
-        if dt_sample <= 0:
-            raise ValueError("dt_sample must be positive")
-        panels = int(round(window / dt_sample))
+        panels = steps_in_window(window, dt_sample, "dt_sample")
         if panels < WINDOW_PANELS:
             raise ValueError(
                 f"dt_sample={dt_sample:.3g} gives {panels} panels; "

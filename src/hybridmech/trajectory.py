@@ -106,8 +106,9 @@ class TrajectoryOptions:
     one-period windows and the adiabatic closed-form population.  With
     ``full_bloch`` set, the population comes instead from the Bloch
     equations, advanced by one exact step per engine step with the detuning
-    frozen at its value at the start of the step.  ``steps_per_window`` must
-    be a multiple of the spectrum's ``WINDOW_PANELS`` kernel panels.
+    frozen at its value at the start of the step; it excludes a schedule.
+    ``steps_per_window`` must be a multiple of the spectrum's
+    ``WINDOW_PANELS`` kernel panels.
 
     ``workers`` has no effect: the batch always runs as one, and only the
     Wiener draws use threads, as many as the process has CPUs, without
@@ -395,6 +396,9 @@ def _batch_run(
         raise ValueError(f"steps_per_window must be a multiple of {panels}")
     if steps % stride != 0:
         raise ValueError("steps_per_window must be a multiple of record_stride")
+    if options.full_bloch and schedule is not None:
+        raise ValueError("full_bloch and schedule exclude each other: "
+                         "a schedule freezes the population per window")
     dt = window / steps
     lam_bound = (
         max(wc.decomp.lambda_plus for wc in schedule) if schedule is not None else None

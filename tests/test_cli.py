@@ -369,17 +369,23 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("engine", "histogram_periods"), 5, "engine.histogram_periods"),
         (("engine", "full_bloch"), "false", "engine.full_bloch"),
         (("engine", "full_bloch"), 1, "engine.full_bloch"),
+        (("engine", "steps_per_windw"), 512, "engine.steps_per_windw"),
+        (("trajectorys",), 512, "trajectorys"),
+        (("initial", "beta"), 1.0, "initial.beta"),
+        (("sweep",), {"point": 5}, "sweep.point"),
+        (("output",), {"dri": "x"}, "output.dri"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
          "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
          "g_m-inf", "beta0-nan", "periods-inf", "engine-list", "initial-text",
          "output-number", "sweep-number", "grid-number", "periods-number",
-         "full_bloch-text", "full_bloch-number"],
+         "full_bloch-text", "full_bloch-number", "engine-typo", "top-level-typo",
+         "initial-typo", "sweep-typo", "output-typo"],
 )
 def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
     # each used to escape as a traceback (exit 1), to fail with a misleading
     # message after the run started (exit 3) or, for a NaN or infinite
-    # number, to pass the load
+    # number or an unknown key, to pass the load
     doc = base_config(kind="ensemble")
     target = doc
     for key in keys[:-1]:

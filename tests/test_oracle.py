@@ -7,7 +7,6 @@ from conftest import decomposition_from_set, random_kernel_set, sinusoidal_kerne
 from hybridmech.bloch import PhysParams, pe_closed_form
 from hybridmech.lindblad import decompose, twisted_decomposition
 from hybridmech.oracle import (
-    FockStateVector,
     TruncationError,
     coherent_density,
     coherent_state,
@@ -21,12 +20,11 @@ from hybridmech.oracle import (
     moments_from_state,
     raise_state,
     sse_ensemble,
-    sse_run,
     superoperator,
     thermal_density,
 )
 from hybridmech.spectrum import NoiseKernels, window_kernels
-from hybridmech.trajectory import WindowCoefficients
+from hybridmech.trajectory import WindowCoefficients, derive_trajectory_seed
 
 
 @pytest.fixture
@@ -129,12 +127,10 @@ def test_integrate_master_zero_duration_is_identity(params):
     rho0 = coherent_density(16, 0.5 + 0.2j)
     dec = twisted_decomposition(1e-3, 1e-4, 0.0)
     schedule = make_frozen_schedule(dec, 0.0, 1)
-    res = integrate_master(
-        params, rho0, 0.0, params.mechanical_period / 256, schedule
-    )
-    assert len(res.states) == 1
-    assert np.array_equal(res.states[0].entries, rho0.entries)
-    # and the first record of a finite run is the initial state too
+    # a zero duration is refused, as by every other integrator
+    with pytest.raises(ValueError, match="duration must be positive"):
+        integrate_master(params, rho0, 0.0, params.mechanical_period / 256, schedule)
+    # the first record of a finite run is the initial state
     res = integrate_master(
         params,
         rho0,
@@ -143,7 +139,7 @@ def test_integrate_master_zero_duration_is_identity(params):
         schedule,
         record_stride=256,
     )
-    assert np.allclose(res.states[0].entries, rho0.entries)
+    assert np.allclose(res.states[0].entries, rho0)
 
 
 def test_integrate_master_invariants_and_moments(params):
@@ -210,7 +206,7 @@ def test_moments_of_coherent_state():
     assert mn == pytest.approx(abs(beta) ** 2, abs=1e-10)
     assert mb2 == pytest.approx(beta**2, abs=1e-10)
     psi = coherent_state(24, beta)
-    mb, mn, mb2 = moments_from_state(psi.amplitudes[:, None])
+    mb, mn, mb2 = moments_from_state(psi[:, None])
     assert mb[0] == pytest.approx(beta, abs=1e-10)
 
 
@@ -218,15 +214,10 @@ def test_sse_closed_system_keeps_coherent_state(params):
     dec = twisted_decomposition(0.0, 0.0, 0.0)
     schedule = [WindowCoefficients(decomp=dec, pe=0.0)] * 2
     psi0 = coherent_state(20, 1.0 + 0.5j)
-    series = sse_run(
-        params,
-        psi0,
-        2 * params.mechanical_period,
-        params.mechanical_period / 512,
-        seed=9,
-        kernel_schedule=schedule,
-        record_stride=128,
-    )
+    series = sse_ensemble(
+        params, psi0, 2 * params.mechanical_period, params.mechanical_period / 512,
+        n_traj=1, master_seed=9, kernel_schedule=schedule, record_stride=128,
+    ).moments
     beta0 = 1.0 + 0.5j
     expected = beta0 * np.exp(-1j * params.Omega * series.times)
     assert np.max(np.abs(series.b - expected)) < 1e-8
@@ -262,25 +253,21 @@ def test_sse_norm_guard_aborts_on_violent_state(params):
     dim = 20
     amps = np.zeros(dim, dtype=complex)
     amps[0] = amps[19] = 1.0 / math.sqrt(2.0)
-    psi0 = FockStateVector(dim=dim, amplitudes=amps)
     dt = params.mechanical_period / 1024
     lam = 1e-3 / dt
     dec = twisted_decomposition(lam, 0.0, 0.0)
     schedule = make_frozen_schedule(dec, 0.0, 1)
     with pytest.raises(RuntimeError, match="norm drifted"):
-        sse_run(params, psi0, params.mechanical_period, dt, 11, schedule)
+        sse_ensemble(params, amps, params.mechanical_period, dt, 1, 11, schedule)
 
 
 def test_sse_rejects_coarse_step(params):
     dec = twisted_decomposition(1.0, 0.0, 0.0)
     schedule = make_frozen_schedule(dec, 0.0, 1)
     with pytest.raises(ValueError, match="unraveling"):
-        sse_run(
-            params,
-            coherent_state(16, 0.5),
-            params.mechanical_period,
-            params.mechanical_period / 64,
-            seed=1,
+        sse_ensemble(
+            params, coherent_state(16, 0.5), params.mechanical_period,
+            params.mechanical_period / 64, n_traj=1, master_seed=1,
             kernel_schedule=schedule,
         )
 
@@ -322,6 +309,27 @@ def test_record_stride_must_divide_the_window(params, integrator, stride):
                 params, coherent_state(12, 0.5), period, period / 4096, 2, 1,
                 schedule, record_stride=stride,
             )
+
+
+@pytest.mark.parametrize("fraction", [0.7, 1 / 300.3, 1 / 100.4],
+                         ids=["0.7T", "T|300.3", "T|100.4"])
+@pytest.mark.parametrize("caller", ["master", "sse", "kernels"])
+def test_step_must_divide_the_window(params, caller, fraction):
+    # a step of this fraction of the window used to be rounded to one that
+    # divides it, or, for the oracles, to fail a later check that names no step
+    schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 1)
+    period = params.mechanical_period
+    name = "dt_sample" if caller == "kernels" else "dt"
+    step = fraction * period
+    with pytest.raises(ValueError, match=f"^{name}=.* must divide the window"):
+        if caller == "master":
+            integrate_master(params, coherent_density(12, 0.5), period, step, schedule,
+                             record_stride=1)
+        elif caller == "sse":
+            sse_ensemble(params, coherent_state(12, 0.5), period, step, 1, 1, schedule,
+                         record_stride=1)
+        else:
+            window_kernels(params, lambda t: 0.0, 0.0, dt_sample=step)
 
 
 def test_sse_ensemble_trajectory_count(params):
@@ -394,14 +402,16 @@ def test_fused_sse_step_matches_dense_reference(params):
     amps = np.exp(0.7j * np.arange(dim)) / math.sqrt(dim)
     dec = twisted_decomposition(4e-4, 1e-4, 0.6)
     h = params.mechanical_period / steps
-    series = sse_run(
-        params, FockStateVector(dim=dim, amplitudes=amps), params.mechanical_period, h,
-        seed, make_frozen_schedule(dec, pe, 1), record_stride=stride,
-    )
+    series = sse_ensemble(
+        params, amps, params.mechanical_period, h, 1, seed,
+        make_frozen_schedule(dec, pe, 1), record_stride=stride,
+    ).moments
 
     b = destroy_matrix(dim)
     bd = b.conj().T
-    x = np.random.Generator(np.random.PCG64(seed)).standard_normal((steps, 4))
+    x = np.random.Generator(
+        np.random.PCG64(derive_trajectory_seed(seed, 0))
+    ).standard_normal((steps, 4))
     dws = (x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
     channels = ((dec.lambda_plus, *dec.v_plus), (dec.lambda_minus, *dec.v_minus))
     psi = amps.copy()

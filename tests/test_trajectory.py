@@ -474,6 +474,18 @@ def test_reference_carries_no_channels(scheduled):
     assert np.all(ref.v_b == 0.0)
 
 
+def test_full_bloch_refuses_a_schedule():
+    # a frozen schedule fixes pe per window; the Bloch population would
+    # silently replace it (pe = 0 here, the Bloch state about 0.33)
+    p = frozen_frame_params()
+    schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 2)
+    opts = TrajectoryOptions(
+        steps_per_window=256, record_stride=32, schedule=schedule, full_bloch=True
+    )
+    with pytest.raises(ValueError, match="full_bloch and schedule"):
+        semiclassical_run(p, 1.0 + 0j, 2 * 2.0 * math.pi / 0.01, opts)
+
+
 def test_ensemble_abort_report():
     p = PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
     dec = twisted_decomposition(0.01, 0.0, 0.0)
