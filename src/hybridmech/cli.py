@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .oracle import (
     make_frozen_schedule,
     superoperator,
 )
-from .spectrum import WINDOW_PANELS, NoiseKernels, spectrum_closed_form, spectrum_qrt
+from .spectrum import NoiseKernels, spectrum_closed_form, spectrum_qrt
 from .trajectory import (
     MAX_RATE_STEP,
     TrajectoryOptions,
@@ -91,42 +92,64 @@ class ExperimentConfig:
     normalized: dict = field(default_factory=dict)
 
     def options(self) -> TrajectoryOptions:
-        histogram_times = None
-        if self.histogram_periods is not None:
-            period = self.params.mechanical_period
-            histogram_times = [p * period for p in self.histogram_periods]
+        periods, period = self.histogram_periods, self.params.mechanical_period
         return TrajectoryOptions(
             steps_per_window=self.steps_per_window,
             record_stride=self.record_stride,
             full_bloch=self.full_bloch,
             workers=self.workers,
             histogram_bins=self.histogram_bins,
-            histogram_times=histogram_times,
+            histogram_times=None if periods is None else [p * period for p in periods],
         )
 
 
-def _number(field_name: str, value, kind=float):
-    """``kind(value)`` as a finite number, or a ConfigError naming the field."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(field_name, f"expected a number, got {value!r}") from exc
-    if not math.isfinite(number):
+def _real(field_name: str, value) -> float:
+    """A finite JSON number (not a boolean or text) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            abs(value) <= sys.float_info.max):
         raise ConfigError(field_name, f"expected a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
-# the keys each section accepts; any other key is a ConfigError naming it
-_SECTION_FIELDS = {
-    "initial": {"beta0"},
-    "engine": {"steps_per_window", "record_stride", "full_bloch", "workers",
-               "histogram_bins", "histogram_periods"},
-    "sweep": {"delta_min", "delta_max", "points"},
-    "grid": {"n_m_min", "n_m_max", "ratio_min", "ratio_max", "points"},
-    "output": {"dir"},
-}
-_TOP_FIELDS = {"kind", "units", "params", "duration_periods", "trajectories", "seed",
-               *_SECTION_FIELDS}
+def _integer(field_name: str, value) -> int:
+    """An integral JSON number: 256 and 256.0 pass, 2.9, true and "256" do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(field_name, f"expected an integer, got {value!r}")
+    return value
+
+
+def _reader(ok, expected: str, read=lambda field_name, value: value):
+    """A reader: the result of ``read``, or a ConfigError where ``ok`` rejects it."""
+
+    def checked(field_name: str, value):
+        result = read(field_name, value)
+        if not ok(result):
+            raise ConfigError(field_name, f"expected {expected}, got {value!r}")
+        return result
+
+    return checked
+
+
+_object = _reader(lambda v: isinstance(v, dict), "an object")
+_text = _reader(lambda v: isinstance(v, str), "a string")
+_POSITIVE = _reader(lambda v: v > 0, "a positive number", _real)
+_POINTS = _reader(lambda v: v >= 2, "at least 2 points", _integer)
+
+
+def _beta0(field_name: str, value) -> list[float]:
+    """A number or an [re, im] pair, recorded as the pair."""
+    pair = value if isinstance(value, list) else [value, 0.0]
+    if len(pair) != 2:
+        raise ConfigError(field_name, "expected a number or [re, im] pair")
+    return [_real(field_name, x) for x in pair]
+
+
+def _periods(field_name: str, value) -> list[float] | None:
+    if value is not None and not isinstance(value, list):
+        raise ConfigError(field_name, f"expected a list of periods, got {value!r}")
+    return None if value is None else [_real(field_name, p) for p in value]
 
 
 def _reject_unknown(keys, known, prefix: str = "") -> None:
@@ -135,14 +158,56 @@ def _reject_unknown(keys, known, prefix: str = "") -> None:
         raise ConfigError(f"{prefix}{unknown[0]}", "unknown field")
 
 
-def _section(doc: dict, name: str) -> dict:
-    """The object ``doc[name]`` ({} when absent), or a ConfigError naming it
-    or its first unknown key."""
-    value = doc.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(name, f"expected an object, got {value!r}")
-    _reject_unknown(value, _SECTION_FIELDS[name], f"{name}.")
-    return value
+def _section(field_name: str, value, table: dict) -> dict:
+    """Read an object through its table of ``key: (reader, default)``: reject
+    unknown keys, convert each value and fill in the defaults.  The result is
+    the section as the manifest records it."""
+    prefix = f"{field_name}." if field_name else ""
+    _reject_unknown(_object(field_name, value), table, prefix)
+    return {key: read(prefix + key, value.get(key, default))
+            for key, (read, default) in table.items()}
+
+
+def _table(**fields) -> tuple:
+    """A section's entry in the table of its parent: read it, {} by default."""
+    return partial(_section, table=fields), {}
+
+
+# every key the config accepts, with its reader and default; `params` is
+# read by _normalize_params
+_TOP = {
+    "kind": (_reader(lambda v: v in KINDS, f"one of {KINDS}"), "semiclassical"),
+    "units": (_reader(lambda v: v in ("gamma", "hz", "rad_s"), "gamma/hz/rad_s"),
+              "gamma"),
+    "params": (_object, None),
+    "initial": _table(beta0=(_beta0, [0.0, 0.0])),
+    "duration_periods": (_POSITIVE, 10.0),
+    "trajectories": (_reader(lambda v: v >= 1, "at least 1", _integer), 100),
+    "seed": (_integer, 0),
+    "engine": _table(
+        steps_per_window=(_integer, 256),
+        record_stride=(_integer, 4),
+        full_bloch=(_reader(lambda v: isinstance(v, bool), "true or false"), False),
+        workers=(_integer, 1),
+        histogram_bins=(_integer, 41),
+        histogram_periods=(_periods, None),
+    ),
+    "sweep": _table(delta_min=(_real, -20.0), delta_max=(_real, 20.0),
+                    points=(_POINTS, 201)),
+    "grid": _table(n_m_min=(_POSITIVE, 1e-2), n_m_max=(_POSITIVE, 1e4),
+                   ratio_min=(_POSITIVE, 1e-3), ratio_max=(_POSITIVE, 1e3),
+                   points=(_POINTS, 50)),
+    "output": _table(dir=(_text, ".")),
+}
+
+
+def _build(section: str, make, **kwargs):
+    """``make(**kwargs)``; its ValueError, which starts with a field's name,
+    becomes a ConfigError naming ``section.<field>``."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{str(exc).split()[0]}", str(exc)) from exc
 
 
 _PARAM_FIELDS = ("gamma", "g", "delta0", "Omega", "g_m", "Gamma", "n_q", "n_m")
@@ -155,22 +220,15 @@ def _normalize_params(raw: dict, units: str) -> tuple[PhysParams, dict]:
             raise ConfigError(f"params.{required}", "missing required field")
     _reject_unknown(raw, (*_PARAM_FIELDS, "T_m", "T_q", "omega0"), "params.")
 
-    if units == "gamma":
-        to_angular = None
-    elif units == "hz":
-        to_angular = 2.0 * math.pi
-    elif units == "rad_s":
-        to_angular = 1.0
-    else:
-        raise ConfigError("units", f"must be one of gamma/hz/rad_s, got {units!r}")
+    to_angular = {"gamma": None, "hz": 2.0 * math.pi, "rad_s": 1.0}[units]
 
-    gamma_in = _number("params.gamma", raw.get("gamma", 1.0))
+    gamma_in = _real("params.gamma", raw.get("gamma", 1.0))
     if gamma_in <= 0:
         raise ConfigError("params.gamma", "must be positive")
 
     values = {}
     for name in _RATE_FIELDS:
-        values[name] = _number(
+        values[name] = _real(
             f"params.{name}", raw.get(name, 1.0 if name == "gamma" else 0.0)
         )
 
@@ -180,7 +238,7 @@ def _normalize_params(raw: dict, units: str) -> tuple[PhysParams, dict]:
                 f"params.{temp}", f"conflicts with params.{occ}; give exactly one"
             )
     occupations = {
-        occ: _number(f"params.{occ}", raw.get(occ, 0.0)) for occ in ("n_m", "n_q")
+        occ: _real(f"params.{occ}", raw.get(occ, 0.0)) for occ in ("n_m", "n_q")
     }
     for occ, temp, freq in (("n_m", "T_m", "Omega"), ("n_q", "T_q", "omega0")):
         if temp in raw:
@@ -194,23 +252,19 @@ def _normalize_params(raw: dict, units: str) -> tuple[PhysParams, dict]:
                     raise ConfigError(
                         "params.omega0", "required to convert T_q to an occupation"
                     )
-                omega_abs = _number("params.omega0", raw["omega0"]) * to_angular
+                omega_abs = _real("params.omega0", raw["omega0"]) * to_angular
             else:
                 omega_abs = values["Omega"] * to_angular
             if not omega_abs > 0:  # the Bose law divides by expm1(0)
                 raise ConfigError(f"params.{freq}", f"{freq} must be positive")
             occupations[occ] = bose_occupation(
-                omega_abs, _number(f"params.{temp}", raw[temp])
+                omega_abs, _real(f"params.{temp}", raw[temp])
             )
 
     normalized = {name: values[name] / gamma_in for name in _RATE_FIELDS}
     normalized["gamma"] = 1.0
     normalized.update(occupations)
-    try:
-        params = PhysParams(**normalized)
-    except ValueError as exc:  # its message starts with the field's name
-        raise ConfigError(f"params.{str(exc).split()[0]}", str(exc)) from exc
-    return params, normalized
+    return _build("params", PhysParams, **normalized), normalized
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -235,107 +289,25 @@ def _read_document(path: str | Path) -> dict:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    _reject_unknown(doc, _TOP_FIELDS)
-    kind = doc.get("kind", "semiclassical")
-    if kind not in KINDS:
-        raise ConfigError("kind", f"must be one of {KINDS}, got {kind!r}")
-    units = doc.get("units", "gamma")
-    raw_params = doc.get("params")
-    if not isinstance(raw_params, dict):
-        raise ConfigError("params", "missing params object")
-    params, normalized_params = _normalize_params(raw_params, units)
-
-    beta0_raw = _section(doc, "initial").get("beta0", [0.0, 0.0])
-    if isinstance(beta0_raw, (int, float)):
-        beta0 = complex(_number("initial.beta0", beta0_raw), 0.0)
-    elif isinstance(beta0_raw, (list, tuple)) and len(beta0_raw) == 2:
-        beta0 = complex(*(_number("initial.beta0", x) for x in beta0_raw))
-    else:
-        raise ConfigError("initial.beta0", "expected a number or [re, im] pair")
-
-    engine = _section(doc, "engine")
-
-    def engine_int(name, default):
-        return _number(f"engine.{name}", engine.get(name, default), int)
-
-    duration = _number("duration_periods", doc.get("duration_periods", 10.0))
-    if duration <= 0:
-        raise ConfigError("duration_periods", "must be positive")
-    trajectories = _number("trajectories", doc.get("trajectories", 100), int)
-    if trajectories < 1:
-        raise ConfigError("trajectories", "must be at least 1")
-    seed = _number("seed", doc.get("seed", 0), int)
-    histogram_periods = engine.get("histogram_periods")
-    if histogram_periods is not None:
-        if not isinstance(histogram_periods, list):
-            raise ConfigError(
-                "engine.histogram_periods",
-                f"expected a list of periods, got {histogram_periods!r}",
-            )
-        histogram_periods = [
-            _number("engine.histogram_periods", p) for p in histogram_periods
-        ]
-
-    full_bloch = engine.get("full_bloch", False)
-    if not isinstance(full_bloch, bool):
+    parsed = _section("", doc, _TOP)
+    params, parsed["params"] = _normalize_params(parsed["params"], parsed["units"])
+    parsed["units"] = "gamma"
+    sweep = parsed["sweep"]
+    if not sweep["delta_max"] > sweep["delta_min"]:
         raise ConfigError(
-            "engine.full_bloch", f"expected true or false, got {full_bloch!r}"
+            "sweep.delta_max", f"must exceed sweep.delta_min = {sweep['delta_min']}"
         )
-
     config = ExperimentConfig(
-        kind=kind,
         params=params,
-        beta0=beta0,
-        duration_periods=duration,
-        trajectories=trajectories,
-        seed=seed,
-        steps_per_window=engine_int("steps_per_window", 256),
-        record_stride=engine_int("record_stride", 4),
-        full_bloch=full_bloch,
-        workers=engine_int("workers", 1),
-        histogram_bins=engine_int("histogram_bins", 41),
-        histogram_periods=histogram_periods,
-        sweep=dict(_section(doc, "sweep")),
-        grid=dict(_section(doc, "grid")),
-        out_dir=str(_section(doc, "output").get("dir", ".")),
+        beta0=complex(*parsed["initial"]["beta0"]),
+        out_dir=parsed["output"]["dir"],
+        normalized=parsed,
+        **{key: parsed[key] for key in
+           ("kind", "duration_periods", "trajectories", "seed", "sweep", "grid")},
+        **parsed["engine"],
     )
-    if config.steps_per_window < 1:
-        raise ConfigError("engine.steps_per_window", "must be positive")
-    if config.steps_per_window % WINDOW_PANELS != 0:
-        raise ConfigError(
-            "engine.steps_per_window",
-            f"must be a multiple of the {WINDOW_PANELS} kernel panels per window, "
-            f"got {config.steps_per_window}",
-        )
-    if config.record_stride < 1 or config.steps_per_window % config.record_stride != 0:
-        raise ConfigError(
-            "engine.record_stride",
-            f"must divide steps_per_window = {config.steps_per_window}, "
-            f"got {config.record_stride}",
-        )
-    if config.histogram_bins < 1:
-        raise ConfigError("engine.histogram_bins", "must be at least 1")
-    _check_kind(config, "params.T_q" if "T_q" in raw_params else "params.n_q")
-    config.normalized = {
-        "kind": kind,
-        "units": "gamma",
-        "params": normalized_params,
-        "initial": {"beta0": [beta0.real, beta0.imag]},
-        "duration_periods": duration,
-        "trajectories": trajectories,
-        "seed": seed,
-        "engine": {
-            "steps_per_window": config.steps_per_window,
-            "record_stride": config.record_stride,
-            "full_bloch": config.full_bloch,
-            "workers": config.workers,
-            "histogram_bins": config.histogram_bins,
-            "histogram_periods": histogram_periods,
-        },
-        "sweep": config.sweep,
-        "grid": config.grid,
-        "output": {"dir": config.out_dir},
-    }
+    _build("engine", config.options)
+    _check_kind(config, "params.T_q" if "T_q" in doc["params"] else "params.n_q")
     return config
 
 
@@ -445,12 +417,7 @@ def _run_ensemble(config: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_spectra(config: ExperimentConfig, out: Path) -> list[str]:
     sweep = config.sweep
-    lo = _number("sweep.delta_min", sweep.get("delta_min", -20.0))
-    hi = _number("sweep.delta_max", sweep.get("delta_max", 20.0))
-    points = _number("sweep.points", sweep.get("points", 201), int)
-    if points < 2 or hi <= lo:
-        raise ConfigError("sweep", "need delta_min < delta_max and points >= 2")
-    deltas = np.linspace(lo, hi, points)
+    deltas = np.linspace(sweep["delta_min"], sweep["delta_max"], sweep["points"])
     values = spectrum_closed_form(config.params, deltas)
     write_csv(out / "spectra.csv", ["delta", "re_s0"], zip(deltas, values))
     return ["spectra.csv"]
@@ -458,15 +425,9 @@ def _run_spectra(config: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_phase_diagram(config: ExperimentConfig, out: Path) -> list[str]:
     grid = config.grid
-    n_lo = _number("grid.n_m_min", grid.get("n_m_min", 1e-2))
-    n_hi = _number("grid.n_m_max", grid.get("n_m_max", 1e4))
-    r_lo = _number("grid.ratio_min", grid.get("ratio_min", 1e-3))
-    r_hi = _number("grid.ratio_max", grid.get("ratio_max", 1e3))
-    points = _number("grid.points", grid.get("points", 50), int)
-    if points < 2 or n_lo <= 0 or r_lo <= 0:
-        raise ConfigError("grid", "log grid needs positive bounds and points >= 2")
-    n_ms = np.logspace(math.log10(n_lo), math.log10(n_hi), points)
-    ratios = np.logspace(math.log10(r_lo), math.log10(r_hi), points)
+    log10 = {key: math.log10(grid[key]) for key in grid if key != "points"}
+    n_ms = np.logspace(log10["n_m_min"], log10["n_m_max"], grid["points"])
+    ratios = np.logspace(log10["ratio_min"], log10["ratio_max"], grid["points"])
     base = config.params
     tls_rate = base.tls_noise_rate
     rows = []
@@ -636,12 +597,12 @@ def main(argv: list[str] | None = None) -> int:
         for key in ("seed", "trajectories", "kind"):
             if getattr(args, key) is not None:
                 doc[key] = getattr(args, key)
-        engine = dict(_section(doc, "engine"))
-        if args.workers is not None:
-            engine["workers"] = args.workers
-        if args.full_bloch:
-            engine["full_bloch"] = True
-        doc["engine"] = engine
+        engine = doc.setdefault("engine", {})
+        if isinstance(engine, dict):  # else config_from_dict names the section
+            if args.workers is not None:
+                engine["workers"] = args.workers
+            if args.full_bloch:
+                engine["full_bloch"] = True
         config = config_from_dict(doc)
     except ConfigError as exc:
         print(_error_json(2, "config", str(exc)), file=sys.stderr)
@@ -649,9 +610,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         run_experiment(config, args.out if args.out is not None else config.out_dir)
-    except ConfigError as exc:
-        print(_error_json(2, "config", str(exc)), file=sys.stderr)
-        return 2
     except ValidationFailure as exc:
         print(_error_json(4, "validation", str(exc)), file=sys.stderr)
         return 4

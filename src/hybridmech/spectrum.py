@@ -36,8 +36,6 @@ class NoiseKernels:
 
     s0: float
     s2: complex
-    window_start: float = 0.0
-    window_length: float = 0.0
 
     def __post_init__(self) -> None:
         scale = max(abs(self.s0), 1.0)
@@ -172,6 +170,4 @@ def window_kernels(
         [delta_m_of_t(tp) for tp in t_prime], dtype=float
     )
     s0, s2 = panel_kernels(params, delta, np.exp(-2j * params.Omega * t_prime))
-    return NoiseKernels(
-        s0=float(s0), s2=complex(s2), window_start=t, window_length=window
-    )
+    return NoiseKernels(s0=float(s0), s2=complex(s2))

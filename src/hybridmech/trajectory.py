@@ -107,8 +107,11 @@ class TrajectoryOptions:
     ``full_bloch`` set, the population comes instead from the Bloch
     equations, advanced by one exact step per engine step with the detuning
     frozen at its value at the start of the step; it excludes a schedule.
-    ``steps_per_window`` must be a multiple of the spectrum's
-    ``WINDOW_PANELS`` kernel panels.
+    The options own the engine grid: ``steps_per_window`` must be a positive
+    multiple of the spectrum's ``WINDOW_PANELS`` kernel panels,
+    ``record_stride`` a positive divisor of it, and ``histogram_bins`` at
+    least 1; otherwise construction raises a ``ValueError`` whose message
+    starts with the field's name.
 
     ``workers`` has no effect: the batch always runs as one, and only the
     Wiener draws use threads, as many as the process has CPUs, without
@@ -123,6 +126,17 @@ class TrajectoryOptions:
     histogram_bins: int = 41
     histogram_times: Sequence[float] | None = None
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        steps, stride = self.steps_per_window, self.record_stride
+        if steps < 1 or steps % WINDOW_PANELS != 0:
+            raise ValueError(f"steps_per_window must be a positive multiple of the "
+                             f"{WINDOW_PANELS} kernel panels per window, got {steps}")
+        if stride < 1 or steps % stride != 0:
+            raise ValueError(f"record_stride must be a positive divisor of "
+                             f"steps_per_window = {steps}, got {stride}")
+        if self.histogram_bins < 1:
+            raise ValueError(f"histogram_bins must be at least 1, got {self.histogram_bins}")
 
 
 @dataclass(frozen=True)
@@ -392,10 +406,6 @@ def _batch_run(
     steps = options.steps_per_window
     panels = WINDOW_PANELS
     stride = options.record_stride
-    if steps % panels != 0:
-        raise ValueError(f"steps_per_window must be a multiple of {panels}")
-    if steps % stride != 0:
-        raise ValueError("steps_per_window must be a multiple of record_stride")
     if options.full_bloch and schedule is not None:
         raise ValueError("full_bloch and schedule exclude each other: "
                          "a schedule freezes the population per window")

@@ -9,6 +9,7 @@ from hybridmech.cli import (
     KB,
     ConfigError,
     bose_occupation,
+    config_from_dict,
     load_config,
     main,
 )
@@ -374,18 +375,31 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("initial", "beta"), 1.0, "initial.beta"),
         (("sweep",), {"point": 5}, "sweep.point"),
         (("output",), {"dri": "x"}, "output.dri"),
+        (("grid",), {"ratio_max": -1}, "grid.ratio_max"),
+        (("grid",), {"n_m_max": 0}, "grid.n_m_max"),
+        (("sweep",), {"points": 1}, "sweep.points"),
+        (("sweep",), {"delta_max": -30}, "sweep.delta_max"),
+        (("trajectories",), 2.9, "trajectories"),
+        (("trajectories",), True, "trajectories"),
+        (("engine", "steps_per_window"), "256", "engine.steps_per_window"),
+        (("grid",), {"points": 2.7}, "grid.points"),
+        (("output",), {"dir": None}, "output.dir"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
          "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
          "g_m-inf", "beta0-nan", "periods-inf", "engine-list", "initial-text",
          "output-number", "sweep-number", "grid-number", "periods-number",
          "full_bloch-text", "full_bloch-number", "engine-typo", "top-level-typo",
-         "initial-typo", "sweep-typo", "output-typo"],
+         "initial-typo", "sweep-typo", "output-typo", "ratio_max-negative",
+         "n_m_max-zero", "sweep-points-one", "sweep-reversed", "trajectories-fraction",
+         "trajectories-bool", "steps-numeric-text", "grid-points-fraction",
+         "output-dir-null"],
 )
 def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
     # each used to escape as a traceback (exit 1), to fail with a misleading
     # message after the run started (exit 3) or, for a NaN or infinite
-    # number or an unknown key, to pass the load
+    # number, an unknown key, a loose value or a section the kind does not
+    # run, to pass the load
     doc = base_config(kind="ensemble")
     target = doc
     for key in keys[:-1]:
@@ -434,3 +448,22 @@ def test_sweep_and_grid_numbers_must_be_finite(
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"]["message"].startswith(field_name + ":")
+
+
+def test_every_key_rejects_text_true_and_null():
+    # the text of each key's default, true and null are rejected at load and
+    # named, except where they are of the key's own type
+    valid = config_from_dict(base_config()).normalized
+    paths = [(key,) for key in ("duration_periods", "trajectories", "seed")] + [
+        (name, key) for name, section in valid.items() if isinstance(section, dict)
+        for key in section
+    ]
+    for path in paths:
+        default = valid[path[0]] if len(path) == 1 else valid[path[0]][path[1]]
+        for bad in (str(default), True, None):
+            if type(bad) is not type(default):
+                doc = json.loads(json.dumps(valid))
+                (doc if len(path) == 1 else doc[path[0]])[path[-1]] = bad
+                with pytest.raises(ConfigError) as caught:
+                    config_from_dict(doc)
+                assert caught.value.field == ".".join(path), (path, bad)

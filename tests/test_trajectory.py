@@ -629,3 +629,15 @@ def test_abort_time_is_first_step_below_tolerance():
     assert np.all(np.isfinite(batch["v_a"][:, : first + 1]))
     assert np.all(np.isnan(batch["v_a"][:, first + 1 :]))
     assert np.all(np.isnan(batch["beta"][:, first + 1 :]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("record_stride", 0), ("record_stride", -4), ("steps_per_window", 0),
+     ("histogram_bins", 0)],
+)
+def test_bad_engine_grid_names_field(field, value):
+    # these used to fail inside the run: a ZeroDivisionError, numpy's negative
+    # dimensions, or np.histogram after the whole ensemble had run
+    with pytest.raises(ValueError, match=f"^{field}"):
+        TrajectoryOptions(**{field: value})
