@@ -39,7 +39,9 @@ from .spectrum import NoiseKernels, spectrum_closed_form, spectrum_qrt
 from .trajectory import (
     MAX_RATE_STEP,
     TrajectoryOptions,
+    histogram_targets,
     machine_diagnostics,
+    resolve_windows,
     run_ensemble,
     semiclassical_run,
 )
@@ -152,20 +154,25 @@ def _periods(field_name: str, value) -> list[float] | None:
     return None if value is None else [_real(field_name, p) for p in value]
 
 
-def _reject_unknown(keys, known, prefix: str = "") -> None:
-    unknown = sorted(set(keys) - set(known))
-    if unknown:
-        raise ConfigError(f"{prefix}{unknown[0]}", "unknown field")
+# defaults that mark a key as required, or as left out when not given
+_REQUIRED, _OPTIONAL = object(), object()
 
 
 def _section(field_name: str, value, table: dict) -> dict:
     """Read an object through its table of ``key: (reader, default)``: reject
-    unknown keys, convert each value and fill in the defaults.  The result is
-    the section as the manifest records it."""
+    unknown keys, convert each value and fill in the defaults, except that a
+    ``_REQUIRED`` key must be given and an ``_OPTIONAL`` one may be left out."""
     prefix = f"{field_name}." if field_name else ""
-    _reject_unknown(_object(field_name, value), table, prefix)
-    return {key: read(prefix + key, value.get(key, default))
-            for key, (read, default) in table.items()}
+    unknown = sorted(set(_object(field_name, value)) - set(table))
+    if unknown:
+        raise ConfigError(prefix + unknown[0], "unknown field")
+    parsed = {}
+    for key, (read, default) in table.items():
+        if key not in value and default is _REQUIRED:
+            raise ConfigError(prefix + key, "missing required field")
+        if key in value or default is not _OPTIONAL:
+            parsed[key] = read(prefix + key, value.get(key, default))
+    return parsed
 
 
 def _table(**fields) -> tuple:
@@ -173,17 +180,21 @@ def _table(**fields) -> tuple:
     return partial(_section, table=fields), {}
 
 
-# every key the config accepts, with its reader and default; `params` is
-# read by _normalize_params
+# the rates of `params`, which _normalize_params divides by gamma
+_RATES = dict(gamma=(_POSITIVE, 1.0), g=(_real, _REQUIRED), delta0=(_real, 0.0),
+              Omega=(_real, _REQUIRED), g_m=(_real, _REQUIRED), Gamma=(_real, 0.0))
+
+# every key the config accepts, with its reader and default
 _TOP = {
     "kind": (_reader(lambda v: v in KINDS, f"one of {KINDS}"), "semiclassical"),
     "units": (_reader(lambda v: v in ("gamma", "hz", "rad_s"), "gamma/hz/rad_s"),
               "gamma"),
-    "params": (_object, None),
+    "params": _table(**_RATES, **dict.fromkeys(
+        ("n_m", "n_q", "T_m", "T_q", "omega0"), (_real, _OPTIONAL))),
     "initial": _table(beta0=(_beta0, [0.0, 0.0])),
     "duration_periods": (_POSITIVE, 10.0),
     "trajectories": (_reader(lambda v: v >= 1, "at least 1", _integer), 100),
-    "seed": (_integer, 0),
+    "seed": (_reader(lambda v: v >= 0, "a non-negative integer", _integer), 0),
     "engine": _table(
         steps_per_window=(_integer, 256),
         record_stride=(_integer, 4),
@@ -201,70 +212,42 @@ _TOP = {
 }
 
 
-def _build(section: str, make, **kwargs):
-    """``make(**kwargs)``; its ValueError, which starts with a field's name,
-    becomes a ConfigError naming ``section.<field>``."""
+def _build(field_name: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its ValueError becomes a ConfigError naming
+    ``field_name``, or, for a name ending in ".", that name followed by the
+    first word of the message, which then starts with a field's name."""
     try:
-        return make(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{str(exc).split()[0]}", str(exc)) from exc
-
-
-_PARAM_FIELDS = ("gamma", "g", "delta0", "Omega", "g_m", "Gamma", "n_q", "n_m")
-_RATE_FIELDS = ("gamma", "g", "delta0", "Omega", "g_m", "Gamma")
+        if field_name.endswith("."):
+            field_name += str(exc).split()[0]
+        raise ConfigError(field_name, str(exc)) from exc
 
 
 def _normalize_params(raw: dict, units: str) -> tuple[PhysParams, dict]:
-    for required in ("g", "Omega", "g_m"):
-        if required not in raw:
-            raise ConfigError(f"params.{required}", "missing required field")
-    _reject_unknown(raw, (*_PARAM_FIELDS, "T_m", "T_q", "omega0"), "params.")
-
+    """The parameters, and their manifest record, from the parsed ``params``
+    section: the rates divided by gamma, and each temperature turned into its
+    occupation by the Bose law, which needs ``units`` hz or rad_s."""
     to_angular = {"gamma": None, "hz": 2.0 * math.pi, "rad_s": 1.0}[units]
-
-    gamma_in = _real("params.gamma", raw.get("gamma", 1.0))
-    if gamma_in <= 0:
-        raise ConfigError("params.gamma", "must be positive")
-
-    values = {}
-    for name in _RATE_FIELDS:
-        values[name] = _real(
-            f"params.{name}", raw.get(name, 1.0 if name == "gamma" else 0.0)
-        )
-
-    for occ, temp in (("n_m", "T_m"), ("n_q", "T_q")):
-        if occ in raw and temp in raw:
-            raise ConfigError(
-                f"params.{temp}", f"conflicts with params.{occ}; give exactly one"
-            )
-    occupations = {
-        occ: _real(f"params.{occ}", raw.get(occ, 0.0)) for occ in ("n_m", "n_q")
-    }
+    normalized = {name: raw[name] / raw["gamma"] for name in _RATES}
     for occ, temp, freq in (("n_m", "T_m", "Omega"), ("n_q", "T_q", "omega0")):
-        if temp in raw:
-            if to_angular is None:
-                raise ConfigError(
-                    f"params.{temp}",
-                    "temperatures need absolute units (units = hz or rad_s)",
-                )
-            if freq == "omega0":
-                if "omega0" not in raw:
-                    raise ConfigError(
-                        "params.omega0", "required to convert T_q to an occupation"
-                    )
-                omega_abs = _real("params.omega0", raw["omega0"]) * to_angular
-            else:
-                omega_abs = values["Omega"] * to_angular
-            if not omega_abs > 0:  # the Bose law divides by expm1(0)
-                raise ConfigError(f"params.{freq}", f"{freq} must be positive")
-            occupations[occ] = bose_occupation(
-                omega_abs, _real(f"params.{temp}", raw[temp])
-            )
-
-    normalized = {name: values[name] / gamma_in for name in _RATE_FIELDS}
-    normalized["gamma"] = 1.0
-    normalized.update(occupations)
-    return _build("params", PhysParams, **normalized), normalized
+        normalized[occ] = raw.get(occ, 0.0)
+        if temp not in raw:
+            continue
+        if occ in raw:
+            raise ConfigError(f"params.{temp}",
+                              f"conflicts with params.{occ}; give exactly one")
+        if to_angular is None:
+            raise ConfigError(f"params.{temp}",
+                              "temperatures need absolute units (units = hz or rad_s)")
+        if freq not in raw:
+            raise ConfigError(f"params.{freq}",
+                              f"required to convert {temp} to an occupation")
+        omega_abs = raw[freq] * to_angular
+        if not omega_abs > 0:  # the Bose law divides by expm1(0)
+            raise ConfigError(f"params.{freq}", f"{freq} must be positive")
+        normalized[occ] = bose_occupation(omega_abs, raw[temp])
+    return _build("params.", PhysParams, **normalized), normalized
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -306,7 +289,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
            ("kind", "duration_periods", "trajectories", "seed", "sweep", "grid")},
         **parsed["engine"],
     )
-    _build("engine", config.options)
+    _build("engine.", config.options)
     _check_kind(config, "params.T_q" if "T_q" in doc["params"] else "params.n_q")
     return config
 
@@ -314,6 +297,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
     """Reject what the kind's run would otherwise reject midway."""
     params = config.params
+    _build("engine.histogram_periods", histogram_targets, config.duration_periods,
+           config.histogram_periods)
+    if config.kind in ("ensemble", "semiclassical"):
+        # both run self-scheduled windows of one mechanical period each
+        _build("duration_periods", resolve_windows, params,
+               config.duration_periods * params.mechanical_period, None)
     if config.kind in ("ensemble", "spectra") and params.n_q != 0:
         # both runs evaluate the emitter spectrum, implemented for n_q = 0 only
         raise ConfigError(

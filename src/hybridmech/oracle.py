@@ -403,7 +403,9 @@ def integrate_master(
     detuning Tr[rho (b+b^dag)] g_m, propagated across the window by free
     rotation, with the population frozen at its window-start value.
     ``record_stride``, the steps between records, must divide the steps per
-    window.  State invariants are validated at every record; a failing
+    window.  Each window starts with a step-halving probe of its generator,
+    which raises ``ValueError`` when one step of ``dt`` is off by more than
+    1e-6.  State invariants are validated at every record; a failing
     truncation-health check raises with a suggested size.
     """
     n_windows, window, steps, h = _window_plan(
@@ -412,33 +414,6 @@ def integrate_master(
 
     rho = np.array(rho0, dtype=complex)
     dim = rho.shape[0]
-
-    def window_data(w_idx, rho_now):
-        if kernel_schedule is not None:
-            wc = kernel_schedule[w_idx]
-            return wc.decomp, wc.pe
-        mean_b, _, _ = moments_from_density(rho_now)
-        t_w = w_idx * window
-
-        def delta_m(tp):
-            return 2.0 * params.g_m * (mean_b * np.exp(-1j * params.Omega * (tp - t_w))).real
-
-        kernels = window_kernels(params, delta_m, t_w)
-        decomp = decompose(params.Gamma, params.n_m, kernels.s0, kernels.s2)
-        pe = float(pe_closed_form(params.g, params.gamma, params.delta0 + delta_m(t_w)))
-        return decomp, pe
-
-    # Step-halving accuracy probe on the first window's generator.
-    decomp0, pe0 = window_data(0, rho)
-    rhs0 = lindblad_generator(pe0, decomp0, params, dim)
-    full = _rk4_step(rho, h, rhs0)
-    half = _rk4_step(_rk4_step(rho, 0.5 * h, rhs0), 0.5 * h, rhs0)
-    local_err = float(np.max(np.abs(full - half)))
-    if local_err > 1e-6:
-        raise ValueError(
-            f"dt={dt:.3g} fails the step-halving accuracy check "
-            f"(local error {local_err:.2e}); reduce dt"
-        )
 
     times = []
     states = []
@@ -453,8 +428,28 @@ def integrate_master(
 
     record(0.0)
     for w in range(n_windows):
-        decomp, pe = window_data(w, rho)
+        if kernel_schedule is not None:
+            decomp, pe = kernel_schedule[w].decomp, kernel_schedule[w].pe
+        else:
+            mean_b, t_w = moments_from_density(rho)[0], w * window
+
+            def delta_m(tp):
+                phase = np.exp(-1j * params.Omega * (tp - t_w))
+                return 2.0 * params.g_m * (mean_b * phase).real
+
+            kernels = window_kernels(params, delta_m, t_w)
+            decomp = decompose(params.Gamma, params.n_m, kernels.s0, kernels.s2)
+            pe = float(pe_closed_form(params.g, params.gamma,
+                                      params.delta0 + delta_m(t_w)))
         rhs = lindblad_generator(pe, decomp, params, dim)
+        # step-halving accuracy probe on this window's generator
+        half = _rk4_step(_rk4_step(rho, 0.5 * h, rhs), 0.5 * h, rhs)
+        local_err = float(np.max(np.abs(_rk4_step(rho, h, rhs) - half)))
+        if local_err > 1e-6:
+            raise ValueError(
+                f"dt={dt:.3g} fails the step-halving accuracy check in window {w} "
+                f"(local error {local_err:.2e}); reduce dt"
+            )
         for j in range(steps):
             rho = _rk4_step(rho, h, rhs)
             gstep = w * steps + j + 1

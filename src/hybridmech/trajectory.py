@@ -49,7 +49,7 @@ from .bloch import (
     pe_closed_form,
 )
 from .lindblad import QuadratureDecomposition, eigenpairs
-from .spectrum import WINDOW_PANELS, panel_kernels
+from .spectrum import WINDOW_PANELS, panel_kernels, steps_in_window
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -186,36 +186,33 @@ def resolve_windows(
 ) -> tuple[int, float]:
     """Number and length of coarse-graining windows for a run.
 
-    Self-scheduled runs use one mechanical period per window and require the
-    duration to cover at least one; scheduled runs partition the duration
-    evenly among the schedule entries.
+    Self-scheduled runs use one mechanical period per window, and the
+    duration must be a whole number of periods, at least one, to 1e-9
+    relative (the rule of ``steps_in_window``); scheduled runs partition the
+    duration evenly among the schedule entries.  Otherwise ``ValueError``.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     if schedule is None:
         window = params.mechanical_period
-        if duration < window * (1.0 - 1e-9):
-            raise ValueError(
-                "duration must cover at least one mechanical period "
-                f"({window:.6g}); got {duration:.6g}"
-            )
-        n_windows = max(1, math.ceil(duration / window - 1e-9))
-        return n_windows, window
+        try:
+            return steps_in_window(duration, window, "period"), window
+        except ValueError:
+            raise ValueError(f"duration={duration:.6g} must be a whole number of "
+                             f"mechanical periods ({window:.6g})") from None
     if len(schedule) == 0:
         raise ValueError("schedule must contain at least one window")
     return len(schedule), duration / len(schedule)
 
 
-def _check_step(params: PhysParams, dt: float, lambda_max: float | None = None) -> None:
+def _check_step(params: PhysParams, dt: float, lambda_max: float) -> None:
     """Step-size preconditions: every slow scale must be well resolved.
 
     The free rotation is applied as an exact phase, so Omega only needs mild
     resolution (force phasing); the dissipative and coupling scales are
     integrated at first order and must stay well below a tenth per step.
     """
-    rates = {"Omega": params.Omega, "g_m": params.g_m}
-    if lambda_max is not None:
-        rates["lambda_plus"] = lambda_max
+    rates = {"Omega": params.Omega, "g_m": params.g_m, "lambda_plus": lambda_max}
     for name, rate in rates.items():
         if dt * rate > MAX_RATE_STEP + 1e-12:
             raise ValueError(
@@ -410,10 +407,6 @@ def _batch_run(
         raise ValueError("full_bloch and schedule exclude each other: "
                          "a schedule freezes the population per window")
     dt = window / steps
-    lam_bound = (
-        max(wc.decomp.lambda_plus for wc in schedule) if schedule is not None else None
-    )
-    _check_step(params, dt, lam_bound)
 
     omega, g_m, gamma, delta0 = params.Omega, params.g_m, params.gamma, params.delta0
     Gamma, n_m = params.Gamma, params.n_m
@@ -483,12 +476,12 @@ def _batch_run(
                     Gamma, Gamma * (n_m + 1.0) + s0, Gamma * n_m + s0, s2
                 )
                 (u_p, w_p), (u_m, w_m) = v_p.T, v_m.T
-                # aborted lanes carry NaN rates, which would mask the maximum
-                _check_step(params, dt, float(np.max(lam_p, initial=0.0, where=alive)))
             if not noise:
                 # the noise-free reference scatters through no channel
                 lam_p = lam_m = theta_w = np.zeros(lanes)
                 u_p = w_p = u_m = w_m = np.zeros(lanes, dtype=complex)
+            # fmax skips the NaN rates of aborted lanes
+            _check_step(params, dt, float(np.fmax.reduce(lam_p, initial=0.0)))
 
             c_damp = lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2) + lam_m * (
                 np.abs(u_m) ** 2 - np.abs(w_m) ** 2
@@ -651,12 +644,14 @@ def run_ensemble(
     all trajectories run as one batch whose lanes do not interact, so each
     trajectory matches its own :func:`run_trajectory`.  The Wiener draws run
     on up to as many threads as the process has CPUs, and the results do not
-    depend on that number; ``options.workers`` has no effect.  Fails when
-    more than 1% of trajectories abort.
+    depend on that number; ``options.workers`` has no effect.  Fails before
+    the run when a histogram time lies outside [0, duration], and after it
+    when more than 1% of trajectories abort.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     options = options or TrajectoryOptions()
+    targets = histogram_targets(duration, options.histogram_times)
     seeds = [derive_trajectory_seed(master_seed, i) for i in range(n_traj)]
     batch = _batch_run(params, beta0, v_a0, v_b0, duration, seeds, options)
 
@@ -694,7 +689,7 @@ def run_ensemble(
         mean_lambda_minus=batch["lambda_minus"][alive].mean(axis=0),
         mean_theta=batch["theta"][alive].mean(axis=0),
         histograms=_histograms(
-            batch["times"], dbeta, params, duration, options
+            batch["times"], dbeta, params, targets, options.histogram_bins
         ),
         reference=reference,
         n_traj=n_traj,
@@ -703,16 +698,24 @@ def run_ensemble(
     )
 
 
-def _histograms(times, dbeta, params, duration, options):
-    """Histograms of the stochastic induced detuning at selected times."""
-    if options.histogram_times is None:
-        targets = [duration / 3.0, 2.0 * duration / 3.0, duration]
-    else:
-        targets = list(options.histogram_times)
+def histogram_targets(duration: float, times: Sequence[float] | None) -> list[float]:
+    """The times of a run's histograms: ``times``, each within [0, duration]
+    (else ``ValueError``), or by default a third, two thirds and the end."""
+    if times is None:
+        return [duration / 3.0, 2.0 * duration / 3.0, duration]
+    for t in times:
+        if not 0.0 <= t <= duration:
+            raise ValueError(f"histogram time {t:.6g} lies outside the run "
+                             f"[0, {duration:.6g}]")
+    return list(times)
+
+
+def _histograms(times, dbeta, params, targets, bins):
+    """Histograms of the stochastic induced detuning at the target times."""
     out = []
     for target in targets:
         idx = int(np.argmin(np.abs(times - target)))
         values = 2.0 * params.g_m * dbeta[:, idx].real
-        counts, edges = np.histogram(values, bins=options.histogram_bins)
+        counts, edges = np.histogram(values, bins=bins)
         out.append((float(times[idx]), edges, counts))
     return out

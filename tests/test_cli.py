@@ -258,9 +258,8 @@ def test_cli_overrides_and_exit_codes(tmp_path, capsys):
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):
-    # a duration shorter than one coarse-graining window fails at run time
-    doc = base_config(duration_periods=0.1)
-    path = write_config(tmp_path, doc)
+    # the load cannot see the kernels' rates, so this step fails at run time
+    path = write_config(tmp_path, stiff_kernel_config())
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"]["code"] == 3
@@ -298,14 +297,18 @@ def test_lambda_plus_step_rejected_at_load(tmp_path, capsys):
                  "--kind", "ensemble"]) == 2
 
 
-def test_lambda_plus_step_checked_every_window(tmp_path, capsys):
+def stiff_kernel_config():
     # dt * Gamma (n_m + 1) sits just below the bound and the emitter's s0
-    # pushes dt * lambda_plus over it: the run names the step, no trajectory
-    # aborts
+    # pushes dt * lambda_plus over it
     dt = 2.0 * math.pi / 1e-2 / 256
     doc = criterion8_config(Gamma=(0.1 - 1e-5) / (1001.0 * dt))
     doc["initial"] = {"beta0": [0.0, 0.0]}
-    path = write_config(tmp_path, doc)
+    return doc
+
+
+def test_lambda_plus_step_checked_every_window(tmp_path, capsys):
+    # the run names the step, no trajectory aborts
+    path = write_config(tmp_path, stiff_kernel_config())
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
     message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
     assert "dt*lambda_plus" in message
@@ -384,6 +387,9 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("engine", "steps_per_window"), "256", "engine.steps_per_window"),
         (("grid",), {"points": 2.7}, "grid.points"),
         (("output",), {"dir": None}, "output.dir"),
+        (("seed",), -3, "seed"),
+        (("engine", "histogram_periods"), [50, -3], "engine.histogram_periods"),
+        (("duration_periods",), 2.5, "duration_periods"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
          "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
@@ -393,7 +399,7 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
          "initial-typo", "sweep-typo", "output-typo", "ratio_max-negative",
          "n_m_max-zero", "sweep-points-one", "sweep-reversed", "trajectories-fraction",
          "trajectories-bool", "steps-numeric-text", "grid-points-fraction",
-         "output-dir-null"],
+         "output-dir-null", "seed-negative", "periods-outside", "duration-fraction"],
 )
 def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
     # each used to escape as a traceback (exit 1), to fail with a misleading
@@ -452,18 +458,22 @@ def test_sweep_and_grid_numbers_must_be_finite(
 
 def test_every_key_rejects_text_true_and_null():
     # the text of each key's default, true and null are rejected at load and
-    # named, except where they are of the key's own type
-    valid = config_from_dict(base_config()).normalized
-    paths = [(key,) for key in ("duration_periods", "trajectories", "seed")] + [
-        (name, key) for name, section in valid.items() if isinstance(section, dict)
-        for key in section
-    ]
-    for path in paths:
-        default = valid[path[0]] if len(path) == 1 else valid[path[0]][path[1]]
-        for bad in (str(default), True, None):
-            if type(bad) is not type(default):
-                doc = json.loads(json.dumps(valid))
-                (doc if len(path) == 1 else doc[path[0]])[path[-1]] = bad
-                with pytest.raises(ConfigError) as caught:
-                    config_from_dict(doc)
-                assert caught.value.field == ".".join(path), (path, bad)
+    # named, except where they are of the key's own type; temperatures and
+    # omega0 (read even without T_q) appear only in configs in absolute units
+    hz = {"gamma": 1e6, "g": 1e6, "Omega": 1e4, "g_m": 1e3, "omega0": 5e9}
+    for valid in (config_from_dict(base_config()).normalized,
+                  base_config(units="hz", params={**hz, "T_m": 4.0}),
+                  base_config(units="hz", params={**hz, "T_q": 0.01})):
+        paths = [(key,) for key in ("duration_periods", "trajectories", "seed")] + [
+            (name, key) for name, section in valid.items() if isinstance(section, dict)
+            for key in section
+        ]
+        for path in paths:
+            default = valid[path[0]] if len(path) == 1 else valid[path[0]][path[1]]
+            for bad in (str(default), True, None):
+                if type(bad) is not type(default):
+                    doc = json.loads(json.dumps(valid))
+                    (doc if len(path) == 1 else doc[path[0]])[path[-1]] = bad
+                    with pytest.raises(ConfigError) as caught:
+                        config_from_dict(doc)
+                    assert caught.value.field == ".".join(path), (path, bad)

@@ -165,18 +165,15 @@ def test_integrate_master_invariants_and_moments(params):
 
 
 def test_integrate_master_detects_coarse_step(params):
-    rho0 = coherent_density(16, 0.5 + 0j)
-    dec = twisted_decomposition(1e-3, 0.0, 0.0)
-    schedule = make_frozen_schedule(dec, 0.0, 1)
-    with pytest.raises(ValueError, match="halving"):
-        integrate_master(
-            params,
-            rho0,
-            params.mechanical_period,
-            params.mechanical_period / 8,
-            schedule,
-            record_stride=8,
-        )
+    # every window is probed: a stiff second one used to blow up the state
+    period = params.mechanical_period
+    cases = ((16, 8, [(1e-3, 0.0)]), (12, 64, [(1e-4, 1e-5), (5.0, 1.0)]))
+    for dim, steps, rates in cases:
+        schedule = [WindowCoefficients(twisted_decomposition(*lam, 0.0), 0.0)
+                    for lam in rates]
+        with pytest.raises(ValueError, match="halving"):
+            integrate_master(params, coherent_density(dim, 0.5 + 0j), len(rates) * period,
+                             period / steps, schedule, record_stride=steps)
 
 
 def test_integrate_master_truncation_health(params):

@@ -420,6 +420,10 @@ def test_histogram_times_are_honoured():
     assert ens.histograms[0][0] == pytest.approx(0.5 * period, abs=period / 4)
     assert ens.histograms[1][0] == pytest.approx(2.0 * period, abs=period / 4)
     assert all(len(counts) == 11 for _, _, counts in ens.histograms)
+    # a time outside the run used to snap to its first or last record
+    opts.histogram_times = [3.0 * period]
+    with pytest.raises(ValueError, match="outside the run"):
+        run_ensemble(p, 200j, 2 * period, 20, 3, opts)
 
 
 def test_full_bloch_agrees_with_adiabatic_shortcut():
@@ -443,8 +447,9 @@ def test_full_bloch_agrees_with_adiabatic_shortcut():
 
 def test_variance_growth_requires_valid_durations():
     p = tls_noise_params()
-    with pytest.raises(ValueError, match="duration"):
-        run_trajectory(p, 1.0 + 0j, 0.0, 0.0, 0.5 * p.mechanical_period, 1)
+    for periods in (0.5, 2.5):  # 2.5 used to run 3 periods
+        with pytest.raises(ValueError, match="duration"):
+            run_trajectory(p, 1.0 + 0j, 0.0, 0.0, periods * p.mechanical_period, 1)
 
 
 def test_unphysical_state_aborts_step():
