@@ -303,11 +303,14 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
         # both run self-scheduled windows of one mechanical period each
         _build("duration_periods", resolve_windows, params,
                config.duration_periods * params.mechanical_period, None)
-    if config.kind in ("ensemble", "spectra") and params.n_q != 0:
-        # both runs evaluate the emitter spectrum, implemented for n_q = 0 only
+    if params.n_q != 0 and (config.kind in ("ensemble", "spectra") or (
+            config.kind == "semiclassical" and not config.full_bloch)):
+        # the emitter spectrum and the closed-form population hold for n_q = 0
+        # only; the semiclassical kind can step the Bloch equations instead
+        hint = " without engine.full_bloch" if config.kind == "semiclassical" else ""
         raise ConfigError(
             n_q_field,
-            f"the {config.kind} kind needs n_q = 0 (zero-temperature emitter); "
+            f"the {config.kind} kind{hint} needs n_q = 0 (zero-temperature emitter); "
             f"got n_q = {params.n_q:.3g}",
         )
     if config.kind == "ensemble":

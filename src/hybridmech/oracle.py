@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bloch import PhysParams, pe_closed_form
-from .lindblad import QuadratureDecomposition, decompose
-from .spectrum import NoiseKernels, steps_in_window, window_kernels
+from .bloch import PhysParams
+from .lindblad import QuadratureDecomposition
+from .spectrum import NoiseKernels, steps_in_window
 from .trajectory import (
     WindowCoefficients,
     _draw_window_noise,
@@ -172,17 +172,18 @@ class FockDensityMatrix:
         return float((pops[-1] + pops[-2]) / max(np.real(np.trace(self.entries)), 1e-300))
 
     def validate(self) -> None:
-        if self.trace_defect() > TRACE_TOL:
+        """Check the invariants in turn; a NaN fails the first check it meets."""
+        if not self.trace_defect() <= TRACE_TOL:
             raise RuntimeError(f"trace drifted by {self.trace_defect():.3e} at t={self.t}")
-        if self.hermiticity_defect() > HERMITICITY_TOL:
+        if not self.hermiticity_defect() <= HERMITICITY_TOL:
             raise RuntimeError(
                 f"hermiticity defect {self.hermiticity_defect():.3e} at t={self.t}"
             )
-        if self.min_eigenvalue() < -POSITIVITY_TOL:
+        if not self.min_eigenvalue() >= -POSITIVITY_TOL:
             raise RuntimeError(
                 f"negative eigenvalue {self.min_eigenvalue():.3e} at t={self.t}"
             )
-        if self.top_population() > TRUNCATION_TOL:
+        if not self.top_population() <= TRUNCATION_TOL:
             raise TruncationError(len(self.entries), self.top_population())
 
 
@@ -377,11 +378,14 @@ def _window_plan(
     schedule: Sequence[WindowCoefficients] | None,
     record_stride: int,
 ):
+    """(windows, steps per window, step) of an oracle run on ``schedule``."""
+    if schedule is None:
+        raise ValueError("kernel_schedule is required: the oracles follow a schedule")
     n_windows, window = resolve_windows(params, duration, schedule)
     steps = steps_in_window(window, dt, "dt")
     if record_stride < 1 or steps % record_stride != 0:
         raise ValueError("record_stride must be a positive divisor of the window's steps")
-    return n_windows, window, steps, window / steps
+    return n_windows, steps, window / steps
 
 
 def integrate_master(
@@ -389,28 +393,23 @@ def integrate_master(
     rho0: np.ndarray,
     duration: float,
     dt: float,
-    kernel_schedule: Sequence[WindowCoefficients] | None = None,
+    kernel_schedule: Sequence[WindowCoefficients],
     *,
     record_stride: int = 16,
 ) -> MasterResult:
     """Fourth-order integration of the mechanical master equation from the
     ``(dim, dim)`` density matrix ``rho0`` over ``duration`` > 0.
 
-    ``dt`` must divide the window.  With a ``kernel_schedule`` the scattering
-    data follow the supplied frozen per-window sequence (the same object the
-    trajectory engine consumes).  With no schedule the run is self-consistent:
-    the kernels are recomputed each window from the mean-field induced
-    detuning Tr[rho (b+b^dag)] g_m, propagated across the window by free
-    rotation, with the population frozen at its window-start value.
+    The scattering data and the population follow ``kernel_schedule``, the
+    frozen per-window sequence the trajectory engine consumes; the windows
+    partition ``duration`` evenly, and ``dt`` must divide the window.
     ``record_stride``, the steps between records, must divide the steps per
     window.  Each window starts with a step-halving probe of its generator,
     which raises ``ValueError`` when one step of ``dt`` is off by more than
     1e-6.  State invariants are validated at every record; a failing
     truncation-health check raises with a suggested size.
     """
-    n_windows, window, steps, h = _window_plan(
-        params, duration, dt, kernel_schedule, record_stride
-    )
+    _, steps, h = _window_plan(params, duration, dt, kernel_schedule, record_stride)
 
     rho = np.array(rho0, dtype=complex)
     dim = rho.shape[0]
@@ -427,25 +426,12 @@ def integrate_master(
         moments.append(moments_from_density(rho))
 
     record(0.0)
-    for w in range(n_windows):
-        if kernel_schedule is not None:
-            decomp, pe = kernel_schedule[w].decomp, kernel_schedule[w].pe
-        else:
-            mean_b, t_w = moments_from_density(rho)[0], w * window
-
-            def delta_m(tp):
-                phase = np.exp(-1j * params.Omega * (tp - t_w))
-                return 2.0 * params.g_m * (mean_b * phase).real
-
-            kernels = window_kernels(params, delta_m, t_w)
-            decomp = decompose(params.Gamma, params.n_m, kernels.s0, kernels.s2)
-            pe = float(pe_closed_form(params.g, params.gamma,
-                                      params.delta0 + delta_m(t_w)))
-        rhs = lindblad_generator(pe, decomp, params, dim)
+    for w, coeffs in enumerate(kernel_schedule):
+        rhs = lindblad_generator(coeffs.pe, coeffs.decomp, params, dim)
         # step-halving accuracy probe on this window's generator
         half = _rk4_step(_rk4_step(rho, 0.5 * h, rhs), 0.5 * h, rhs)
         local_err = float(np.max(np.abs(_rk4_step(rho, h, rhs) - half)))
-        if local_err > 1e-6:
+        if not local_err <= 1e-6:
             raise ValueError(
                 f"dt={dt:.3g} fails the step-halving accuracy check in window {w} "
                 f"(local error {local_err:.2e}); reduce dt"
@@ -489,9 +475,7 @@ def _sse_batch(
     one Euler-Maruyama step per dt, followed by explicit renormalisation.
     Returns per-trajectory moment arrays in the lab frame.
     """
-    n_windows, window, steps, h = _window_plan(
-        params, duration, dt, schedule, record_stride
-    )
+    n_windows, steps, h = _window_plan(params, duration, dt, schedule, record_stride)
     lam_max = max(wc.decomp.lambda_plus for wc in schedule)
     if h * lam_max > 1e-3 + 1e-12:
         raise ValueError(
@@ -564,7 +548,7 @@ def _sse_batch(
             psi = new
             norms = np.sqrt(np.sum(psi.real**2 + psi.imag**2, axis=0))
             drift = np.max(np.abs(norms - 1.0))
-            if drift > SSE_NORM_TOL:
+            if not drift <= SSE_NORM_TOL:
                 bad = int(np.argmax(np.abs(norms - 1.0)))
                 raise RuntimeError(
                     f"norm drifted by {drift:.3e} in one step "
@@ -599,13 +583,16 @@ def sse_ensemble(
     record_stride: int = 16,
 ) -> SseEnsemble:
     """Average ``n_traj`` >= 1 unraveling trajectories from the amplitude
-    array ``psi0`` (normalised here), trajectory i seeded by
-    ``derive_trajectory_seed(master_seed, i)``.  ``dt`` must divide the window
+    array ``psi0`` (of finite, nonzero norm; normalised here), trajectory i
+    seeded by ``derive_trajectory_seed(master_seed, i)``.  ``dt`` must divide the window
     and ``record_stride`` the steps per window; one trajectory gives zero
     standard errors, and its mean is that trajectory."""
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    amps = psi0 / np.linalg.norm(psi0)
+    norm = np.linalg.norm(psi0)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"psi0 must have a finite, positive norm, got {norm}")
+    amps = psi0 / norm
     seeds = [derive_trajectory_seed(master_seed, i) for i in range(n_traj)]
     times, b, n, b2 = _sse_batch(
         params, amps, duration, dt, seeds, kernel_schedule, record_stride

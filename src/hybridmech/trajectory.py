@@ -110,8 +110,9 @@ class TrajectoryOptions:
     The options own the engine grid: ``steps_per_window`` must be a positive
     multiple of the spectrum's ``WINDOW_PANELS`` kernel panels,
     ``record_stride`` a positive divisor of it, and ``histogram_bins`` at
-    least 1; otherwise construction raises a ``ValueError`` whose message
-    starts with the field's name.
+    least 1.  A broken rule, or ``full_bloch`` with a schedule, makes
+    construction raise a ``ValueError`` whose message starts with the field's
+    name.
 
     ``workers`` has no effect: the batch always runs as one, and only the
     Wiener draws use threads, as many as the process has CPUs, without
@@ -137,6 +138,9 @@ class TrajectoryOptions:
                              f"steps_per_window = {steps}, got {stride}")
         if self.histogram_bins < 1:
             raise ValueError(f"histogram_bins must be at least 1, got {self.histogram_bins}")
+        if self.full_bloch and self.schedule is not None:
+            raise ValueError("full_bloch and schedule exclude each other: "
+                             "a schedule freezes the population per window")
 
 
 @dataclass(frozen=True)
@@ -403,9 +407,9 @@ def _batch_run(
     steps = options.steps_per_window
     panels = WINDOW_PANELS
     stride = options.record_stride
-    if options.full_bloch and schedule is not None:
-        raise ValueError("full_bloch and schedule exclude each other: "
-                         "a schedule freezes the population per window")
+    if schedule is None and not options.full_bloch and params.n_q != 0:
+        raise ValueError(f"n_q = {params.n_q:.3g} needs full_bloch: the closed-form "
+                         "population holds for n_q = 0 only")
     dt = window / steps
 
     omega, g_m, gamma, delta0 = params.Omega, params.g_m, params.gamma, params.delta0

@@ -317,20 +317,32 @@ def test_lambda_plus_step_checked_every_window(tmp_path, capsys):
 
 def test_nonzero_emitter_occupation_rejected_at_load(tmp_path, capsys):
     # 10 mK at 5 GHz gives n_q = 3.8e-11, still outside the zero-temperature
-    # spectrum that the ensemble and spectra runs evaluate
+    # spectrum that the ensemble and spectra runs evaluate, and outside the
+    # closed-form population of a semiclassical run without full_bloch
     params = {"gamma": 1e6, "g": 1e6, "Omega": 1e4, "g_m": 5e3,
               "T_q": 0.01, "omega0": 5e9}
-    for kind in ("ensemble", "spectra"):
+    for kind in ("ensemble", "spectra", "semiclassical"):
         path = write_config(tmp_path, base_config(kind=kind, units="hz", params=params))
         assert main(["--config", str(path), "--out", str(tmp_path / kind)]) == 2
         payload = json.loads(capsys.readouterr().err.strip())
         assert "params.T_q" in payload["error"]["message"]
-    with pytest.raises(ConfigError, match="params.n_q"):
-        load_config(write_config(tmp_path, base_config(
-            kind="spectra", params={"g": 1.0, "Omega": 0.01, "g_m": 0.02, "n_q": 0.1})))
-    # the semiclassical run never evaluates the spectrum
-    config = load_config(write_config(tmp_path, base_config(units="hz", params=params)))
+    for kind in ("spectra", "semiclassical"):
+        with pytest.raises(ConfigError, match="params.n_q"):
+            load_config(write_config(tmp_path, base_config(
+                kind=kind, params={"g": 1.0, "Omega": 0.01, "g_m": 0.02, "n_q": 0.1})))
+    # with full_bloch the semiclassical run steps the Bloch equations at any
+    # n_q, and n_q = 0.5 moves the population away from the n_q = 0 run
+    config = load_config(write_config(tmp_path, base_config(
+        units="hz", params=params, engine={"full_bloch": True})))
     assert config.params.n_q == pytest.approx(3.8e-11, rel=0.01)
+    csvs = []
+    for n_q in (0.0, 0.5):
+        doc = base_config(params={"g": 1.0, "Omega": 0.01, "g_m": 0.005, "n_q": n_q})
+        out = tmp_path / f"bloch{n_q}"
+        path = write_config(tmp_path, doc)
+        assert main(["--config", str(path), "--out", str(out), "--full-bloch"]) == 0
+        csvs.append((out / "semiclassical.csv").read_bytes())
+    assert csvs[0] != csvs[1]
 
 
 def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import decomposition_from_set, random_kernel_set, sinusoidal_kernels
-from hybridmech.bloch import PhysParams, pe_closed_form
-from hybridmech.lindblad import decompose, twisted_decomposition
+from conftest import decomposition_from_set, random_kernel_set
+from hybridmech.bloch import PhysParams
+from hybridmech.lindblad import twisted_decomposition
 from hybridmech.oracle import (
     TruncationError,
     coherent_density,
@@ -256,6 +256,12 @@ def test_sse_norm_guard_aborts_on_violent_state(params):
     schedule = make_frozen_schedule(dec, 0.0, 1)
     with pytest.raises(RuntimeError, match="norm drifted"):
         sse_ensemble(params, amps, params.mechanical_period, dt, 1, 11, schedule)
+    # a NaN population makes every state NaN in the first step; the guard
+    # used to let it through to NaN moments and standard errors
+    schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), np.nan, 1)
+    with pytest.raises(RuntimeError, match="norm drifted by nan .*t=0"):
+        sse_ensemble(params, coherent_state(12, 0.5), params.mechanical_period,
+                     params.mechanical_period / 2048, 2, 11, schedule)
 
 
 def test_sse_rejects_coarse_step(params):
@@ -329,6 +335,30 @@ def test_step_must_divide_the_window(params, caller, fraction):
             window_kernels(params, lambda t: 0.0, 0.0, dt_sample=step)
 
 
+@pytest.mark.parametrize("integrator", ["master", "sse"])
+def test_oracles_refuse_no_schedule_and_nan_states(params, integrator):
+    # without a schedule the master ran a third, unchecked model and the
+    # unraveling raised a TypeError; a NaN entry reached numpy's eigvalsh
+    # ("Eigenvalues did not converge") or gave NaN moments
+    schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 1)
+    period = params.mechanical_period
+    state = coherent_density(12, 0.5) if integrator == "master" else coherent_state(12, 0.5)
+    nan_state = state.copy()
+    nan_state.flat[1] = np.nan  # off the diagonal of a density matrix
+    if integrator == "master":
+        def run(x, sched):
+            return integrate_master(params, x, period, period / 2048, sched)
+        nan_error = (RuntimeError, "^hermiticity defect nan at t=0.0")
+    else:
+        def run(x, sched):
+            return sse_ensemble(params, x, period, period / 2048, 2, 1, sched)
+        nan_error = (ValueError, "^psi0 must have a finite, positive norm, got nan")
+    with pytest.raises(ValueError, match="^kernel_schedule is required"):
+        run(state, None)
+    with pytest.raises(nan_error[0], match=nan_error[1]):
+        run(nan_state, schedule)
+
+
 def test_sse_ensemble_trajectory_count(params):
     schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 1)
     period = params.mechanical_period
@@ -339,56 +369,6 @@ def test_sse_ensemble_trajectory_count(params):
     one = sse_ensemble(params, psi0, period, period / 512, 1, 1, schedule)
     for se in (one.se_b, one.se_n, one.se_b2):
         assert not np.any(se)
-
-
-def test_self_consistent_master_mode_runs():
-    p = PhysParams(gamma=1.0, g=1.0, Omega=0.05, g_m=0.02)
-    res = integrate_master(
-        p,
-        coherent_density(24, 1.0j),
-        p.mechanical_period,
-        p.mechanical_period / 512,
-        kernel_schedule=None,
-        record_stride=128,
-    )
-    for snap in res.states:
-        assert snap.trace_defect() <= 1e-8
-
-
-def test_self_consistent_master_mode_matches_its_exact_schedule():
-    # from a coherent state at real beta0 the mean-field detuning over the
-    # first window is swing * cos(Omega t), whose kernels conftest gives in
-    # closed form; the self-consistent window must then match a frozen
-    # one-window schedule built from them, with pe at the window start
-    p = PhysParams(gamma=1.0, g=1.0, Omega=0.05, g_m=0.1, Gamma=1e-4, n_m=2.0)
-    beta0, dim, steps = 1.5, 30, 512
-    period = p.mechanical_period
-    swing = 2.0 * p.g_m * beta0
-    s0, s2 = sinusoidal_kernels(p, swing)
-    pe = float(pe_closed_form(p.g, p.gamma, p.delta0 + swing))
-    schedule = make_frozen_schedule(decompose(p.Gamma, p.n_m, s0, s2), pe, 1)
-    rho0 = coherent_density(dim, beta0)
-    runs = [
-        integrate_master(p, rho0, period, period / steps, schedule, record_stride=64),
-        integrate_master(p, rho0, period, period / steps, record_stride=64),
-    ]
-    exact, self_consistent = (r.moments for r in runs)
-
-    # Tolerance: the runs differ only through the 64-panel quadrature error e
-    # of the kernels.  The generator is linear in (s0, s2), with coefficients
-    # on these moments below 2 (2 n + 1), so over one window the moments move
-    # by at most 4 (2 n + 1) e T.  Each run also rounds at every RK4 step,
-    # which adds at most steps * eps * the largest moment.
-    quad = window_kernels(p, lambda t: swing * math.cos(p.Omega * t), 0.0)
-    quad_err = max(abs(quad.s0 - s0), abs(quad.s2 - s2))
-    scale = max(np.max(np.abs(m)) for m in (exact.b, exact.n, exact.b2))
-    tol = (
-        4.0 * (2.0 * np.max(exact.n) + 1.0) * quad_err * period
-        + steps * np.finfo(float).eps * scale
-    )
-    for name in ("b", "n", "b2"):
-        diff = np.max(np.abs(getattr(self_consistent, name) - getattr(exact, name)))
-        assert diff <= tol, (name, diff, tol)
 
 
 def test_fused_sse_step_matches_dense_reference(params):

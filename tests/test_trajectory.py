@@ -481,14 +481,23 @@ def test_reference_carries_no_channels(scheduled):
 
 def test_full_bloch_refuses_a_schedule():
     # a frozen schedule fixes pe per window; the Bloch population would
-    # silently replace it (pe = 0 here, the Bloch state about 0.33)
-    p = frozen_frame_params()
+    # silently replace it, so the options refuse the pair at construction
     schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 2)
-    opts = TrajectoryOptions(
-        steps_per_window=256, record_stride=32, schedule=schedule, full_bloch=True
-    )
     with pytest.raises(ValueError, match="full_bloch and schedule"):
-        semiclassical_run(p, 1.0 + 0j, 2 * 2.0 * math.pi / 0.01, opts)
+        TrajectoryOptions(
+            steps_per_window=256, record_stride=32, schedule=schedule, full_bloch=True
+        )
+
+
+def test_closed_form_population_refuses_a_warm_emitter():
+    # pe_closed_form is the n_q = 0 population: at n_q = 0.5 a run without
+    # full_bloch used to return the zero-temperature force unchanged
+    p = dataclasses.replace(tls_noise_params(), n_q=0.5)
+    with pytest.raises(ValueError, match="^n_q = 0.5 needs full_bloch"):
+        semiclassical_run(p, 1.0 + 0j, p.mechanical_period)
+    bloch = TrajectoryOptions(steps_per_window=256, record_stride=32, full_bloch=True)
+    ref = semiclassical_run(p, 1.0 + 0j, p.mechanical_period, bloch)
+    assert np.all(np.isfinite(ref.pe))
 
 
 def test_ensemble_abort_report():
