@@ -33,7 +33,6 @@ from .spectrum import (
     qrt_matrix,
     spectrum_closed_form,
     spectrum_qrt,
-    window_kernels,
 )
 from .trajectory import (
     EnsembleResult,
@@ -65,7 +64,6 @@ __all__ = [
     "qrt_matrix",
     "spectrum_closed_form",
     "spectrum_qrt",
-    "window_kernels",
     "EnsembleResult",
     "TrajectoryOptions",
     "TrajectoryRecord",

@@ -54,6 +54,8 @@ class PhysParams:
         Mechanical damping rate (>= 0).
     n_m : float
         Thermal phonon number of the mechanical bath (>= 0).
+
+    Every field must be finite; a broken rule raises ``ValueError``.
     """
 
     gamma: float
@@ -66,13 +68,15 @@ class PhysParams:
     n_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.Omega > 0:
-            raise ValueError("Omega must be positive")
+        # NaN fails each check; cli._build reads the field from the first word
+        for name in ("gamma", "Omega"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("g", "g_m", "Gamma", "n_q", "n_m"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if not math.isfinite(self.delta0):
+            raise ValueError("delta0 must be finite")
         if not self.is_adiabatic:
             warnings.warn(
                 "parameters leave the adiabatic regime "

@@ -32,7 +32,9 @@ class QuadratureDecomposition:
     ``lambda_plus >= lambda_minus >= 0`` are the scattering rates;
     ``v_plus``/``v_minus`` the orthonormal coefficient vectors of the
     scattering operators in the (b, b^dagger) basis; ``theta`` the twist
-    angle of the scattered quadratures.
+    angle of the scattered quadratures.  A negative or non-finite rate, or a
+    non-finite angle or vector entry, makes construction raise a
+    ``ValueError`` whose message starts with the field's name.
     """
 
     lambda_plus: float
@@ -40,6 +42,18 @@ class QuadratureDecomposition:
     v_plus: np.ndarray
     v_minus: np.ndarray
     theta: float
+
+    def __post_init__(self) -> None:
+        for name in ("lambda_plus", "lambda_minus"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
+        for name in ("v_plus", "v_minus"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must have finite entries, "
+                                 f"got {getattr(self, name)}")
 
     def reconstruct(self) -> np.ndarray:
         """Assemble lambda_+ v+ v+^dag + lambda_- v- v-^dag."""

@@ -16,8 +16,7 @@ import numpy as np
 
 from .bloch import BlochVector, PhysParams, bloch_steady_state
 
-# Trapezoid panels per window: the engine's count, and the default and the
-# minimum of window_kernels.
+# Trapezoid panels per window of the engine's kernels (panel_kernels).
 WINDOW_PANELS = 64
 
 
@@ -140,34 +139,3 @@ def steps_in_window(window: float, step: float, name: str) -> int:
         raise ValueError(f"{name}={step:.6g} must divide the window {window:.6g}")
     return count
 
-
-def window_kernels(
-    params: PhysParams,
-    delta_m_of_t,
-    t: float,
-    dt_sample: float | None = None,
-) -> NoiseKernels:
-    """Noise kernels averaged over the window [t, t + one mechanical period].
-
-    ``delta_m_of_t`` gives the mechanically induced detuning at absolute time
-    t'; the spectrum is evaluated at delta0 + delta_m(t').  The window is
-    sampled on a closed trapezoid grid; ``dt_sample`` must divide the window
-    (to 1e-9 relative, else ``ValueError``) into at least ``WINDOW_PANELS``
-    panels (default: exactly that many).
-    """
-    window = params.mechanical_period
-    if dt_sample is None:
-        panels = WINDOW_PANELS
-    else:
-        panels = steps_in_window(window, dt_sample, "dt_sample")
-        if panels < WINDOW_PANELS:
-            raise ValueError(
-                f"dt_sample={dt_sample:.3g} gives {panels} panels; "
-                f"need at least {WINDOW_PANELS}"
-            )
-    t_prime = t + window * np.arange(panels + 1) / panels
-    delta = params.delta0 + np.asarray(
-        [delta_m_of_t(tp) for tp in t_prime], dtype=float
-    )
-    s0, s2 = panel_kernels(params, delta, np.exp(-2j * params.Omega * t_prime))
-    return NoiseKernels(s0=float(s0), s2=complex(s2))

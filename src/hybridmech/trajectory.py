@@ -90,10 +90,15 @@ def derive_trajectory_seed(master_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class WindowCoefficients:
-    """Frozen per-window scattering data used in scheduled runs."""
+    """Frozen per-window scattering data used in scheduled runs; ``pe``, the
+    emitter population, must lie in [0, 1], else ``ValueError``."""
 
     decomp: QuadratureDecomposition
     pe: float
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.pe <= 1:
+            raise ValueError(f"pe must lie in [0, 1], got {self.pe}")
 
 
 @dataclass
@@ -193,10 +198,11 @@ def resolve_windows(
     Self-scheduled runs use one mechanical period per window, and the
     duration must be a whole number of periods, at least one, to 1e-9
     relative (the rule of ``steps_in_window``); scheduled runs partition the
-    duration evenly among the schedule entries.  Otherwise ``ValueError``.
+    duration evenly among the schedule entries.  Otherwise, or for a duration
+    that is not positive and finite, ``ValueError``.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     if schedule is None:
         window = params.mechanical_period
         try:
@@ -611,7 +617,12 @@ def semiclassical_run(
     duration: float,
     options: TrajectoryOptions | None = None,
 ) -> TrajectoryRecord:
-    """Noise-free mean-field evolution: rotation plus population force."""
+    """Noise-free mean-field evolution: rotation plus population force.
+
+    It scatters through no channel, so it leaves out the mechanical damping
+    Gamma as well as the emitter noise: an ensemble's mean amplitude decays
+    as exp(-Gamma t / 2), while this reference does not.
+    """
     options = options or TrajectoryOptions()
     batch = _batch_run(params, beta0, 0.0, 0.0, duration, None, options)
     return _record_from_batch(batch, 0, None)

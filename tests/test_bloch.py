@@ -56,6 +56,12 @@ def test_params_validation():
         PhysParams(gamma=1.0, g=-1.0, Omega=0.01, g_m=0.01)
     with pytest.raises(ValueError):
         PhysParams(gamma=1.0, g=1.0, Omega=0.01, g_m=0.01, n_m=-2.0)
+    # NaN passed the `< 0` checks, and an infinite or NaN value was never checked
+    good = dict(gamma=1.0, g=1.0, Omega=0.01, g_m=0.01)
+    for field in ("gamma", "g", "Omega", "g_m", "delta0", "n_q", "Gamma", "n_m"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                PhysParams(**{**good, field: bad})
 
 
 def test_params_warns_outside_adiabatic_regime():

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from hybridmech.cli import (
     HBAR,
     KB,
+    _TOP,
     ConfigError,
     bose_occupation,
     config_from_dict,
@@ -489,3 +492,14 @@ def test_every_key_rejects_text_true_and_null():
                     with pytest.raises(ConfigError) as caught:
                         config_from_dict(doc)
                     assert caught.value.field == ".".join(path), (path, bad)
+
+
+def test_readme_schema_names_exactly_the_config_keys():
+    # cli._TOP is the one schema table; the README block is its documentation
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema")[1].split("```jsonc")[1].split("```")[0]
+    known = set(_TOP)
+    for read, _ in _TOP.values():
+        known.update(getattr(read, "keywords", {}).get("table", ()))
+    assert set(re.findall(r'"(\w+)":', block)) <= known
+    assert sorted(key for key in known if f'"{key}"' not in block) == []

@@ -19,9 +19,9 @@ from hybridmech.cli import main
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 REQUIRED = {"g": 1.0, "Omega": 0.01, "g_m": 0.005}
-# output file -> config; the long run is criterion 8's CLI config at 12 periods
-CASES = {
-    "long_run/ensemble.csv": {
+# run -> config; the long run is criterion 8's CLI config at 12 periods
+RUNS = {
+    "long_run": {
         "kind": "ensemble",
         "params": {"gamma": 1.0, "g": 1.0, "delta0": 0.0, "Omega": 1e-2, "g_m": 5e-3,
                    "Gamma": 1e-10, "n_m": 100.0},
@@ -31,8 +31,19 @@ CASES = {
         "seed": 314,
         "engine": {"steps_per_window": 256, "record_stride": 4},
     },
-    "validate/validation.json": {"kind": "validate", "params": REQUIRED},
-    "semiclassical/semiclassical.csv": {"kind": "semiclassical", "params": REQUIRED},
+    "validate": {"kind": "validate", "params": REQUIRED},
+    "semiclassical": {"kind": "semiclassical", "params": REQUIRED},
+    "spectra": {"kind": "spectra", "params": REQUIRED},
+    "phase_diagram": {"kind": "phase-diagram", "params": REQUIRED},
+    "ensemble": {"kind": "ensemble", "params": REQUIRED, "trajectories": 20,
+                 "engine": {"histogram_periods": [1, 5.5, 10]}},
+    "semiclassical_hz": {
+        "kind": "semiclassical",
+        "units": "hz",
+        "params": {"gamma": 4e6, "g": 4e6, "Omega": 4e4, "g_m": 2e4, "Gamma": 40.0,
+                   "T_m": 0.01},
+        "initial": {"beta0": [0.0, 20.0]},
+    },
 }
 
 
@@ -40,28 +51,55 @@ def machine_key() -> str:
     return f"numpy {np.__version__} / {platform.machine()}"
 
 
-def digests(root: Path) -> dict:
-    """Run every case under ``root``; the sha256 of each output file."""
-    found = {}
-    for name, doc in CASES.items():
-        run = root / name.split("/")[0]
-        config = root / f"{run.name}.json"
+def run_all(root: Path) -> dict:
+    """Run every config into ``root / run``; each run's output file names."""
+    outputs = {}
+    for run, doc in RUNS.items():
+        config = root / f"{run}.json"
         config.write_text(json.dumps(doc))
-        assert main(["--config", str(config), "--out", str(run)]) == 0, name
-        found[name] = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        assert main(["--config", str(config), "--out", str(root / run)]) == 0, run
+        outputs[run] = json.loads((root / run / "manifest.json").read_text())["outputs"]
+    return outputs
+
+
+def digests(root: Path, outputs: dict) -> dict:
+    """The sha256 of each output file and of each manifest's config block."""
+    found = {}
+    for run, names in outputs.items():
+        blobs = {name: (root / run / name).read_bytes() for name in names}
+        config = json.loads((root / run / "manifest.json").read_text())["config"]
+        blobs["manifest.json:config"] = json.dumps(config, sort_keys=True).encode()
+        for name, blob in blobs.items():
+            found[f"{run}/{name}"] = hashlib.sha256(blob).hexdigest()
     return found
 
 
-def test_outputs_match_golden_digests(tmp_path):
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    return root, run_all(root)
+
+
+def test_outputs_match_golden_digests(runs):
     recorded = json.loads(DIGESTS.read_text()).get(machine_key())
     if recorded is None:
         pytest.skip(f"no golden digests recorded for {machine_key()!r}")
-    assert digests(tmp_path) == recorded
+    assert digests(*runs) == recorded
+
+
+def test_manifests_reproduce_outputs(runs):
+    root, outputs = runs
+    for run, names in outputs.items():
+        again = root / "rerun" / run
+        assert main(["--config", str(root / run / "manifest.json"),
+                     "--out", str(again)]) == 0, run
+        for name in names:
+            assert (again / name).read_bytes() == (root / run / name).read_bytes(), name
 
 
 if __name__ == "__main__":
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        table[machine_key()] = digests(Path(tmp))
+        table[machine_key()] = digests(Path(tmp), run_all(Path(tmp)))
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"recorded {machine_key()!r} in {DIGESTS}")

@@ -7,13 +7,14 @@ from conftest import sinusoidal_kernels
 
 from hybridmech.bloch import BlochVector, PhysParams, bloch_steady_state
 from hybridmech.spectrum import (
+    WINDOW_PANELS,
     NoiseKernels,
     UnsupportedConfigError,
     g_vector,
+    panel_kernels,
     qrt_matrix,
     spectrum_closed_form,
     spectrum_qrt,
-    window_kernels,
 )
 
 
@@ -123,52 +124,54 @@ def test_spectrum_scales_as_coupling_squared():
     )
 
 
+def kernels(params, delta_m, t0=0.0, panels=WINDOW_PANELS):
+    t = t0 + params.mechanical_period * np.arange(panels + 1) / panels
+    delta = params.delta0 + np.array([delta_m(x) for x in t])
+    return panel_kernels(params, delta, np.exp(-2j * params.Omega * t))
+
+
 def test_kernels_constant_detuning(params):
-    kern = window_kernels(params, lambda t: 0.0, 0.0)
-    assert kern.s0 == pytest.approx(2.0 * spectrum_closed_form(params, 0.0), rel=1e-14)
-    assert abs(kern.s2) < 1e-14 * kern.s0
+    s0, s2 = kernels(params, lambda t: 0.0)
+    assert s0 == pytest.approx(2.0 * spectrum_closed_form(params, 0.0), rel=1e-14)
+    assert abs(s2) < 1e-14 * s0
 
 
 def test_kernels_constant_spectrum_any_phase_origin():
     p = PhysParams(gamma=1.0, g=1.0, Omega=0.01, g_m=0.02, delta0=0.8)
-    kern = window_kernels(p, lambda t: 0.25, 137.0)
-    assert abs(kern.s2) < 1e-14 * kern.s0
+    s0, s2 = kernels(p, lambda t: 0.25, 137.0)
+    assert abs(s2) < 1e-14 * s0
 
 
 def test_kernels_modulated_detuning_against_fine_quadrature(params):
     amp = 0.3
     delta_fn = lambda t: amp * math.cos(params.Omega * t)
-    coarse = window_kernels(params, delta_fn, 0.0)
-    fine = window_kernels(
-        params, delta_fn, 0.0, dt_sample=params.mechanical_period / 4096
-    )
-    assert coarse.s0 == pytest.approx(fine.s0, rel=1e-6)
-    assert coarse.s2 == pytest.approx(fine.s2, rel=1e-6)
-    assert abs(coarse.s2) > 0
-    assert abs(coarse.s2) <= coarse.s0
+    s0, s2 = kernels(params, delta_fn)
+    fine_s0, fine_s2 = kernels(params, delta_fn, panels=4096)
+    assert s0 == pytest.approx(fine_s0, rel=1e-6)
+    assert s2 == pytest.approx(fine_s2, rel=1e-6)
+    assert abs(s2) > 0
+    assert abs(s2) <= s0
 
 
 def test_kernels_sinusoidal_detuning_against_closed_form(params):
     # delta_m = A cos(Omega t + phi): the exact s2 carries the phase exp(2i phi),
     # so a wrong frequency or sign in the e^{-2i Omega t} weight shows up
-    fine = params.mechanical_period / 128
     for amp in (1.0, 1.5, 2.0, 2.5):
         s0, s2 = sinusoidal_kernels(params, amp)
         for phi, t0 in ((0.0, 0.0), (0.7, 0.0), (-1.9, 137.0)):
             fn = lambda t: amp * math.cos(params.Omega * t + phi)
             exact_s2 = s2 * cmath.exp(2j * phi)
-            kern = window_kernels(params, fn, t0, dt_sample=fine)
-            assert kern.s0 == pytest.approx(s0, rel=1e-12)
-            assert abs(kern.s2 - exact_s2) <= 1e-12 * abs(s2)
-            # the default 64 panels, as used by the trajectory engine
-            kern = window_kernels(params, fn, t0)
-            assert kern.s0 == pytest.approx(s0, rel=1e-6)
-            assert abs(kern.s2 - exact_s2) <= 1e-6 * abs(s2)
+            k0, k2 = kernels(params, fn, t0, panels=128)
+            assert k0 == pytest.approx(s0, rel=1e-12)
+            assert abs(k2 - exact_s2) <= 1e-12 * abs(s2)
+            # the engine's 64 panels
+            k0, k2 = kernels(params, fn, t0)
+            assert k0 == pytest.approx(s0, rel=1e-6)
+            assert abs(k2 - exact_s2) <= 1e-6 * abs(s2)
 
 
 def test_kernels_sinusoidal_ratio_reference_values(params):
     # emitter-only asymmetry (s0 + |s2|)/(s0 - |s2|) against the swing A/gamma
-    fine = params.mechanical_period / 128
     for amp, ratio, rel in (
         (1.0, 21.0 / 13.0, 1e-12),
         (2.0, 171.0 / 43.0, 1e-12),
@@ -176,10 +179,10 @@ def test_kernels_sinusoidal_ratio_reference_values(params):
     ):
         s0, s2 = sinusoidal_kernels(params, amp)
         assert (s0 + abs(s2)) / (s0 - abs(s2)) == pytest.approx(ratio, rel=rel)
-        kern = window_kernels(
-            params, lambda t: amp * math.cos(params.Omega * t), 0.0, dt_sample=fine
+        k0, k2 = kernels(
+            params, lambda t: amp * math.cos(params.Omega * t), panels=128
         )
-        measured = (kern.s0 + abs(kern.s2)) / (kern.s0 - abs(kern.s2))
+        measured = (k0 + abs(k2)) / (k0 - abs(k2))
         assert measured == pytest.approx(ratio, rel=rel)
 
 
@@ -190,16 +193,9 @@ def test_kernels_bound_holds_for_random_windows(params):
         phase = rng.uniform(0, 2 * math.pi)
         off = rng.uniform(-1, 1)
         fn = lambda t: off + amp * math.cos(params.Omega * t + phase)
-        kern = window_kernels(params, fn, rng.uniform(0, 1000.0))
-        assert kern.s0 >= 0
-        assert abs(kern.s2) <= kern.s0 * (1 + 1e-12)
-
-
-def test_kernels_reject_bad_sampling(params):
-    with pytest.raises(ValueError, match="panels"):
-        window_kernels(params, lambda t: 0.0, 0.0, dt_sample=params.mechanical_period / 8)
-    with pytest.raises(ValueError, match="positive"):
-        window_kernels(params, lambda t: 0.0, 0.0, dt_sample=-1.0)
+        s0, s2 = kernels(params, fn, rng.uniform(0, 1000.0))
+        assert s0 >= 0
+        assert abs(s2) <= s0 * (1 + 1e-12)
 
 
 def test_noise_kernels_validation():

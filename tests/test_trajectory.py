@@ -450,6 +450,36 @@ def test_variance_growth_requires_valid_durations():
     for periods in (0.5, 2.5):  # 2.5 used to run 3 periods
         with pytest.raises(ValueError, match="duration"):
             run_trajectory(p, 1.0 + 0j, 0.0, 0.0, periods * p.mechanical_period, 1)
+    # on a schedule a NaN duration ran: the reference returned a NaN record and
+    # the ensemble aborted every trajectory at t = nan
+    opts = frozen_options(twisted_decomposition(1e-3, 1e-4, 0.0), 64)
+    with pytest.raises(ValueError, match="^duration must be positive and finite"):
+        semiclassical_run(p, 1.0 + 0j, math.nan, opts)
+    with pytest.raises(ValueError, match="^duration must be positive and finite"):
+        run_ensemble(p, 1.0 + 0j, math.nan, 4, 1, opts)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: twisted_decomposition(1e-3, -1e-4, 0.0), "lambda_minus"),
+        (lambda: twisted_decomposition(math.nan, 1e-4, 0.0), "lambda_plus"),
+        (lambda: twisted_decomposition(math.inf, 1e-4, 0.0), "lambda_plus"),
+        (lambda: twisted_decomposition(1e-3, 1e-4, math.nan), "theta"),
+        (lambda: dataclasses.replace(twisted_decomposition(1e-3, 1e-4, 0.0),
+                                     v_minus=np.array([math.nan, 1.0])), "v_minus"),
+        (lambda: WindowCoefficients(twisted_decomposition(1e-3, 1e-4, 0.0), 3.0), "pe"),
+        (lambda: WindowCoefficients(twisted_decomposition(1e-3, 1e-4, 0.0), math.nan),
+         "pe"),
+    ],
+    ids=["negative-rate", "nan-rate", "inf-rate", "nan-theta", "nan-vector",
+         "pe-3", "nan-pe"],
+)
+def test_schedule_data_must_be_finite(make, field):
+    # these used to build a schedule that failed in np.histogram ("autodetected
+    # range of [nan, nan]"), aborted every trajectory, or reported mean_pe 3
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        make()
 
 
 def test_unphysical_state_aborts_step():
