@@ -5,8 +5,10 @@ from the diagonalised scattering channels (lambda_+/-, b_+/-), one directly
 from the (s0, s2, Gamma, n_m) form with the anomalous two-photon
 superoperator.  A full stochastic wave-function unraveling of the same
 master equation provides the Monte Carlo cross-check for the Gaussian-moment
-trajectory engine.  All of it is desk-scale machinery: dense matrices,
-dimension a few tens.
+trajectory engine.  All of it is desk-scale machinery, dimension a few
+tens: the channel route assembles K and L_s as matrices once per window and
+applies their bands as weighted index shifts, the kernel form and the
+unraveling apply the ladder operators as index shifts.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ class FockDensityMatrix:
     def top_population(self) -> float:
         """Population in the top two Fock levels, relative to the trace."""
         pops = np.real(np.diagonal(self.entries))
-        return float((pops[-1] + pops[-2]) / max(np.real(np.trace(self.entries)), 1e-300))
+        return float(np.sum(pops[-2:]) / max(np.real(np.trace(self.entries)), 1e-300))
 
     def validate(self) -> None:
         """Check the invariants in turn; a NaN fails the first check it meets."""
@@ -232,14 +234,40 @@ def _hamiltonian_part(x: np.ndarray, omega: float, force: float) -> np.ndarray:
     return -1j * comm
 
 
+def _band(m: np.ndarray, shift: int) -> np.ndarray:
+    """m[i, i + shift] for every row i; 0 where i + shift leaves the matrix."""
+    v = np.zeros(len(m), dtype=complex)
+    d = np.diagonal(m, shift)
+    v[max(-shift, 0):][: len(d)] = d
+    return v
+
+
+def _span(shift: int, size: int):
+    """(output, source) slices of out[p] += w[p] x[p + shift] on an axis of
+    ``size``; None when the shift leaves no overlap."""
+    n = size - abs(shift)
+    if n <= 0:
+        return None
+    lo = max(-shift, 0)
+    return slice(lo, lo + n), slice(lo + shift, lo + shift + n)
+
+
 def lindblad_generator(
     pe: float, decomp: QuadratureDecomposition, params: PhysParams, dim: int
 ):
     """Master-equation generator assembled from the scattering channels.
 
     Builds L_s = sqrt(lambda_s) (u_s b + w_s b^dag) and K = -i (Omega n +
-    g_m pe (b + b^dag)) - 1/2 sum_s L_s^dag L_s once, as dense matrices on the
-    truncated space, and returns rhs(x) = K x + x K^dag + sum_s L_s x L_s^dag.
+    g_m pe (b + b^dag)) - 1/2 sum_s L_s^dag L_s once on the truncated space,
+    and returns rhs(x) = K x + x K^dag + sum_s L_s x L_s^dag on the last two
+    axes (stacks allowed on leading axes).  L_s is tridiagonal and K
+    pentadiagonal, so rhs reads only the neighbours x[i + a, j + c] with
+    |a|, |c| <= 2: one weighted shift per offset (a, c), with weight 0 where
+    the neighbour falls outside the truncation.  The row shifts of K x weigh
+    whole rows and keep (dim, 1) weights; the other offsets shift the
+    flattened matrix under (dim * dim) weights, whose zeros also cut the
+    entries that wrap into the next row.  A band that is 0 throughout is
+    left out.
     """
     b = destroy_matrix(dim)
     bd = b.conj().T
@@ -247,13 +275,39 @@ def lindblad_generator(
     ells = [math.sqrt(lam) * (u * b + w * bd) for lam, (u, w) in zip(lams, vecs)]
     ham = params.Omega * np.diag(np.arange(dim, dtype=complex)) + params.g_m * pe * (b + bd)
     k = -1j * ham - 0.5 * sum(ell.conj().T @ ell for ell in ells)
-    k_dag = k.conj().T
-    jumps = [(ell, ell.conj().T) for ell in ells]
+    k_bands = {a: _band(k, a) for a in range(-2, 3)}
+    ell_bands = [{a: _band(ell, a) for a in (-1, 1)} for ell in ells]
+
+    # weight of x[i + a, j + c] in rhs(x)[i, j], on the (i, j) grid:
+    # conj(K[j, j + c]) from x K^dag, sum_s L_s[i, i + a] conj(L_s[j, j + c])
+    # from the jumps, and K[i, i] + conj(K[j, j]) at (0, 0)
+    weights = [((0, c), np.broadcast_to(k_bands[c].conj(), (dim, dim)))
+               for c in (-2, -1, 1, 2)]
+    weights += [((a, c), sum(np.outer(l[a], l[c].conj()) for l in ell_bands))
+                for a in (-1, 1) for c in (-1, 1)]
+    diag = k_bands[0][:, None] + k_bands[0].conj()
+    flat_terms = []
+    for (a, c), w in weights:
+        span = _span(a * dim + c, dim * dim)
+        w = w.reshape(-1)
+        if span is not None and w.any():
+            flat_terms.append((*span, w[span[0]]))
+    row_terms = []  # K[i, i + a] x[i + a, j]
+    for a in (-2, -1, 1, 2):
+        span = _span(a, dim)
+        if span is not None and k_bands[a].any():
+            row_terms.append((*span, k_bands[a][span[0], None]))
 
     def rhs(x: np.ndarray) -> np.ndarray:
-        out = k @ x + x @ k_dag
-        for ell, ell_dag in jumps:
-            out += ell @ x @ ell_dag
+        out = np.multiply(diag, x, order="C")  # so that out_flat is a view
+        flat = x.shape[:-2] + (dim * dim,)
+        out_flat, x_flat = out.reshape(flat), x.reshape(flat)
+        for dst, src, w in flat_terms:
+            part = out_flat[..., dst]
+            part += w * x_flat[..., src]
+        for dst, src, w in row_terms:
+            part = out[..., dst, :]
+            part += w * x[..., src, :]
         return out
 
     return rhs
@@ -427,10 +481,12 @@ def integrate_master(
 
     record(0.0)
     for w, coeffs in enumerate(kernel_schedule):
+        rhs = None  # release the previous window's generator before building
         rhs = lindblad_generator(coeffs.pe, coeffs.decomp, params, dim)
         # step-halving accuracy probe on this window's generator
-        half = _rk4_step(_rk4_step(rho, 0.5 * h, rhs), 0.5 * h, rhs)
-        local_err = float(np.max(np.abs(_rk4_step(rho, h, rhs) - half)))
+        local_err = float(np.max(np.abs(
+            _rk4_step(rho, h, rhs) - _rk4_step(_rk4_step(rho, 0.5 * h, rhs), 0.5 * h, rhs)
+        )))
         if not local_err <= 1e-6:
             raise ValueError(
                 f"dt={dt:.3g} fails the step-halving accuracy check in window {w} "
@@ -449,11 +505,15 @@ def integrate_master(
 
 
 def _rk4_step(x, h, rhs):
-    k1 = rhs(x)
-    k2 = rhs(x + 0.5 * h * k1)
-    k3 = rhs(x + 0.5 * h * k2)
-    k4 = rhs(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # k1 + 2 k2 + 2 k3 + k4 summed in place, left to right, so that no more
+    # than two stages are held at once
+    acc = rhs(x)
+    k = rhs(x + 0.5 * h * acc)
+    acc += 2.0 * k
+    k = rhs(x + 0.5 * h * k)
+    acc += 2.0 * k
+    acc += rhs(x + h * k)
+    return x + (h / 6.0) * acc
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +533,10 @@ def _sse_batch(
     The free rotation is removed exactly by time-dependent channel
     coefficients; the remaining drift, drift-restoration and noise terms take
     one Euler-Maruyama step per dt, followed by explicit renormalisation.
-    Returns per-trajectory moment arrays in the lab frame.
+    Returns per-trajectory moment arrays in the lab frame.  Each record
+    checks the truncation against the master's tolerance, on the population
+    of the top two Fock levels averaged over the trajectories, less its
+    standard error.
     """
     n_windows, steps, h = _window_plan(params, duration, dt, schedule, record_stride)
     lam_max = max(wc.decomp.lambda_plus for wc in schedule)
@@ -497,6 +560,12 @@ def _sse_batch(
 
     def record(t):
         nonlocal i_rec
+        # truncation health of the mixture, against the master's tolerance;
+        # its population is a Monte Carlo estimate that one rare trajectory
+        # can dominate, so the check takes it less one standard error
+        top = np.sum(np.abs(psi[-2:]) ** 2, axis=0)
+        if not np.mean(top) - _standard_error(top) <= TRUNCATION_TOL:
+            raise TruncationError(dim, float(np.mean(top)))
         mb, mn, mb2 = moments_from_state(psi)
         ph = cmath.exp(-1j * omega * t)
         out_b[:, i_rec] = ph * mb
@@ -586,7 +655,10 @@ def sse_ensemble(
     array ``psi0`` (of finite, nonzero norm; normalised here), trajectory i
     seeded by ``derive_trajectory_seed(master_seed, i)``.  ``dt`` must divide the window
     and ``record_stride`` the steps per window; one trajectory gives zero
-    standard errors, and its mean is that trajectory."""
+    standard errors, and its mean is that trajectory.  A mixture with more
+    than ``TRUNCATION_TOL`` of its population in the top two Fock levels at
+    a record, by more than one standard error, raises
+    :class:`TruncationError`."""
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     norm = np.linalg.norm(psi0)

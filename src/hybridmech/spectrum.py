@@ -38,9 +38,10 @@ class NoiseKernels:
 
     def __post_init__(self) -> None:
         scale = max(abs(self.s0), 1.0)
-        if self.s0 < -1e-12 * scale:
-            raise ValueError(f"s0 must be non-negative, got {self.s0}")
-        if abs(self.s2) > self.s0 * (1.0 + 1e-9) + 1e-300:
+        # each check is written so that NaN fails it
+        if not -1e-12 * scale <= self.s0 < np.inf:
+            raise ValueError(f"s0 must be finite and non-negative, got {self.s0}")
+        if not abs(self.s2) <= self.s0 * (1.0 + 1e-9) + 1e-300:
             raise ValueError(
                 f"|s2|={abs(self.s2):.6g} exceeds s0={self.s0:.6g}; "
                 "kernels are not a valid window average"

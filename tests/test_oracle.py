@@ -13,6 +13,7 @@ from hybridmech.oracle import (
     destroy_matrix,
     integrate_master,
     kernel_form_rhs,
+    lindblad_generator,
     lindblad_rhs,
     lower_state,
     make_frozen_schedule,
@@ -39,6 +40,52 @@ def test_ladder_helpers_match_dense_operators():
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     assert np.allclose(lower_state(psi), b @ psi)
     assert np.allclose(raise_state(psi), b.conj().T @ psi)
+
+
+def dense_lindblad_rhs(x, pe, decomp, params):
+    """K x + x K^dag + sum_s L_s x L_s^dag with dense matrices: the reference
+    for the banded generator."""
+    dim = x.shape[-1]
+    b = destroy_matrix(dim)
+    bd = b.conj().T
+    lams, vecs = (decomp.lambda_plus, decomp.lambda_minus), (decomp.v_plus, decomp.v_minus)
+    ells = [math.sqrt(lam) * (u * b + w * bd) for lam, (u, w) in zip(lams, vecs)]
+    ham = params.Omega * np.diag(np.arange(dim, dtype=complex)) + params.g_m * pe * (b + bd)
+    k = -1j * ham - 0.5 * sum(ell.conj().T @ ell for ell in ells)
+    out = k @ x + x @ k.conj().T
+    for ell in ells:
+        out += ell @ x @ ell.conj().T
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 40])
+def test_banded_generator_matches_dense_reference(dim):
+    # every band of K and L_s is nonzero: a force (g_m pe != 0), a twist and
+    # a zero rate; at dims up to 4 the flat offsets +-2 dim +-1 overrun the
+    # flattened matrix
+    p = PhysParams(gamma=1.0, g=1.0, Omega=0.05, g_m=0.03)
+    dec = twisted_decomposition(0.04, 0.0, 0.7)
+    rng = np.random.default_rng(dim)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    expected = dense_lindblad_rhs(x, 0.4, dec, p)
+    got = lindblad_generator(0.4, dec, p, dim)(x)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_banded_generator_applies_to_stacks():
+    p = PhysParams(gamma=1.0, g=1.0, Omega=0.05, g_m=0.03)
+    dec = twisted_decomposition(0.04, 0.0, 0.7)
+    dim = 10
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((dim * dim, dim, dim)) + 1j * rng.standard_normal(
+        (dim * dim, dim, dim)
+    )
+    rhs = lindblad_generator(0.4, dec, p, dim)
+    got = rhs(stack)
+    one_by_one = np.stack([rhs(m) for m in stack])
+    assert np.array_equal(got, one_by_one)
+    expected = np.stack([dense_lindblad_rhs(m, 0.4, dec, p) for m in stack])
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_fock_state_rhs_vanishes_without_channels(params):
@@ -196,6 +243,28 @@ def test_integrate_master_truncation_health(params):
             schedule,
             record_stride=128,
         )
+    # one or two levels are all top: refused at the first record (a (1, 1)
+    # state used to raise IndexError)
+    for dim in (1, 2):
+        with pytest.raises(TruncationError, match=f"at dim={dim};"):
+            integrate_master(params, thermal_density(dim, 0.0), params.mechanical_period,
+                             params.mechanical_period / 512, schedule[:1], record_stride=128)
+
+
+def test_sse_truncation_health(params):
+    # the unraveling checks the mixture's top-two-level population, less its
+    # standard error, at every record; at dim 2 it used to return <n> = 0.12
+    period = params.mechanical_period
+    schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 1)
+    with pytest.raises(TruncationError, match="at dim=2;"):
+        sse_ensemble(params, coherent_state(2, 0.1), period, period / 512, 2, 1, schedule)
+    # heating through an undersized truncation trips it after the start
+    psi0 = coherent_state(8, 0.3)
+    assert np.sum(np.abs(psi0[-2:]) ** 2) <= 1e-6
+    heating = make_frozen_schedule(twisted_decomposition(2e-3, 0.0, 0.0), 0.0, 2)
+    with pytest.raises(TruncationError, match="at dim=8;"):
+        sse_ensemble(params, psi0, 2 * period, period / 1024, 4, 3, heating,
+                     record_stride=128)
 
 
 def test_moments_of_coherent_state():
@@ -250,7 +319,7 @@ def test_master_quadrature_diffusion_slopes():
 def test_sse_norm_guard_aborts_on_violent_state(params):
     # a number-superposition state has a huge channel variance, so one
     # Euler step at the step-size limit moves the norm past the guard
-    dim = 20
+    dim = 22  # levels 20 and 21 empty: the truncation guard passes the state
     amps = np.zeros(dim, dtype=complex)
     amps[0] = amps[19] = 1.0 / math.sqrt(2.0)
     dt = params.mechanical_period / 1024
@@ -371,10 +440,12 @@ def test_sse_ensemble_trajectory_count(params):
 
 def test_fused_sse_step_matches_dense_reference(params):
     # Euler-Maruyama on dense operators, one channel at a time, with the same
-    # PCG64 draws; the state has weight on the top level, where the truncated
-    # b b^dag is 0, and the channels are twisted and pushed by a force
+    # PCG64 draws; the channels are twisted and pushed by a force.  The state
+    # starts on levels 0 and 1 and reaches the top level, where the truncated
+    # b b^dag is 0; the top two levels hold at most 7e-7, inside the
+    # unraveling's truncation check
     dim, seed, steps, stride, pe = 6, 31, 1024, 128, 0.4
-    amps = np.exp(0.7j * np.arange(dim)) / math.sqrt(dim)
+    amps = np.exp(0.7j * np.arange(dim)) * (np.arange(dim) < 2) / math.sqrt(2)
     dec = twisted_decomposition(4e-4, 1e-4, 0.6)
     h = params.mechanical_period / steps
     series = sse_ensemble(

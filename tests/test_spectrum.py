@@ -203,3 +203,20 @@ def test_noise_kernels_validation():
         NoiseKernels(s0=-1.0, s2=0.0)
     with pytest.raises(ValueError, match="s2"):
         NoiseKernels(s0=1.0, s2=1.5 + 0j)
+
+
+@pytest.mark.parametrize(
+    "s0, s2, message",
+    [
+        (math.nan, 0j, "^s0 must"),
+        (math.inf, 0j, "^s0 must"),
+        (math.inf, complex(math.inf, 0.0), "^s0 must"),
+        (1.0, complex(math.nan, 0.0), r"^\|s2\|=nan"),
+        (1.0, complex(0.0, math.nan), r"^\|s2\|=nan"),
+    ],
+    ids=["s0-nan", "s0-inf", "both-inf", "s2-nan-real", "s2-nan-imag"],
+)
+def test_noise_kernels_refuse_non_finite(s0, s2, message):
+    # each used to construct: a comparison with NaN is false, and inf <= inf
+    with pytest.raises(ValueError, match=message):
+        NoiseKernels(s0=s0, s2=s2)
