@@ -533,10 +533,7 @@ def _sse_batch(
     The free rotation is removed exactly by time-dependent channel
     coefficients; the remaining drift, drift-restoration and noise terms take
     one Euler-Maruyama step per dt, followed by explicit renormalisation.
-    Returns per-trajectory moment arrays in the lab frame.  Each record
-    checks the truncation against the master's tolerance, on the population
-    of the top two Fock levels averaged over the trajectories, less its
-    standard error.
+    Returns per-trajectory moment arrays in the lab frame.
     """
     n_windows, steps, h = _window_plan(params, duration, dt, schedule, record_stride)
     lam_max = max(wc.decomp.lambda_plus for wc in schedule)
@@ -560,12 +557,6 @@ def _sse_batch(
 
     def record(t):
         nonlocal i_rec
-        # truncation health of the mixture, against the master's tolerance;
-        # its population is a Monte Carlo estimate that one rare trajectory
-        # can dominate, so the check takes it less one standard error
-        top = np.sum(np.abs(psi[-2:]) ** 2, axis=0)
-        if not np.mean(top) - _standard_error(top) <= TRUNCATION_TOL:
-            raise TruncationError(dim, float(np.mean(top)))
         mb, mn, mb2 = moments_from_state(psi)
         ph = cmath.exp(-1j * omega * t)
         out_b[:, i_rec] = ph * mb
@@ -655,10 +646,7 @@ def sse_ensemble(
     array ``psi0`` (of finite, nonzero norm; normalised here), trajectory i
     seeded by ``derive_trajectory_seed(master_seed, i)``.  ``dt`` must divide the window
     and ``record_stride`` the steps per window; one trajectory gives zero
-    standard errors, and its mean is that trajectory.  A mixture with more
-    than ``TRUNCATION_TOL`` of its population in the top two Fock levels at
-    a record, by more than one standard error, raises
-    :class:`TruncationError`."""
+    standard errors, and its mean is that trajectory."""
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     norm = np.linalg.norm(psi0)
