@@ -37,8 +37,8 @@ from .oracle import (
 )
 from .spectrum import NoiseKernels, spectrum_closed_form, spectrum_qrt
 from .trajectory import (
-    MAX_RATE_STEP,
     TrajectoryOptions,
+    _check_step,
     histogram_targets,
     machine_diagnostics,
     resolve_windows,
@@ -300,9 +300,14 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
     _build("engine.histogram_periods", histogram_targets, config.duration_periods,
            config.histogram_periods)
     if config.kind in ("ensemble", "semiclassical"):
-        # both run self-scheduled windows of one mechanical period each
+        # both run self-scheduled one-period windows under the engine's step
+        # rule; lambda_plus is at least Gamma (n_m + 1), 0 without channels
+        period = params.mechanical_period
         _build("duration_periods", resolve_windows, params,
-               config.duration_periods * params.mechanical_period, None)
+               config.duration_periods * period, None)
+        floor = params.Gamma * (params.n_m + 1.0) if config.kind == "ensemble" else 0.0
+        _build("engine.steps_per_window", _check_step, params, period,
+               config.steps_per_window, floor)
     if params.n_q != 0 and (config.kind in ("ensemble", "spectra") or (
             config.kind == "semiclassical" and not config.full_bloch)):
         # the emitter spectrum and the closed-form population hold for n_q = 0
@@ -313,19 +318,6 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
             f"the {config.kind} kind{hint} needs n_q = 0 (zero-temperature emitter); "
             f"got n_q = {params.n_q:.3g}",
         )
-    if config.kind == "ensemble":
-        # lambda_plus >= Gamma (n_m + 1) in every window, so this bound on
-        # dt * Gamma (n_m + 1) is one the run's dt * lambda_plus check implies
-        rate = params.Gamma * (params.n_m + 1.0)
-        dt = params.mechanical_period / config.steps_per_window
-        if dt * rate > MAX_RATE_STEP + 1e-12:
-            steps = math.ceil(params.mechanical_period * rate / MAX_RATE_STEP)
-            raise ConfigError(
-                "engine.steps_per_window",
-                f"dt*Gamma*(n_m+1) = {dt * rate:.3g} exceeds {MAX_RATE_STEP}, and "
-                "lambda_plus is at least Gamma*(n_m+1); need steps_per_window >= "
-                f"{steps}",
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +331,15 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, columns: dict) -> str:
+    """Write ``columns``, an ordered mapping from each column's name to its
+    values, as a CSV table at ``path``, and return the file's name.  Columns
+    of unequal length raise ``ValueError`` rather than drop rows."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values(), strict=True):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path.name
 
 
 # ---------------------------------------------------------------------------
@@ -352,84 +348,55 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def _run_semiclassical(config: ExperimentConfig, out: Path) -> list[str]:
     duration = config.duration_periods * config.params.mechanical_period
     record = semiclassical_run(config.params, config.beta0, duration, config.options())
-    write_csv(
-        out / "semiclassical.csv",
-        ["t", "re_beta", "im_beta", "pe", "delta_m"],
-        zip(record.times, record.beta.real, record.beta.imag, record.pe, record.delta_m),
-    )
-    return ["semiclassical.csv"]
+    return [write_csv(out / "semiclassical.csv", {
+        "t": record.times, "re_beta": record.beta.real, "im_beta": record.beta.imag,
+        "pe": record.pe, "delta_m": record.delta_m,
+    })]
 
 
 def _run_ensemble(config: ExperimentConfig, out: Path) -> list[str]:
     duration = config.duration_periods * config.params.mechanical_period
-    result = run_ensemble(
-        config.params,
-        config.beta0,
-        duration,
-        config.trajectories,
-        config.seed,
-        config.options(),
-    )
-    write_csv(
-        out / "ensemble.csv",
-        [
-            "t",
-            "mean_re_beta",
-            "mean_im_beta",
-            "var_dbeta_x",
-            "var_dbeta_p",
-            "lambda_plus",
-            "lambda_minus",
-            "theta",
-            "pe_mean",
-        ],
-        zip(
-            result.times,
-            result.mean_beta.real,
-            result.mean_beta.imag,
-            result.var_dbeta_x,
-            result.var_dbeta_p,
-            result.mean_lambda_plus,
-            result.mean_lambda_minus,
-            result.mean_theta,
-            result.mean_pe,
-        ),
-    )
-    files = ["ensemble.csv"]
-    for i, (t, edges, counts) in enumerate(result.histograms):
-        name = f"histogram_{i:03d}.csv"
-        write_csv(
-            out / name,
-            ["bin_lo", "bin_hi", "count"],
-            zip(edges[:-1], edges[1:], counts),
-        )
-        files.append(name)
-    return files
+    result = run_ensemble(config.params, config.beta0, duration, config.trajectories,
+                          config.seed, config.options())
+    return [write_csv(out / "ensemble.csv", {
+        "t": result.times,
+        "mean_re_beta": result.mean_beta.real,
+        "mean_im_beta": result.mean_beta.imag,
+        "var_dbeta_x": result.var_dbeta_x,
+        "var_dbeta_p": result.var_dbeta_p,
+        "lambda_plus": result.mean_lambda_plus,
+        "lambda_minus": result.mean_lambda_minus,
+        "theta": result.mean_theta,
+        "pe_mean": result.mean_pe,
+    })] + [
+        write_csv(out / f"histogram_{i:03d}.csv",
+                  {"bin_lo": edges[:-1], "bin_hi": edges[1:], "count": counts})
+        for i, (_, edges, counts) in enumerate(result.histograms)
+    ]
 
 
 def _run_spectra(config: ExperimentConfig, out: Path) -> list[str]:
     sweep = config.sweep
     deltas = np.linspace(sweep["delta_min"], sweep["delta_max"], sweep["points"])
-    values = spectrum_closed_form(config.params, deltas)
-    write_csv(out / "spectra.csv", ["delta", "re_s0"], zip(deltas, values))
-    return ["spectra.csv"]
+    return [write_csv(out / "spectra.csv", {
+        "delta": deltas, "re_s0": spectrum_closed_form(config.params, deltas),
+    })]
 
 
 def _run_phase_diagram(config: ExperimentConfig, out: Path) -> list[str]:
     grid = config.grid
     log10 = {key: math.log10(grid[key]) for key in grid if key != "points"}
-    n_ms = np.logspace(log10["n_m_min"], log10["n_m_max"], grid["points"])
-    ratios = np.logspace(log10["ratio_min"], log10["ratio_max"], grid["points"])
+    points = grid["points"]
+    n_ms = np.repeat(np.logspace(log10["n_m_min"], log10["n_m_max"], points), points)
+    ratios = np.tile(np.logspace(log10["ratio_min"], log10["ratio_max"], points), points)
     base = config.params
-    tls_rate = base.tls_noise_rate
-    rows = []
-    for n_m in n_ms:
-        for ratio in ratios:
-            params = replace(base, Gamma=ratio * tls_rate, n_m=float(n_m))
-            label = classify_regime(params).regime.value
-            rows.append((float(n_m), float(ratio), label))
-    write_csv(out / "phase_diagram.csv", ["n_m", "gamma_ratio", "label"], rows)
-    return ["phase_diagram.csv"]
+    labels = [
+        classify_regime(replace(base, Gamma=ratio * base.tls_noise_rate,
+                                n_m=float(n_m))).regime.value
+        for n_m, ratio in zip(n_ms, ratios)
+    ]
+    return [write_csv(out / "phase_diagram.csv",
+                      {"n_m": n_ms, "gamma_ratio": ratios, "label": labels})]
 
 
 def _run_validate(config: ExperimentConfig, out: Path) -> list[str]:
@@ -606,7 +573,9 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_json(4, "validation", str(exc)), file=sys.stderr)
         return 4
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(_error_json(3, "runtime", str(exc)), file=sys.stderr)
+        # a bare exception, such as MemoryError(), has an empty message
+        print(_error_json(3, "runtime", str(exc) or type(exc).__name__),
+              file=sys.stderr)
         return 3
     return 0
 

@@ -84,8 +84,8 @@ class RegimeLabel:
     n_m: float
 
 
-def eigenpairs(Gamma, h11, h22, s2):
-    """Closed-form eigenpairs of h; vectorised over trailing array shapes.
+def eigenpairs(Gamma, n_m, s0, s2):
+    """Closed-form eigenpairs of h, formed here; vectorised over array shapes.
 
     Returns (lambda_plus, lambda_minus, v_plus, v_minus, theta) where the
     vectors have a trailing axis of length 2.  The degenerate point s2 = 0
@@ -93,8 +93,8 @@ def eigenpairs(Gamma, h11, h22, s2):
     continuous limit |s2| -> 0 at Gamma > 0.
     """
     Gamma = np.asarray(Gamma, dtype=float)
-    h11 = np.asarray(h11, dtype=float)
-    h22 = np.asarray(h22, dtype=float)
+    h11 = np.asarray(Gamma * (n_m + 1.0) + s0, dtype=float)
+    h22 = np.asarray(Gamma * n_m + s0, dtype=float)
     s2 = np.asarray(s2, dtype=complex)
     abs_s2 = np.abs(s2)
     root = np.hypot(Gamma, 2.0 * abs_s2)
@@ -140,9 +140,7 @@ def decompose(
     h = [[Gamma (n_m + 1) + s0, s2], [conj(s2), Gamma n_m + s0]]."""
     if Gamma < 0 or n_m < 0:
         raise ValueError("Gamma and n_m must be non-negative")
-    lam_p, lam_m, v_p, v_m, theta = eigenpairs(
-        Gamma, Gamma * (n_m + 1.0) + s0, Gamma * n_m + s0, s2
-    )
+    lam_p, lam_m, v_p, v_m, theta = eigenpairs(Gamma, n_m, s0, s2)
     return QuadratureDecomposition(
         lambda_plus=float(lam_p),
         lambda_minus=float(lam_m),

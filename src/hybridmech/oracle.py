@@ -66,28 +66,10 @@ def destroy_matrix(dim: int) -> np.ndarray:
     return np.diag(_sqrt_ladder(dim), k=1).astype(complex)
 
 
-def lower_state(psi: np.ndarray) -> np.ndarray:
-    """b |psi> for state arrays shaped (dim, ...)."""
-    out = np.empty_like(psi)
-    s = _sqrt_ladder(psi.shape[0])
-    np.multiply(s.reshape((-1,) + (1,) * (psi.ndim - 1)), psi[1:], out=out[:-1])
-    out[-1] = 0
-    return out
-
-
-def raise_state(psi: np.ndarray) -> np.ndarray:
-    """b^dagger |psi> for state arrays shaped (dim, ...)."""
-    out = np.empty_like(psi)
-    s = _sqrt_ladder(psi.shape[0])
-    np.multiply(s.reshape((-1,) + (1,) * (psi.ndim - 1)), psi[:-1], out=out[1:])
-    out[0] = 0
-    return out
-
-
-# The four matrix-side shifts below work on the last two axes flattened into
-# one, so that numpy runs one long contiguous inner loop per matrix instead of
-# one short loop per row.  A shift along a row then crosses into the
-# neighbouring row at the edge column; the weight there is 0, which zeroes
+# The shifts below flatten the shifted axis and those after it into one, so
+# that numpy runs one long contiguous inner loop per state or matrix instead
+# of one short loop per row.  A shift along a row of a matrix then crosses
+# into the next row at the edge column; the weight there is 0, which zeroes
 # that entry exactly as the truncated ladder operator does (finite input).
 
 @functools.lru_cache(maxsize=None)
@@ -102,38 +84,57 @@ def _flat_weights(kind: str, rows: int, cols: int) -> np.ndarray:
     return w
 
 
-def _flat_pair(x: np.ndarray):
-    rows, cols = x.shape[-2:]
-    flat = x.shape[:-2] + (rows * cols,)
+def _flat_pair(x: np.ndarray, axis: int):
+    """A new array shaped as x, and flat views of it and of x: ``axis`` holds
+    the rows, and the axes after it, flattened, the columns."""
+    rows, cols = x.shape[axis], math.prod(x.shape[axis + 1:])
+    flat = x.shape[:axis] + (rows * cols,)
     out = np.empty(x.shape, dtype=x.dtype)
     return out, out.reshape(flat), x.reshape(flat), rows, cols
 
 
+def _row_shift(x: np.ndarray, axis: int, lower: bool) -> np.ndarray:
+    """b (``lower``) or b^dagger applied along ``axis`` of x."""
+    out, of, xf, rows, cols = _flat_pair(x, axis)
+    w = _flat_weights("left", rows, cols)
+    if lower:
+        np.multiply(w, xf[..., cols:], out=of[..., :-cols])
+        of[..., -cols:] = 0
+    else:
+        np.multiply(w, xf[..., :-cols], out=of[..., cols:])
+        of[..., :cols] = 0
+    return out
+
+
+def lower_state(psi: np.ndarray) -> np.ndarray:
+    """b |psi> for state arrays shaped (dim, ...)."""
+    return _row_shift(psi, 0, lower=True)
+
+
+def raise_state(psi: np.ndarray) -> np.ndarray:
+    """b^dagger |psi> for state arrays shaped (dim, ...)."""
+    return _row_shift(psi, 0, lower=False)
+
+
 def _b_left(x: np.ndarray) -> np.ndarray:
     """b X on the last two axes."""
-    out, of, xf, rows, cols = _flat_pair(x)
-    np.multiply(_flat_weights("left", rows, cols), xf[..., cols:], out=of[..., :-cols])
-    of[..., -cols:] = 0
-    return out
+    return _row_shift(x, -2, lower=True)
 
 
 def _bdag_left(x: np.ndarray) -> np.ndarray:
-    out, of, xf, rows, cols = _flat_pair(x)
-    np.multiply(_flat_weights("left", rows, cols), xf[..., :-cols], out=of[..., cols:])
-    of[..., :cols] = 0
-    return out
+    return _row_shift(x, -2, lower=False)
 
 
 def _b_right(x: np.ndarray) -> np.ndarray:
     """X b on the last two axes."""
-    out, of, xf, rows, cols = _flat_pair(x)
+    out, of, xf, rows, cols = _flat_pair(x, -2)
     np.multiply(_flat_weights("right", rows, cols), xf[..., :-1], out=of[..., 1:])
     of[..., 0] = 0
     return out
 
 
 def _bdag_right(x: np.ndarray) -> np.ndarray:
-    out, of, xf, rows, cols = _flat_pair(x)
+    out, of, xf, rows, cols = _flat_pair(x, -2)
     np.multiply(_flat_weights("right_dag", rows, cols), xf[..., 1:], out=of[..., :-1])
     of[..., -1] = 0
     return out

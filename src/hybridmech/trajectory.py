@@ -20,7 +20,8 @@ matrix (Radon's lemma) rather than from a step-by-step integration.  On a
 given schedule every trajectory starts from the same variances and sees the
 same frozen channel data, and the variance equations take no noise, so
 scheduled runs propagate one shared variance lane and broadcast it over the
-batch.
+batch.  A run records the quantities of ``_RECORDED`` at every stride, and
+refuses non-finite initial moments and a ``v_a0`` below ``-ABORT_VA_TOL``.
 
 Reproducibility: every trajectory owns a generator seeded by a SplitMix64
 mix of (master seed, trajectory index), so results are independent of batch
@@ -164,6 +165,13 @@ class TrajectoryRecord:
     seed: int | None
 
 
+# each recorded quantity and its dtype; with times and seed, a TrajectoryRecord
+_RECORDED = {
+    "beta": complex, "v_a": float, "v_b": complex, "delta_m": float, "pe": float,
+    "lambda_plus": float, "lambda_minus": float, "theta": float,
+}
+
+
 @dataclass(frozen=True)
 class EnsembleResult:
     """Cross-trajectory statistics on the shared record grid."""
@@ -215,19 +223,22 @@ def resolve_windows(
     return len(schedule), duration / len(schedule)
 
 
-def _check_step(params: PhysParams, dt: float, lambda_max: float) -> None:
-    """Step-size preconditions: every slow scale must be well resolved.
-
-    The free rotation is applied as an exact phase, so Omega only needs mild
-    resolution (force phasing); the dissipative and coupling scales are
-    integrated at first order and must stay well below a tenth per step.
+def _check_step(params: PhysParams, window: float, steps: int, lam_max: float) -> None:
+    """Step-size preconditions of ``steps`` steps per ``window``: every slow
+    scale must be well resolved, else ``ValueError`` naming the smallest
+    passing ``steps_per_window``.  The free rotation is applied as an exact
+    phase, so Omega only needs mild resolution (force phasing); the
+    dissipative and coupling scales are integrated at first order and must
+    stay well below a tenth per step.
     """
-    rates = {"Omega": params.Omega, "g_m": params.g_m, "lambda_plus": lambda_max}
+    dt = window / steps
+    rates = {"Omega": params.Omega, "g_m": params.g_m, "lambda_plus": lam_max}
     for name, rate in rates.items():
         if dt * rate > MAX_RATE_STEP + 1e-12:
             raise ValueError(
                 f"dt*{name} = {dt * rate:.3g} too large; need <= {MAX_RATE_STEP} "
-                "to resolve the slow scales"
+                "to resolve the slow scales, so steps_per_window >= "
+                f"{np.ceil(window * rate / MAX_RATE_STEP):.0f}"
             )
 
 
@@ -403,8 +414,15 @@ def _batch_run(
 
     ``seeds is None`` gives the semiclassical reference: no noise and no
     scattering channels.  With a schedule, the variances and channel data
-    live in one lane that broadcasts over the batch.
+    live in one lane that broadcasts over the batch.  A non-finite initial
+    moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a ``ValueError``
+    whose message starts with the argument's name.
     """
+    for name, value in (("beta0", beta0), ("v_b0", v_b0)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not -ABORT_VA_TOL <= v_a0 < math.inf:
+        raise ValueError(f"v_a0 must be finite and >= -{ABORT_VA_TOL}, got {v_a0}")
     noise = seeds is not None
     n = len(seeds) if noise else 1
     schedule = options.schedule
@@ -438,19 +456,7 @@ def _batch_run(
     abort_time = np.full(n, np.nan)
 
     n_rec = n_windows * per_window + 1
-    rec = {
-        name: np.empty((n, n_rec), dtype=dtype)
-        for name, dtype in [
-            ("beta", complex),
-            ("v_a", float),
-            ("v_b", complex),
-            ("delta_m", float),
-            ("pe", float),
-            ("lambda_plus", float),
-            ("lambda_minus", float),
-            ("theta", float),
-        ]
-    }
+    rec = {name: np.empty((n, n_rec), dtype=dtype) for name, dtype in _RECORDED.items()}
 
     # Kernel input for window 0: induced detuning predicted from free rotation.
     delta_panel = 2.0 * g_m * np.real(
@@ -482,16 +488,14 @@ def _batch_run(
                 pe_frozen = np.full(lanes, schedule[w].pe)
             elif noise:
                 s0, s2 = panel_kernels(params, delta0 + delta_panel, panel_phases)
-                lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(
-                    Gamma, Gamma * (n_m + 1.0) + s0, Gamma * n_m + s0, s2
-                )
+                lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, n_m, s0, s2)
                 (u_p, w_p), (u_m, w_m) = v_p.T, v_m.T
             if not noise:
                 # the noise-free reference scatters through no channel
                 lam_p = lam_m = theta_w = np.zeros(lanes)
                 u_p = w_p = u_m = w_m = np.zeros(lanes, dtype=complex)
             # fmax skips the NaN rates of aborted lanes
-            _check_step(params, dt, float(np.fmax.reduce(lam_p, initial=0.0)))
+            _check_step(params, window, steps, np.fmax.reduce(lam_p, initial=0.0))
 
             c_damp = lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2) + lam_m * (
                 np.abs(u_m) ** 2 - np.abs(w_m) ** 2
@@ -582,14 +586,7 @@ def _batch_run(
 def _record_from_batch(batch: dict, lane: int, seed: int | None) -> TrajectoryRecord:
     return TrajectoryRecord(
         times=batch["times"].copy(),
-        beta=batch["beta"][lane].copy(),
-        v_a=batch["v_a"][lane].copy(),
-        v_b=batch["v_b"][lane].copy(),
-        delta_m=batch["delta_m"][lane].copy(),
-        pe=batch["pe"][lane].copy(),
-        lambda_plus=batch["lambda_plus"][lane].copy(),
-        lambda_minus=batch["lambda_minus"][lane].copy(),
-        theta=batch["theta"][lane].copy(),
+        **{name: batch[name][lane].copy() for name in _RECORDED},
         seed=seed,
     )
 
@@ -660,8 +657,8 @@ def run_ensemble(
     trajectory matches its own :func:`run_trajectory`.  The Wiener draws run
     on up to as many threads as the process has CPUs, and the results do not
     depend on that number; ``options.workers`` has no effect.  Fails before
-    the run when a histogram time lies outside [0, duration], and after it
-    when more than 1% of trajectories abort.
+    the run on a histogram time outside [0, duration] or a refused initial
+    moment, and after it when more than 1% of trajectories abort.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

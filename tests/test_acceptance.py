@@ -106,7 +106,7 @@ def test_criterion_03_diagonalization_certificate():
 
     h11 = Gamma * (n_m + 1.0) + s0
     h22 = Gamma * n_m + s0
-    lam_p, lam_m, v_p, v_m, theta = eigenpairs(Gamma, h11, h22, s2)
+    lam_p, lam_m, v_p, v_m, theta = eigenpairs(Gamma, n_m, s0, s2)
     assert np.all(lam_m >= 0.0)
 
     h = np.empty((n_sets, 2, 2), dtype=complex)

@@ -15,6 +15,7 @@ from hybridmech.cli import (
     config_from_dict,
     load_config,
     main,
+    write_csv,
 )
 
 
@@ -316,6 +317,51 @@ def test_lambda_plus_step_checked_every_window(tmp_path, capsys):
     message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
     assert "dt*lambda_plus" in message
     assert "aborted" not in message
+
+
+@pytest.mark.filterwarnings("ignore:parameters leave the adiabatic regime")
+@pytest.mark.parametrize(
+    "kind, params, step, hint",
+    [
+        # dt * g_m = 7.36 at 256 steps per period: both kinds used to pass the
+        # load and exit 3 from their first window; the hint is the smallest
+        # passing count, 2 pi / 0.01 * 3 / 0.1 rounded up
+        ("semiclassical", {"g_m": 3}, "dt*g_m = 7.36", "18850"),
+        ("ensemble", {"g_m": 3}, "dt*g_m = 7.36", "18850"),
+        # Gamma (n_m + 1) overflows: the load used to raise OverflowError
+        ("ensemble", {"g_m": 0.005, "Gamma": 1e200, "n_m": 1e200},
+         "dt*lambda_plus = inf", "inf"),
+    ],
+    ids=["semiclassical-g_m", "ensemble-g_m", "ensemble-overflow"],
+)
+def test_step_rule_rejected_at_load(tmp_path, capsys, kind, params, step, hint):
+    path = write_config(tmp_path, {"kind": kind,
+                                   "params": {"g": 1, "Omega": 0.01, **params}})
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    message = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+    assert message.startswith(f"engine.steps_per_window: {step} too large")
+    assert message.endswith(f"steps_per_window >= {hint}")
+
+
+def test_runtime_message_names_a_bare_exception(tmp_path, capsys, monkeypatch):
+    # str(MemoryError()) is empty, and so was the reported message
+    def run_out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("hybridmech.cli.semiclassical_run", run_out_of_memory)
+    path = write_config(tmp_path, base_config())
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"]["message"] == "MemoryError"
+
+
+def test_write_csv_refuses_ragged_columns(tmp_path):
+    # zip used to stop at the shortest column and drop the other rows
+    path = tmp_path / "table.csv"
+    assert write_csv(path, {"a": [1, 2], "b": [0.5, 1.5]}) == "table.csv"
+    assert path.read_text() == "a,b\n1,0.5\n2,1.5\n"
+    with pytest.raises(ValueError):
+        write_csv(path, {"a": [1, 2], "b": [0.5]})
 
 
 def test_nonzero_emitter_occupation_rejected_at_load(tmp_path, capsys):

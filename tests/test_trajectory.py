@@ -539,6 +539,45 @@ def test_ensemble_abort_report():
         run_ensemble(p, 0.0 + 0j, 256.0, 4, 8, opts, v_a0=0.1, v_b0=100.0 + 0.0j)
 
 
+def _start_ensemble(beta0=1.0, v_a0=0.0, v_b0=0.0):
+    p = tls_noise_params()
+    run_ensemble(p, beta0, p.mechanical_period, 8, 3, v_a0=v_a0, v_b0=v_b0)
+
+
+def _start_trajectory(beta0=1.0, v_a0=0.0, v_b0=0.0):
+    p = tls_noise_params()
+    run_trajectory(p, beta0, v_a0, v_b0, p.mechanical_period, 3)
+
+
+def _start_reference(beta0):
+    p = tls_noise_params()
+    semiclassical_run(p, beta0, p.mechanical_period)
+
+
+@pytest.mark.parametrize(
+    "start, kwargs, name",
+    [
+        (_start_ensemble, {"beta0": complex(math.nan, 0.0)}, "beta0"),
+        (_start_ensemble, {"v_a0": math.inf}, "v_a0"),
+        (_start_ensemble, {"v_a0": -0.5}, "v_a0"),
+        (_start_ensemble, {"v_b0": complex(0.0, math.nan)}, "v_b0"),
+        (_start_trajectory, {"beta0": complex(math.inf, 0.0)}, "beta0"),
+        (_start_trajectory, {"v_a0": math.nan}, "v_a0"),
+        (_start_trajectory, {"v_b0": complex(-math.inf, 0.0)}, "v_b0"),
+        (_start_reference, {"beta0": complex(math.nan, 0.0)}, "beta0"),
+        (_start_reference, {"beta0": complex(0.0, math.inf)}, "beta0"),
+    ],
+    ids=["ensemble-nan-beta0", "ensemble-inf-va0", "ensemble-negative-va0",
+         "ensemble-nan-vb0", "trajectory-inf-beta0", "trajectory-nan-va0",
+         "trajectory-inf-vb0", "reference-nan-beta0", "reference-inf-beta0"],
+)
+def test_initial_moments_must_be_finite(start, kwargs, name):
+    # these used to abort every trajectory after the first step, as if the run
+    # had turned unphysical, or, for the reference, to return NaN without a word
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        start(**kwargs)
+
+
 def moment_rhs(va, vb, omega, channels):
     """Conditional-variance equations of the moments, localisation included."""
     dva, dvb = 0.0, -2j * omega * vb
