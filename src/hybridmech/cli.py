@@ -114,11 +114,11 @@ def _real(field_name: str, value) -> float:
 
 
 def _integer(field_name: str, value) -> int:
-    """An integral JSON number: 256 and 256.0 pass, 2.9, true and "256" do not."""
-    if isinstance(value, float) and value.is_integer():
+    """An integral JSON number within 64 bits: 256.0 passes, 2.9, "256" and 1e300 do not."""
+    if isinstance(value, float) and value.is_integer() and abs(value) < 2**63:
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field_name, f"expected an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not abs(value) < 2**63:
+        raise ConfigError(field_name, f"expected an integer within 64 bits, got {value!r}")
     return value
 
 
@@ -137,6 +137,11 @@ def _reader(ok, expected: str, read=lambda field_name, value: value):
 _object = _reader(lambda v: isinstance(v, dict), "an object")
 _text = _reader(lambda v: isinstance(v, str), "a string")
 _POSITIVE = _reader(lambda v: v > 0, "a positive number", _real)
+# the emitter's closed forms raise these rates, as ratios to gamma, to powers
+# up to the eighth; magnitudes within 1e-15..1e15 keep every one of them finite
+_EMITTER = _reader(lambda v: v == 0 or 1e-15 <= abs(v) <= 1e15,
+                   "0 or a magnitude within 1e-15..1e15", _real)
+_GAMMA = _reader(lambda v: 1e-15 <= v <= 1e15, "a positive number within 1e-15..1e15", _real)
 _POINTS = _reader(lambda v: v >= 2, "at least 2 points", _integer)
 
 
@@ -181,8 +186,8 @@ def _table(**fields) -> tuple:
 
 
 # the rates of `params`, which _normalize_params divides by gamma
-_RATES = dict(gamma=(_POSITIVE, 1.0), g=(_real, _REQUIRED), delta0=(_real, 0.0),
-              Omega=(_real, _REQUIRED), g_m=(_real, _REQUIRED), Gamma=(_real, 0.0))
+_RATES = dict(gamma=(_GAMMA, 1.0), g=(_EMITTER, _REQUIRED), delta0=(_EMITTER, 0.0),
+              Omega=(_real, _REQUIRED), g_m=(_EMITTER, _REQUIRED), Gamma=(_real, 0.0))
 
 # every key the config accepts, with its reader and default
 _TOP = {

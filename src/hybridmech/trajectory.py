@@ -20,14 +20,17 @@ matrix (Radon's lemma) rather than from a step-by-step integration.  On a
 given schedule every trajectory starts from the same variances and sees the
 same frozen channel data, and the variance equations take no noise, so
 scheduled runs propagate one shared variance lane and broadcast it over the
-batch.  A run records the quantities of ``_RECORDED`` at every stride, and
-refuses non-finite initial moments and a ``v_a0`` below ``-ABORT_VA_TOL``.
+batch.  Their amplitude step then has constant coefficients, so the steps
+between two records compose into one linear map of each lane's normals,
+which the draw threads reduce as they draw them (Kloeden and Platen 1992).  A run
+records the quantities of ``_RECORDED`` at every stride, and refuses
+non-finite initial moments and a ``v_a0`` below ``-ABORT_VA_TOL``.
 
 Reproducibility: every trajectory owns a generator seeded by a SplitMix64
 mix of (master seed, trajectory index), so results are independent of batch
 partitioning and execution order.  Each window's Wiener increments are drawn
-on up to as many threads as the process has CPUs, each thread filling its own
-trajectories' columns from their own generators, so the results do not depend
+on up to as many threads as the process has CPUs, each thread drawing its own
+trajectories' normals from their own generators, so the results do not depend
 on the thread count either.  ``TrajectoryOptions.workers`` does nothing.
 """
 
@@ -354,33 +357,32 @@ def _forget_draw_pool() -> None:
 os.register_at_fork(after_in_child=_forget_draw_pool)
 
 
-def _draw_blocks(gens, lo: int, hi: int, steps: int, scale: float, dw_p, dw_m):
-    """Trajectories lo..hi-1 of :func:`_draw_window_noise`, a block at a time."""
-    x = np.empty((min(_DRAW_BLOCK, hi - lo), steps, 4))
-    for start in range(lo, hi, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, hi)
-        xb = x[: stop - start]
-        for k in range(stop - start):
-            gens[start + k].standard_normal(out=xb[k])
-        xb *= scale
-        z = xb.view(complex)  # (block, steps, 2): x0 + i x1 and x2 + i x3
-        dw_p[:, start:stop] = z[:, :, 0].T
-        dw_m[:, start:stop] = z[:, :, 1].T
-
-
 def _draw_window_noise(gens, steps: int, dt: float, out):
-    """Fill ``out = (dw_p, dw_m)``, two (steps, n) arrays, with one window's
-    complex Wiener increments; column i holds trajectory i's draws,
-    ``(x0 + i x1, x2 + i x3) * sqrt(dt / 2)`` from its ``(steps, 4)`` normals.
-
-    Contiguous ranges of 32-trajectory blocks go to up to ``_DRAW_THREADS``
-    threads.  Each generator is used by one thread and each thread writes
-    its own columns, so the draws do not depend on the thread count.
-    """
+    """Draw one window's ``(steps, 4)`` normals per trajectory and pass each
+    32-trajectory block to ``out`` on the thread that drew it; returns ``out``:
+    a sink ``out(lo, hi, x)`` of trajectories lo..hi-1's normals, or
+    ``(dw_p, dw_m)``, two (steps, n) arrays to fill step-major with complex
+    Wiener increments, trajectory i's ``(x0 + i x1, x2 + i x3) * sqrt(dt / 2)``.
+    Contiguous ranges of blocks go to up to ``_DRAW_THREADS`` threads; each
+    generator is used by one thread and each block reaches the sink once, so
+    the draws do not depend on the thread count."""
     global _draw_pool
-    dw_p, dw_m = out
-    n = len(gens)
     scale = math.sqrt(0.5 * dt)
+
+    def fill(lo, hi, x):
+        z = np.multiply(x, scale, out=x).view(complex)  # x0 + i x1 and x2 + i x3
+        out[0][:, lo:hi], out[1][:, lo:hi] = z[:, :, 0].T, z[:, :, 1].T
+
+    def draw_blocks(lo, hi):
+        x = np.empty((min(_DRAW_BLOCK, hi - lo), steps, 4))
+        for start in range(lo, hi, _DRAW_BLOCK):
+            stop = min(start + _DRAW_BLOCK, hi)
+            for k in range(start, stop):
+                gens[k].standard_normal(out=x[k - start])
+            sink(start, stop, x[: stop - start])
+
+    sink = fill if isinstance(out, tuple) else out
+    n = len(gens)
     n_blocks = -(-n // _DRAW_BLOCK)
     threads = max(1, min(_DRAW_THREADS, n_blocks))
     # block boundaries of each thread's contiguous range
@@ -391,14 +393,12 @@ def _draw_window_noise(gens, steps: int, dt: float, out):
         from concurrent.futures import ThreadPoolExecutor
 
         _draw_pool = ThreadPoolExecutor(max_workers=_DRAW_THREADS - 1)
-    futures = [
-        _draw_pool.submit(_draw_blocks, gens, lo, hi, steps, scale, dw_p, dw_m)
-        for lo, hi in zip(edges[1:-1], edges[2:])
-    ]
-    _draw_blocks(gens, edges[0], edges[1], steps, scale, dw_p, dw_m)
+    futures = [_draw_pool.submit(draw_blocks, lo, hi)
+               for lo, hi in zip(edges[1:-1], edges[2:])]
+    draw_blocks(edges[0], edges[1])
     for f in futures:
         f.result()
-    return dw_p, dw_m
+    return out
 
 
 def _batch_run(
@@ -413,10 +413,10 @@ def _batch_run(
     """Run a batch of trajectories on a shared grid; returns raw arrays.
 
     ``seeds is None`` gives the semiclassical reference: no noise and no
-    scattering channels.  With a schedule, the variances and channel data
-    live in one lane that broadcasts over the batch.  A non-finite initial
-    moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a ``ValueError``
-    whose message starts with the argument's name.
+    scattering channels.  With a schedule, one lane of variances and channel
+    data broadcasts over the batch, and beta moves by one map per record
+    stride, not step by step.  A non-finite initial moment, or ``v_a0`` below
+    ``-ABORT_VA_TOL``, raises a ``ValueError`` naming the argument first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
         if not cmath.isfinite(value):
@@ -470,11 +470,9 @@ def _batch_run(
     def population(delta_m):
         if options.full_bloch:
             return y_bloch[:, 0].copy()
-        if schedule is not None:
-            return pe_frozen
         return pe_closed_form(params.g, gamma, delta0 + delta_m)
 
-    if noise:
+    if noise and schedule is None:
         # step-major, so step j reads one contiguous row; refilled every window
         noise_buf = tuple(np.empty((steps, n), dtype=complex) for _ in range(2))
     with np.errstate(invalid="ignore"):
@@ -485,7 +483,6 @@ def _batch_run(
                 lam_p, lam_m, u_p, w_p, u_m, w_m, theta_w = (
                     np.full(lanes, x) for x in data
                 )
-                pe_frozen = np.full(lanes, schedule[w].pe)
             elif noise:
                 s0, s2 = panel_kernels(params, delta0 + delta_panel, panel_phases)
                 lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, n_m, s0, s2)
@@ -529,7 +526,6 @@ def _batch_run(
                 k_m = sq_m * (u_m * vb_pre + w_m * (va_pre + 1.0))
                 l_m = sq_m * (np.conjugate(u_m) * va_pre + np.conjugate(w_m) * vb_pre)
                 k_p[late] = np.nan
-                dw_p, dw_m = _draw_window_noise(gens, steps, dt, noise_buf)
             else:
                 va_rows = np.broadcast_to(va, (steps + 1, lanes))
                 vb_rows = np.broadcast_to(vb, (steps + 1, lanes))
@@ -540,6 +536,36 @@ def _batch_run(
                 ("lambda_plus", lam_p), ("lambda_minus", lam_m), ("theta", theta_w)
             ):
                 rec[name][:, cols] = value[:, None]
+            va, vb = va_rows[-1], vb_rows[-1]
+            if schedule is not None:
+                # the record map: with a = damp_fac, the S = stride steps between
+                # records give beta <- a^S beta + sum_i a^(S-1-i) (drift + kick_i)
+                powers = np.cumprod(np.full(stride, damp_fac[0]))  # a^1 .. a^S
+                decay = np.concatenate(([1.0], powers[:-1]))[::-1]  # a^(S-1-i)
+                incr = np.full((n, per_window), (-1j * g_m * schedule[w].pe * dt)
+                               * rot_half * decay.sum())
+                if noise:
+                    # k dW + l conj(dW) = sqrt(dt / 2) ((k + l) x0 + i (k - l) x1):
+                    # weights of the real normals, which reduce() sums per block
+                    wts = np.concatenate(
+                        [k_p + l_p, 1j * (k_p - l_p), k_m + l_m, 1j * (k_m - l_m)], axis=1
+                    ) * (rot_half * math.sqrt(0.5 * dt) * np.tile(decay, per_window)[:, None])
+                    w_re = wts.real.reshape(per_window, -1).copy()
+                    w_im = wts.imag.reshape(per_window, -1).copy()
+
+                    def reduce(lo, hi, x):  # on the draw thread; einsum calls no BLAS
+                        x = x.reshape(hi - lo, per_window, -1)
+                        incr[lo:hi] += (np.einsum("brk,rk->br", x, w_re)
+                                        + 1j * np.einsum("brk,rk->br", x, w_im))
+
+                    _draw_window_noise(gens, steps, dt, reduce)
+                for q in range(per_window):
+                    rec["beta"][:, w * per_window + q] = beta
+                    beta = powers[-1] * beta + incr[:, q]
+                rec["pe"][:, cols] = schedule[w].pe
+                continue
+            if noise:
+                dw_p, dw_m = _draw_window_noise(gens, steps, dt, noise_buf)
 
             delta_panel_next = np.empty_like(delta_panel)
             for j in range(steps):
@@ -548,7 +574,6 @@ def _batch_run(
                 if j % stride == 0:
                     i_rec = w * per_window + j // stride
                     rec["beta"][:, i_rec] = beta
-                    rec["delta_m"][:, i_rec] = delta_m_now
                     rec["pe"][:, i_rec] = pe_now
                 if j % spp == 0:
                     delta_panel_next[:, j // spp] = delta_m_now
@@ -566,16 +591,16 @@ def _batch_run(
                     )
             delta_panel_next[:, panels] = 2.0 * g_m * beta.real
             delta_panel = delta_panel_next
-            va, vb = va_rows[-1], vb_rows[-1]
 
         # closing record
-        delta_m_now = 2.0 * g_m * beta.real
         for name, value in (
-            ("beta", beta), ("v_a", va), ("v_b", vb), ("delta_m", delta_m_now),
-            ("pe", population(delta_m_now)), ("lambda_plus", lam_p),
+            ("beta", beta), ("v_a", va), ("v_b", vb), ("lambda_plus", lam_p),
+            ("pe", schedule[-1].pe if schedule is not None
+             else population(2.0 * g_m * beta.real)),
             ("lambda_minus", lam_m), ("theta", theta_w),
         ):
             rec[name][:, -1] = value
+    rec["delta_m"][:] = 2.0 * g_m * rec["beta"].real
 
     rec["times"] = np.arange(n_rec) * stride * dt
     rec["alive"] = alive

@@ -451,6 +451,10 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("seed",), -3, "seed"),
         (("engine", "histogram_periods"), [50, -3], "engine.histogram_periods"),
         (("duration_periods",), 2.5, "duration_periods"),
+        (("trajectories",), 1e300, "trajectories"),
+        (("seed",), 1e300, "seed"),
+        (("engine", "steps_per_window"), 1e300, "engine.steps_per_window"),
+        (("seed",), 2**63, "seed"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
          "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
@@ -460,7 +464,8 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
          "initial-typo", "sweep-typo", "output-typo", "ratio_max-negative",
          "n_m_max-zero", "sweep-points-one", "sweep-reversed", "trajectories-fraction",
          "trajectories-bool", "steps-numeric-text", "grid-points-fraction",
-         "output-dir-null", "seed-negative", "periods-outside", "duration-fraction"],
+         "output-dir-null", "seed-negative", "periods-outside", "duration-fraction",
+         "trajectories-huge", "seed-huge", "steps-huge", "seed-2**63"],
 )
 def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
     # each used to escape as a traceback (exit 1), to fail with a misleading
@@ -511,6 +516,28 @@ def test_sweep_and_grid_numbers_must_be_finite(
 ):
     # a NaN bound used to give NaN rows and exit 0
     doc = base_config(kind=kind, **{section: {key: math.nan, "points": 5}})
+    path = write_config(tmp_path, doc)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"]["message"].startswith(field_name + ":")
+
+
+@pytest.mark.parametrize(
+    "params, field_name",
+    [
+        ({"gamma": 1e300}, "params.gamma"),
+        ({"g": 1e-300}, "params.g"),
+        ({"gamma": 1e-300}, "params.gamma"),
+        ({"delta0": 1e300}, "params.delta0"),
+    ],
+    ids=["gamma-huge", "g-tiny", "gamma-tiny", "delta0-huge"],
+)
+def test_extreme_emitter_rates_name_field(tmp_path, capsys, params, field_name):
+    # finite but extreme: (gamma / g)**2 in the closed-form population or
+    # g_m**2 in the spectrum overflowed (exit 3), and a huge delta0 gave NaN
+    # kernels and "4/4 trajectories aborted"
+    doc = {"kind": "ensemble", "trajectories": 4, "duration_periods": 1,
+           "params": {"g": 1, "Omega": 0.01, "g_m": 0.005, **params}}
     path = write_config(tmp_path, doc)
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     payload = json.loads(capsys.readouterr().err.strip())

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import os
@@ -16,10 +17,12 @@ from hybridmech.trajectory import (
     TrajectoryAbort,
     TrajectoryOptions,
     WindowCoefficients,
+    _RECORDED,
     _batch_run,
     _draw_window_noise,
     _variance_step,
     derive_trajectory_seed,
+    resolve_windows,
     run_ensemble,
     run_trajectory,
     semiclassical_run,
@@ -724,3 +727,117 @@ def test_bad_engine_grid_names_field(field, value):
     # dimensions, or np.histogram after the whole ensemble had run
     with pytest.raises(ValueError, match=f"^{field}"):
         TrajectoryOptions(**{field: value})
+
+
+def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options):
+    """The amplitude records of a scheduled run taken one step at a time, as
+    the engine took them before it composed each record stride into one map:
+    beta <- damp beta + rot_half (force + k dW + l conj(dW)).  ``seeds`` None
+    gives the noise-free reference, which scatters through no channel."""
+    schedule, steps = options.schedule, options.steps_per_window
+    _, window = resolve_windows(params, duration, schedule)
+    dt, omega = window / steps, params.Omega
+    rot, rot_half = cmath.exp(-1j * omega * dt), cmath.exp(-0.5j * omega * dt)
+    noise = seeds is not None
+    gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds or ()]
+    beta = np.full(len(gens) if noise else 1, complex(beta0))
+    va, vb = np.array([float(v_a0)]), np.array([complex(v_b0)])
+    out = []
+    for wc in schedule:
+        d = wc.decomp
+        lam_p, lam_m, u_p, w_p, u_m, w_m = (
+            np.array([x if noise else 0.0 * x])
+            for x in (d.lambda_plus, d.lambda_minus, *d.v_plus, *d.v_minus)
+        )
+        c_damp = lam_p * (abs(u_p) ** 2 - abs(w_p) ** 2) + lam_m * (
+            abs(u_m) ** 2 - abs(w_m) ** 2)
+        damp = rot * (1.0 - 0.5 * c_damp * dt)
+        if noise:
+            va_rows, vb_rows = _variance_step(
+                va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m)
+            bad = ~(va_rows[1:] >= -ABORT_VA_TOL)
+            late = bad.any(axis=0) & (np.arange(steps)[:, None] >= np.argmax(bad, axis=0))
+            va_rows[1:][late] = vb_rows[1:][late] = np.nan
+            va_pre, vb_pre = va_rows[:-1], vb_rows[:-1]
+            k_p = np.sqrt(lam_p) * (u_p * vb_pre + w_p * (va_pre + 1.0))
+            l_p = np.sqrt(lam_p) * (np.conj(u_p) * va_pre + np.conj(w_p) * vb_pre)
+            k_m = np.sqrt(lam_m) * (u_m * vb_pre + w_m * (va_pre + 1.0))
+            l_m = np.sqrt(lam_m) * (np.conj(u_m) * va_pre + np.conj(w_m) * vb_pre)
+            k_p[late] = np.nan
+            buf = tuple(np.empty((steps, len(gens)), dtype=complex) for _ in range(2))
+            dw_p, dw_m = _draw_window_noise(gens, steps, dt, buf)
+            va, vb = va_rows[-1], vb_rows[-1]
+        for j in range(steps):
+            if j % options.record_stride == 0:
+                out.append(beta)
+            kick = 0.0 if not noise else (
+                k_p[j] * dw_p[j] + l_p[j] * np.conj(dw_p[j])
+                + k_m[j] * dw_m[j] + l_m[j] * np.conj(dw_m[j]))
+            beta = damp * beta + rot_half * (-1j * params.g_m * wc.pe * dt + kick)
+    return np.stack(out + [beta], axis=1)
+
+
+MAP_PARAMS = PhysParams(gamma=1.0, g=1.0, Omega=0.02, g_m=3e-3)
+MAP_SCHEDULES = {
+    # g_m pe != 0 drives the amplitude in both windows
+    "force": [WindowCoefficients(twisted_decomposition(2e-3, 4e-4, 0.0), 0.3)] * 2,
+    "theta": [WindowCoefficients(twisted_decomposition(2e-3, 4e-4, 0.4), 0.0)] * 2,
+    "zero-rate": [WindowCoefficients(twisted_decomposition(2e-3, 0.0, 0.0), 0.0)] * 2,
+    "two-windows": [WindowCoefficients(twisted_decomposition(2e-3, 4e-4, 0.4), 0.3),
+                    WindowCoefficients(twisted_decomposition(1e-3, 0.0, -0.7), 0.6)],
+}
+
+
+@pytest.mark.parametrize("stride", [1, 32, 256])
+@pytest.mark.parametrize("case", list(MAP_SCHEDULES))
+def test_record_map_matches_the_steps_it_composes(case, stride):
+    # each record stride's S steps folded into one map per record, for the
+    # noisy lanes and the noise-free reference, on a 256-step window
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=stride,
+                             schedule=MAP_SCHEDULES[case])
+    duration = 2 * MAP_PARAMS.mechanical_period
+    start = (0.8 - 0.4j, 0.3, 0.1 + 0.05j)
+    seeds = [derive_trajectory_seed(77, i) for i in range(40)]
+    for lanes, v_start in ((seeds, start[1:]), (None, (0.0, 0.0))):
+        got = _batch_run(MAP_PARAMS, start[0], *v_start, duration, lanes, opts)
+        want = stepwise_scheduled_beta(MAP_PARAMS, start[0], *v_start, duration,
+                                       lanes, opts)
+        assert np.max(np.abs(got["beta"] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(got["delta_m"], 2.0 * MAP_PARAMS.g_m * got["beta"].real)
+        pe = [wc.pe for wc in opts.schedule for _ in range(256 // stride)]
+        assert np.all(got["pe"] == pe + [opts.schedule[-1].pe])
+
+
+@pytest.mark.parametrize("n", [1, 31, 33, 67])
+def test_record_map_lanes_match_their_runs_alone(n):
+    # the einsum over each block's normals gives a lane the same bits in
+    # every batch: partial blocks, several blocks and one lane alone
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=32,
+                             schedule=MAP_SCHEDULES["two-windows"])
+    duration = 2 * MAP_PARAMS.mechanical_period
+    seeds = [derive_trajectory_seed(5, i) for i in range(n)]
+    batch = _batch_run(MAP_PARAMS, 0.8 - 0.4j, 0.3, 0.1j, duration, seeds, opts)
+    for i, seed in enumerate(seeds):
+        alone = _batch_run(MAP_PARAMS, 0.8 - 0.4j, 0.3, 0.1j, duration, [seed], opts)
+        for name in _RECORDED:
+            assert np.array_equal(batch[name][i], alone[name][0]), (i, name)
+
+
+def test_record_map_abort_in_mid_stride():
+    # the setting of test_abort_time_is_first_step_below_tolerance, recorded
+    # every 4 steps: the aborting step lies inside a stride, so the record
+    # that opens that stride is finite and every later one NaN
+    p = PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
+    dec = twisted_decomposition(0.01, 0.0, 0.0)
+    va, _ = exact_rows(0.1, 1.0 + 0j, 1.0, 64, p.Omega, dec)
+    first = int(np.argmax(~(va[1:] >= -ABORT_VA_TOL)))
+    assert first % 4 not in (0, 3)
+    opts = TrajectoryOptions(steps_per_window=64, record_stride=4,
+                             schedule=[WindowCoefficients(dec, 0.0)])
+    batch = _batch_run(p, 0j, 0.1, 1.0 + 0j, 64.0, [5, 6], opts)
+    assert np.all(batch["abort_time"] == first + 1.0)
+    opens = first // 4
+    assert np.all(np.isfinite(batch["beta"][:, : opens + 1]))
+    assert np.all(np.isnan(batch["beta"][:, opens + 1 :]))
+    want = stepwise_scheduled_beta(p, 0j, 0.1, 1.0 + 0j, 64.0, [5, 6], opts)
+    assert np.array_equal(np.isnan(want), np.isnan(batch["beta"]))
