@@ -412,8 +412,9 @@ def _batch_run(
 ) -> dict:
     """Run a batch of trajectories on a shared grid; returns raw arrays.
 
-    ``seeds is None`` gives the semiclassical reference: no noise and no
-    scattering channels.  With a schedule, one lane of variances and channel
+    ``seeds is None`` gives the semiclassical reference: one lane that has no
+    generator, so it draws no increments, and no scattering channels, so its
+    noise coefficients and variances stay zero.  With a schedule, one lane of variances and channel
     data broadcasts over the batch, and beta moves by one map per record
     stride, not step by step.  A non-finite initial moment, or ``v_a0`` below
     ``-ABORT_VA_TOL``, raises a ``ValueError`` naming the argument first.
@@ -445,9 +446,7 @@ def _batch_run(
     panel_rel_t = np.arange(panels + 1) * (spp * dt)
     panel_phases = np.exp(-2j * omega * panel_rel_t)
 
-    gens = (
-        [np.random.Generator(np.random.PCG64(int(s))) for s in seeds] if noise else None
-    )
+    gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds or ()]
 
     beta = np.full(n, complex(beta0), dtype=complex)
     va = np.full(lanes, float(v_a0))
@@ -472,9 +471,10 @@ def _batch_run(
             return y_bloch[:, 0].copy()
         return pe_closed_form(params.g, gamma, delta0 + delta_m)
 
-    if noise and schedule is None:
-        # step-major, so step j reads one contiguous row; refilled every window
-        noise_buf = tuple(np.empty((steps, n), dtype=complex) for _ in range(2))
+    if schedule is None:
+        # step-major, so step j reads one contiguous row; refilled every window,
+        # but a lane without a generator keeps increments of zero
+        dw = tuple(np.zeros((steps, n), dtype=complex) for _ in range(2))
     with np.errstate(invalid="ignore"):
         for w in range(n_windows):
             if schedule is not None:
@@ -517,18 +517,19 @@ def _batch_run(
                     w * steps + np.broadcast_to(first, (n,))[newly] + 1
                 ) * dt
                 alive[newly] = False
-                # noise coefficients of every step, from the pre-step rows; a
-                # NaN one makes the aborting step leave the amplitude NaN
-                va_pre, vb_pre = va_rows[:-1], vb_rows[:-1]
-                sq_p, sq_m = np.sqrt(lam_p), np.sqrt(lam_m)
-                k_p = sq_p * (u_p * vb_pre + w_p * (va_pre + 1.0))
-                l_p = sq_p * (np.conjugate(u_p) * va_pre + np.conjugate(w_p) * vb_pre)
-                k_m = sq_m * (u_m * vb_pre + w_m * (va_pre + 1.0))
-                l_m = sq_m * (np.conjugate(u_m) * va_pre + np.conjugate(w_m) * vb_pre)
-                k_p[late] = np.nan
             else:
                 va_rows = np.broadcast_to(va, (steps + 1, lanes))
                 vb_rows = np.broadcast_to(vb, (steps + 1, lanes))
+                late = False
+            # noise coefficients of every step, from the pre-step rows; a NaN
+            # one makes the aborting step leave the amplitude NaN
+            va_pre, vb_pre = va_rows[:-1], vb_rows[:-1]
+            sq_p, sq_m = np.sqrt(lam_p), np.sqrt(lam_m)
+            k_p = sq_p * (u_p * vb_pre + w_p * (va_pre + 1.0))
+            l_p = sq_p * (np.conjugate(u_p) * va_pre + np.conjugate(w_p) * vb_pre)
+            k_m = sq_m * (u_m * vb_pre + w_m * (va_pre + 1.0))
+            l_m = sq_m * (np.conjugate(u_m) * va_pre + np.conjugate(w_m) * vb_pre)
+            k_p[late] = np.nan
             cols = slice(w * per_window, (w + 1) * per_window)
             rec["v_a"][:, cols] = va_rows[:-1:stride].T
             rec["v_b"][:, cols] = vb_rows[:-1:stride].T
@@ -544,29 +545,28 @@ def _batch_run(
                 decay = np.concatenate(([1.0], powers[:-1]))[::-1]  # a^(S-1-i)
                 incr = np.full((n, per_window), (-1j * g_m * schedule[w].pe * dt)
                                * rot_half * decay.sum())
-                if noise:
-                    # k dW + l conj(dW) = sqrt(dt / 2) ((k + l) x0 + i (k - l) x1):
-                    # weights of the real normals, which reduce() sums per block
-                    wts = np.concatenate(
-                        [k_p + l_p, 1j * (k_p - l_p), k_m + l_m, 1j * (k_m - l_m)], axis=1
-                    ) * (rot_half * math.sqrt(0.5 * dt) * np.tile(decay, per_window)[:, None])
-                    w_re = wts.real.reshape(per_window, -1).copy()
-                    w_im = wts.imag.reshape(per_window, -1).copy()
+                # k dW + l conj(dW) = sqrt(dt / 2) ((k + l) x0 + i (k - l) x1):
+                # weights of the real normals, which reduce() sums per block
+                wts = np.concatenate(
+                    [k_p + l_p, 1j * (k_p - l_p), k_m + l_m, 1j * (k_m - l_m)], axis=1
+                ) * (rot_half * math.sqrt(0.5 * dt) * np.tile(decay, per_window)[:, None])
+                w_re = wts.real.reshape(per_window, -1).copy()
+                w_im = wts.imag.reshape(per_window, -1).copy()
 
-                    def reduce(lo, hi, x):  # on the draw thread; einsum calls no BLAS
-                        x = x.reshape(hi - lo, per_window, -1)
-                        incr[lo:hi] += (np.einsum("brk,rk->br", x, w_re)
-                                        + 1j * np.einsum("brk,rk->br", x, w_im))
+                def reduce(lo, hi, x):  # on the draw thread; einsum calls no BLAS
+                    x = x.reshape(hi - lo, per_window, -1)
+                    incr[lo:hi] += (np.einsum("brk,rk->br", x, w_re)
+                                    + 1j * np.einsum("brk,rk->br", x, w_im))
 
-                    _draw_window_noise(gens, steps, dt, reduce)
+                _draw_window_noise(gens, steps, dt, reduce)
                 for q in range(per_window):
                     rec["beta"][:, w * per_window + q] = beta
                     beta = powers[-1] * beta + incr[:, q]
                 rec["pe"][:, cols] = schedule[w].pe
                 continue
-            if noise:
-                dw_p, dw_m = _draw_window_noise(gens, steps, dt, noise_buf)
-
+            dw_p, dw_m = _draw_window_noise(gens, steps, dt, dw)
+            kicks = (k_p * dw_p + l_p * np.conjugate(dw_p)
+                     + k_m * dw_m + l_m * np.conjugate(dw_m))
             delta_panel_next = np.empty_like(delta_panel)
             for j in range(steps):
                 delta_m_now = 2.0 * g_m * beta.real
@@ -577,14 +577,7 @@ def _batch_run(
                     rec["pe"][:, i_rec] = pe_now
                 if j % spp == 0:
                     delta_panel_next[:, j // spp] = delta_m_now
-                if noise:
-                    kick = (
-                        k_p[j] * dw_p[j] + l_p[j] * np.conjugate(dw_p[j])
-                        + k_m[j] * dw_m[j] + l_m[j] * np.conjugate(dw_m[j])
-                    )
-                else:
-                    kick = 0.0
-                beta = damp_fac * beta + rot_half * (-1j * g_m * pe_now * dt + kick)
+                beta = damp_fac * beta + rot_half * (-1j * g_m * pe_now * dt + kicks[j])
                 if options.full_bloch:
                     y_bloch = bloch_step_batch(
                         y_bloch, delta0 + delta_m_now, params, dt
