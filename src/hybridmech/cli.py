@@ -306,11 +306,12 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
            config.histogram_periods)
     if config.kind in ("ensemble", "semiclassical"):
         # both run self-scheduled one-period windows under the engine's step
-        # rule; lambda_plus is at least Gamma (n_m + 1), 0 without channels
+        # rule; lambda_plus is at least Gamma (n_m + 1), and the noise-free
+        # reference damps at Gamma
         period = params.mechanical_period
         _build("duration_periods", resolve_windows, params,
                config.duration_periods * period, None)
-        floor = params.Gamma * (params.n_m + 1.0) if config.kind == "ensemble" else 0.0
+        floor = params.Gamma * (params.n_m + 1.0 if config.kind == "ensemble" else 1.0)
         _build("engine.steps_per_window", _check_step, params, period,
                config.steps_per_window, floor)
     if params.n_q != 0 and (config.kind in ("ensemble", "spectra") or (

@@ -487,16 +487,22 @@ def _batch_run(
                 s0, s2 = panel_kernels(params, delta0 + delta_panel, panel_phases)
                 lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, n_m, s0, s2)
                 (u_p, w_p), (u_m, w_m) = v_p.T, v_m.T
-            if not noise:
-                # the noise-free reference scatters through no channel
+            if noise:
+                # the mean's damping rate, h11 - h22 of the dissipation matrix
+                c_damp = lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2) + lam_m * (
+                    np.abs(u_m) ** 2 - np.abs(w_m) ** 2
+                )
+            else:
+                # the noise-free reference damps as the lanes do, at the h11 - h22
+                # of the schedule, or of Gamma's alone, but scatters through no channel
+                h = (np.diag([Gamma, 0.0]) if schedule is None
+                     else schedule[w].decomp.reconstruct().real)
+                c_damp = np.full(lanes, h[0, 0] - h[1, 1])
                 lam_p = lam_m = theta_w = np.zeros(lanes)
                 u_p = w_p = u_m = w_m = np.zeros(lanes, dtype=complex)
             # fmax skips the NaN rates of aborted lanes
-            _check_step(params, window, steps, np.fmax.reduce(lam_p, initial=0.0))
-
-            c_damp = lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2) + lam_m * (
-                np.abs(u_m) ** 2 - np.abs(w_m) ** 2
-            )
+            _check_step(params, window, steps,
+                        np.fmax.reduce(np.fmax(lam_p, c_damp), initial=0.0))
             damp_fac = rot * (1.0 - 0.5 * c_damp * dt)
             if noise:
                 va_rows, vb_rows = _variance_step(
@@ -632,11 +638,12 @@ def semiclassical_run(
     duration: float,
     options: TrajectoryOptions | None = None,
 ) -> TrajectoryRecord:
-    """Noise-free mean-field evolution: rotation plus population force.
+    """Noise-free mean-field evolution: rotation, damping and population force.
 
-    It scatters through no channel, so it leaves out the mechanical damping
-    Gamma as well as the emitter noise: an ensemble's mean amplitude decays
-    as exp(-Gamma t / 2), while this reference does not.
+    It damps as the trajectories do, at h11 - h22 of the dissipation matrix:
+    Gamma without a schedule, so its amplitude decays as exp(-Gamma t / 2) as
+    an ensemble's mean does.  It scatters through no channel, so it carries
+    no emitter noise and its variances and channel records are zero.
     """
     options = options or TrajectoryOptions()
     batch = _batch_run(params, beta0, 0.0, 0.0, duration, None, options)

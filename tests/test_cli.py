@@ -331,8 +331,10 @@ def test_lambda_plus_step_checked_every_window(tmp_path, capsys):
         # Gamma (n_m + 1) overflows: the load used to raise OverflowError
         ("ensemble", {"g_m": 0.005, "Gamma": 1e200, "n_m": 1e200},
          "dt*lambda_plus = inf", "inf"),
+        # the noise-free reference damps at Gamma; it used to run undamped
+        ("semiclassical", {"g_m": 0.005, "Gamma": 0.1}, "dt*lambda_plus = 0.245", "629"),
     ],
-    ids=["semiclassical-g_m", "ensemble-g_m", "ensemble-overflow"],
+    ids=["semiclassical-g_m", "ensemble-g_m", "ensemble-overflow", "semiclassical-Gamma"],
 )
 def test_step_rule_rejected_at_load(tmp_path, capsys, kind, params, step, hint):
     path = write_config(tmp_path, {"kind": kind,
@@ -576,3 +578,4 @@ def test_readme_schema_names_exactly_the_config_keys():
         known.update(getattr(read, "keywords", {}).get("table", ()))
     assert set(re.findall(r'"(\w+)":', block)) <= known
     assert sorted(key for key in known if f'"{key}"' not in block) == []
+

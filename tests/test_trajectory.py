@@ -9,7 +9,7 @@ from conftest import sinusoidal_rates
 
 from hybridmech import trajectory
 from hybridmech.bloch import PhysParams, _expm
-from hybridmech.lindblad import QuadratureDecomposition, twisted_decomposition
+from hybridmech.lindblad import QuadratureDecomposition, decompose, twisted_decomposition
 from hybridmech.oracle import make_frozen_schedule, quadrature_variances
 from hybridmech.trajectory import (
     ABORT_VA_TOL,
@@ -510,6 +510,37 @@ def test_reference_carries_no_channels(scheduled):
         assert np.all(getattr(ref, name) == 0.0), name
     assert np.all(ref.v_a == 0.0)
     assert np.all(ref.v_b == 0.0)
+
+
+@pytest.mark.parametrize("scheduled", [True, False], ids=["schedule", "self-scheduled"])
+def test_reference_damps_at_gamma(scheduled):
+    # at g_m = 0 the reference is the damped rotation: each step multiplies it
+    # by rot (1 - Gamma dt / 2), a first-order step of exp(-(i Omega + Gamma/2) dt);
+    # with a schedule built by decompose, Gamma enters through h11 - h22
+    p = PhysParams(gamma=1.0, g=1.0, Omega=0.01, g_m=0.0, Gamma=1e-3, n_m=1.0)
+    dec = decompose(p.Gamma, p.n_m, 2e-3, 5e-4 + 3e-4j)
+    schedule = make_frozen_schedule(dec, 0.0, 2) if scheduled else None
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=16, schedule=schedule)
+    beta0 = 3.0 - 4.0j
+    ref = semiclassical_run(p, beta0, 2 * p.mechanical_period, opts)
+    dt = p.mechanical_period / 256
+    k = 16 * np.arange(len(ref.times))
+    step = cmath.exp(-1j * p.Omega * dt) * (1.0 - 0.5 * p.Gamma * dt)
+    assert np.max(np.abs(ref.beta - step**k * beta0)) <= 1e-12 * abs(beta0)
+    # 0 <= exp(-x) - (1 - x) <= x^2 / 2 per step, with x = Gamma dt / 2
+    exact = np.exp(-(1j * p.Omega + 0.5 * p.Gamma) * ref.times) * beta0
+    assert np.all(np.abs(ref.beta - exact) <= k * (p.Gamma * dt) ** 2 / 8 * abs(beta0)
+                  + 1e-12)
+    assert abs(ref.beta[-1]) <= 0.6 * abs(beta0)
+
+
+def test_ensemble_mean_follows_the_damped_reference():
+    # at Gamma = 1e-3 the mean decays to 0.39 of |beta0| over three periods;
+    # a reference without the damping sat about 200 standard errors away
+    p = PhysParams(gamma=1.0, g=1.0, Omega=0.01, g_m=5e-3, Gamma=1e-3, n_m=1.0)
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=64)
+    ens = run_ensemble(p, 30j, 3 * p.mechanical_period, 100, 1, opts)
+    assert np.all(np.abs(ens.mean_beta - ens.reference.beta) <= 3.0 * ens.se_beta)
 
 
 def test_full_bloch_refuses_a_schedule():
