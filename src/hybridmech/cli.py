@@ -208,7 +208,7 @@ _TOP = {
         histogram_bins=(_integer, 41),
         histogram_periods=(_periods, None),
     ),
-    "sweep": _table(delta_min=(_real, -20.0), delta_max=(_real, 20.0),
+    "sweep": _table(delta_min=(_EMITTER, -20.0), delta_max=(_EMITTER, 20.0),
                     points=(_POINTS, 201)),
     "grid": _table(n_m_min=(_POSITIVE, 1e-2), n_m_max=(_POSITIVE, 1e4),
                    ratio_min=(_POSITIVE, 1e-3), ratio_max=(_POSITIVE, 1e3),
@@ -309,8 +309,15 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
         # rule; lambda_plus is at least Gamma (n_m + 1), and the noise-free
         # reference damps at Gamma
         period = params.mechanical_period
-        _build("duration_periods", resolve_windows, params,
-               config.duration_periods * period, None)
+        windows, _ = _build("duration_periods", resolve_windows, params,
+                            config.duration_periods * period, None)
+        if windows * config.steps_per_window >= 2**63:
+            raise ConfigError("duration_periods", f"{config.duration_periods:.3g} periods "
+                              f"of {config.steps_per_window} steps reach 2**63 steps")
+        # the induced detuning is an emitter rate, bounded as _EMITTER bounds them
+        if not 2.0 * params.g_m * abs(config.beta0) <= 1e15:
+            raise ConfigError("initial.beta0", "the induced detuning 2 g_m |beta0| = "
+                              f"{2.0 * params.g_m * abs(config.beta0):.3g} exceeds 1e15")
         floor = params.Gamma * (params.n_m + 1.0 if config.kind == "ensemble" else 1.0)
         _build("engine.steps_per_window", _check_step, params, period,
                config.steps_per_window, floor)

@@ -579,3 +579,65 @@ def test_readme_schema_names_exactly_the_config_keys():
     assert set(re.findall(r'"(\w+)":', block)) <= known
     assert sorted(key for key in known if f'"{key}"' not in block) == []
 
+
+# one tiny valid config per kind that runs
+FUZZ_PARAMS = {"g": 1.0, "Omega": 0.01, "g_m": 0.005, "Gamma": 1e-4, "n_m": 1.0}
+FUZZ_ENGINE = {"steps_per_window": 64, "record_stride": 16}
+FUZZ_CONFIGS = {
+    "ensemble": {"kind": "ensemble", "params": FUZZ_PARAMS,
+                 "initial": {"beta0": [0.0, 10.0]}, "duration_periods": 1,
+                 "trajectories": 2, "seed": 3,
+                 "engine": {**FUZZ_ENGINE, "histogram_bins": 5}},
+    "semiclassical": {"kind": "semiclassical", "params": FUZZ_PARAMS,
+                      "initial": {"beta0": [0.0, 10.0]}, "duration_periods": 1,
+                      "engine": FUZZ_ENGINE},
+    "spectra": {"kind": "spectra", "params": FUZZ_PARAMS,
+                "sweep": {"delta_min": -2.0, "delta_max": 2.0, "points": 5}},
+    "phase-diagram": {"kind": "phase-diagram", "params": FUZZ_PARAMS,
+                      "grid": {"n_m_min": 0.1, "n_m_max": 10.0, "ratio_min": 0.1,
+                               "ratio_max": 10.0, "points": 3}},
+}
+FUZZ_VALUES = [0, -1, math.nan, 0.5, 1e300]
+
+
+def numeric_fields(doc, path=()):
+    """The path of every number in ``doc``, the two parts of beta0 included."""
+    items = enumerate(doc) if isinstance(doc, list) else doc.items()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from numeric_fields(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def with_value(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("kind", list(FUZZ_CONFIGS))
+def test_config_fuzz_exits_0_or_2(tmp_path, capsys, kind):
+    # each number of a valid config set in turn to 0, -1, NaN, 0.5 and 1e300:
+    # a run either writes its outputs or is refused at load, never failing
+    # midway; duration_periods 1e300 and a beta0 of 1e20 or 1e160 used to exit 3
+    base = FUZZ_CONFIGS[kind]
+    cases = [with_value(base, path, value)
+             for path in numeric_fields(base) for value in FUZZ_VALUES]
+    if "initial" in base:
+        cases += [with_value(base, ("initial", "beta0"), [0.0, 1e20]),
+                  with_value(base, ("initial", "beta0"), [0.0, 1e160])]
+    failed = []
+    for i, doc in enumerate(cases):
+        path = write_config(tmp_path, doc)
+        code = main(["--config", str(path), "--out", str(tmp_path / f"out{i}")])
+        err = capsys.readouterr().err.strip()
+        if code == 2:
+            assert json.loads(err)["error"]["kind"] == "config", err
+        elif code != 0:
+            failed.append((code, doc, err))
+    assert not failed, failed
