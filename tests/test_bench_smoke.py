@@ -4,8 +4,8 @@
 a toy size.  It exits nonzero when an output check fails or when a function
 the tracer wraps by name is absent, so a rename in ``src/`` that the
 benchmark does not follow fails here rather than in a benchmark run.  The
-per-layer counts of the smoke ``scheduled_ensemble`` are pinned as well, so
-a route that bypasses a traced function fails here too.
+per-layer counts of the smoke ``scheduled_ensemble`` and ``long_run`` are
+pinned as well, so a route that bypasses a traced function fails here too.
 """
 
 import re
@@ -29,26 +29,52 @@ def test_bench_smoke_run_passes():
         assert "FAIL" not in line and "absent" not in line, line
 
 
-def test_scheduled_smoke_trace_counts(tmp_path, monkeypatch):
-    # 200 trajectories over 2 windows of 256 steps: 4 normals per lane-step
-    # in one draw per window, one shared variance lane per window, and the
-    # ensemble's batch plus the reference's
+def traced_smoke_run(name, tmp_path, monkeypatch):
+    """Trace one smoke run of workload ``name``: (workload, tracer, metrics, result)."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import tracing
     import workloads
 
-    workload = workloads.ScheduledEnsemble(
-        workloads.ScheduledEnsemble.default_seed, True, tmp_path
-    )
+    workload_class = workloads.WORKLOADS[name]
+    workload = workload_class(workload_class.default_seed, True, tmp_path)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         result = workload.run()
     finally:
         tracer.uninstall()
-    metrics = tracer.snapshot()
+    return workload, tracer, tracer.snapshot(), result
+
+
+def test_scheduled_smoke_trace_counts(tmp_path, monkeypatch):
+    # 200 trajectories over 2 windows of 256 steps: 4 normals per lane-step
+    # in one draw per window, one shared variance lane per window, and the
+    # ensemble's batch plus the reference's
+    workload, tracer, metrics, result = traced_smoke_run(
+        "scheduled_ensemble", tmp_path, monkeypatch
+    )
     assert metrics["trajectory.draw_noise.normals"] == 409_600
     assert metrics["trajectory.variance_step.lane_steps"] == 2
     assert metrics["trajectory.batch_run.calls"] == 2
+    assert tracer.absent == []
+    assert all(ok for ok, _ in workload.check(result))
+
+
+def test_self_scheduled_smoke_trace_counts(tmp_path, monkeypatch):
+    # 32 trajectories over 12 one-period windows of 128 steps: 4 normals per
+    # lane-step, none for the reference lane, which has no generator; one
+    # variance call per window over the 32 lanes; the ensemble's batch plus
+    # the reference's; the kernels and eigenpairs once per window of the
+    # ensemble alone; and the population at each of the 1,536 steps and the
+    # closing record, in both batches
+    workload, tracer, metrics, result = traced_smoke_run(
+        "long_run", tmp_path, monkeypatch
+    )
+    assert metrics["trajectory.draw_noise.normals"] == 196_608
+    assert metrics["trajectory.variance_step.lane_steps"] == 384
+    assert metrics["trajectory.batch_run.calls"] == 2
+    assert metrics["lindblad.eigenpairs.calls"] == 12
+    assert metrics["spectrum.spectrum_closed_form.calls"] == 12
+    assert metrics["bloch.pe_closed_form.calls"] == 3_074
     assert tracer.absent == []
     assert all(ok for ok, _ in workload.check(result))

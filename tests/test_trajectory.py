@@ -111,33 +111,39 @@ def test_window_draw_matches_per_trajectory_formula(monkeypatch, n, steps, threa
 
 def test_ensemble_is_independent_of_draw_threads(monkeypatch):
     # criterion 6's frozen schedule, grid and seed on 200 trajectories (seven
-    # blocks, the last one partial)
+    # blocks, the last one partial); and self-scheduled, 67 trajectories over
+    # two periods
     params = PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
     schedule = make_frozen_schedule(twisted_decomposition(5e-3, 5e-4, 0.0), 0.0, 5)
     opts = TrajectoryOptions(
         steps_per_window=1024, record_stride=128, schedule=schedule
     )
-    runs = []
-    for threads in DRAW_THREADS:
-        monkeypatch.setattr(trajectory, "_DRAW_THREADS", threads)
-        runs.append(run_ensemble(
-            params, 1.0 + 0.0j, 5 * 2.0 * math.pi / 0.01, 200, 1112, opts
-        ))
-    first, last = runs[0], runs[-1]
-    for f in dataclasses.fields(first):
-        a, b = getattr(first, f.name), getattr(last, f.name)
-        if f.name == "histograms":
-            assert all(
-                ta == tb and np.array_equal(ea, eb) and np.array_equal(ca, cb)
-                for (ta, ea, ca), (tb, eb, cb) in zip(a, b, strict=True)
-            )
-        elif f.name == "reference":
-            assert all(
-                np.array_equal(getattr(a, r.name), getattr(b, r.name))
-                for r in dataclasses.fields(a)
-            )
-        else:
-            assert np.array_equal(a, b), f.name
+    p = tls_noise_params()
+    settings = [
+        (params, 1.0 + 0.0j, 5 * 2.0 * math.pi / 0.01, 200, 1112, opts),
+        (p, 200j, 2 * p.mechanical_period, 67, 1112,
+         TrajectoryOptions(steps_per_window=256, record_stride=64)),
+    ]
+    for args in settings:
+        runs = []
+        for threads in DRAW_THREADS:
+            monkeypatch.setattr(trajectory, "_DRAW_THREADS", threads)
+            runs.append(run_ensemble(*args))
+        first, last = runs[0], runs[-1]
+        for f in dataclasses.fields(first):
+            a, b = getattr(first, f.name), getattr(last, f.name)
+            if f.name == "histograms":
+                assert all(
+                    ta == tb and np.array_equal(ea, eb) and np.array_equal(ca, cb)
+                    for (ta, ea, ca), (tb, eb, cb) in zip(a, b, strict=True)
+                )
+            elif f.name == "reference":
+                assert all(
+                    np.array_equal(getattr(a, r.name), getattr(b, r.name))
+                    for r in dataclasses.fields(a)
+                )
+            else:
+                assert np.array_equal(a, b), f.name
 
 
 def test_seed_derivation_is_stable():
