@@ -312,12 +312,9 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
         windows, _ = _build("duration_periods", resolve_windows, params,
                             config.duration_periods * period, None)
         if windows * config.steps_per_window >= 2**63:
-            raise ConfigError("duration_periods", f"{config.duration_periods:.3g} periods "
-                              f"of {config.steps_per_window} steps reach 2**63 steps")
-        # the induced detuning is an emitter rate, bounded as _EMITTER bounds them
-        if not 2.0 * params.g_m * abs(config.beta0) <= 1e15:
-            raise ConfigError("initial.beta0", "the induced detuning 2 g_m |beta0| = "
-                              f"{2.0 * params.g_m * abs(config.beta0):.3g} exceeds 1e15")
+            raise ConfigError("duration_periods", "the run reaches 2**63 steps")
+        if not 2.0 * params.g_m * abs(config.beta0) <= 1e15:  # as _EMITTER bounds rates
+            raise ConfigError("initial.beta0", "induced detuning 2 g_m |beta0| above 1e15")
         floor = params.Gamma * (params.n_m + 1.0 if config.kind == "ensemble" else 1.0)
         _build("engine.steps_per_window", _check_step, params, period,
                config.steps_per_window, floor)

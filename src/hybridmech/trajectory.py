@@ -24,7 +24,9 @@ batch.  Their amplitude step then has constant coefficients, so the steps
 between two records compose into one linear map of each lane's normals,
 which the draw threads reduce as they draw them (Kloeden and Platen 1992).  A run
 records the quantities of ``_RECORDED`` at every stride, and refuses
-non-finite initial moments and a ``v_a0`` below ``-ABORT_VA_TOL``.
+non-finite initial moments and a ``v_a0`` below ``-ABORT_VA_TOL``.  The
+noise-free reference is one more such run, of a lane without a generator or
+channels that damps as the trajectories do.
 
 Reproducibility: every trajectory owns a generator seeded by a SplitMix64
 mix of (master seed, trajectory index), so results are independent of batch
@@ -414,10 +416,11 @@ def _batch_run(
 
     ``seeds is None`` gives the semiclassical reference: one lane that has no
     generator, so it draws no increments, and no scattering channels, so its
-    noise coefficients and variances stay zero.  With a schedule, one lane of variances and channel
-    data broadcasts over the batch, and beta moves by one map per record
-    stride, not step by step.  A non-finite initial moment, or ``v_a0`` below
-    ``-ABORT_VA_TOL``, raises a ``ValueError`` naming the argument first.
+    kicks and variances stay zero; it damps at the schedule's h11 - h22, or at
+    Gamma.  With a schedule, one lane of variances and channel data broadcasts
+    over the batch, and beta moves by one map per record stride, not step by
+    step.  A non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``,
+    raises a ``ValueError`` naming the argument first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
         if not cmath.isfinite(value):
@@ -430,20 +433,18 @@ def _batch_run(
     lanes = 1 if schedule is not None else n
     n_windows, window = resolve_windows(params, duration, schedule)
     steps = options.steps_per_window
-    panels = WINDOW_PANELS
     stride = options.record_stride
     if schedule is None and not options.full_bloch and params.n_q != 0:
         raise ValueError(f"n_q = {params.n_q:.3g} needs full_bloch: the closed-form "
                          "population holds for n_q = 0 only")
     dt = window / steps
 
-    omega, g_m, gamma, delta0 = params.Omega, params.g_m, params.gamma, params.delta0
-    Gamma, n_m = params.Gamma, params.n_m
+    omega, g_m, delta0, Gamma = params.Omega, params.g_m, params.delta0, params.Gamma
     rot = cmath.exp(-1j * omega * dt)
     rot_half = cmath.exp(-0.5j * omega * dt)
-    spp = steps // panels
+    spp = steps // WINDOW_PANELS
     per_window = steps // stride
-    panel_rel_t = np.arange(panels + 1) * (spp * dt)
+    panel_rel_t = np.arange(WINDOW_PANELS + 1) * (spp * dt)
     panel_phases = np.exp(-2j * omega * panel_rel_t)
 
     gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds or ()]
@@ -458,9 +459,7 @@ def _batch_run(
     rec = {name: np.empty((n, n_rec), dtype=dtype) for name, dtype in _RECORDED.items()}
 
     # Kernel input for window 0: induced detuning predicted from free rotation.
-    delta_panel = 2.0 * g_m * np.real(
-        beta[:, None] * np.exp(-1j * omega * panel_rel_t)[None, :]
-    )
+    delta_panel = 2.0 * g_m * np.real(beta[:, None] * np.exp(-1j * omega * panel_rel_t))
 
     if options.full_bloch:
         st0 = bloch_steady_state(params, delta0 + 2.0 * g_m * beta0.real)
@@ -469,11 +468,10 @@ def _batch_run(
     def population(delta_m):
         if options.full_bloch:
             return y_bloch[:, 0].copy()
-        return pe_closed_form(params.g, gamma, delta0 + delta_m)
+        return pe_closed_form(params.g, params.gamma, delta0 + delta_m)
 
     if schedule is None:
-        # step-major, so step j reads one contiguous row; refilled every window,
-        # but a lane without a generator keeps increments of zero
+        # step-major rows, refilled every window; a lane without a generator keeps 0
         dw = tuple(np.zeros((steps, n), dtype=complex) for _ in range(2))
     with np.errstate(invalid="ignore"):
         for w in range(n_windows):
@@ -485,19 +483,16 @@ def _batch_run(
                 )
             elif noise:
                 s0, s2 = panel_kernels(params, delta0 + delta_panel, panel_phases)
-                lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, n_m, s0, s2)
+                lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, params.n_m, s0, s2)
                 (u_p, w_p), (u_m, w_m) = v_p.T, v_m.T
-            if noise:
-                # the mean's damping rate, h11 - h22 of the dissipation matrix
-                c_damp = lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2) + lam_m * (
-                    np.abs(u_m) ** 2 - np.abs(w_m) ** 2
-                )
+            if noise:  # the mean's damping rate, h11 - h22 of the dissipation matrix
+                c_damp = (lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2)
+                          + lam_m * (np.abs(u_m) ** 2 - np.abs(w_m) ** 2))
             else:
-                # the noise-free reference damps as the lanes do, at the h11 - h22
-                # of the schedule, or of Gamma's alone, but scatters through no channel
-                h = (np.diag([Gamma, 0.0]) if schedule is None
-                     else schedule[w].decomp.reconstruct().real)
-                c_damp = np.full(lanes, h[0, 0] - h[1, 1])
+                # the noise-free reference damps as the lanes do, at the schedule's
+                # h11 - h22 or Gamma, but scatters through no channel
+                c_damp = np.full(lanes, Gamma if schedule is None else np.subtract(
+                    *np.diag(schedule[w].decomp.reconstruct()).real))
                 lam_p = lam_m = theta_w = np.zeros(lanes)
                 u_p = w_p = u_m = w_m = np.zeros(lanes, dtype=complex)
             # fmax skips the NaN rates of aborted lanes
@@ -524,8 +519,7 @@ def _batch_run(
                 ) * dt
                 alive[newly] = False
             else:
-                va_rows = np.broadcast_to(va, (steps + 1, lanes))
-                vb_rows = np.broadcast_to(vb, (steps + 1, lanes))
+                va_rows, vb_rows = (np.broadcast_to(x, (steps + 1, lanes)) for x in (va, vb))
                 late = False
             # noise coefficients of every step, from the pre-step rows; a NaN
             # one makes the aborting step leave the amplitude NaN
@@ -571,8 +565,12 @@ def _batch_run(
                 rec["pe"][:, cols] = schedule[w].pe
                 continue
             dw_p, dw_m = _draw_window_noise(gens, steps, dt, dw)
-            kicks = (k_p * dw_p + l_p * np.conjugate(dw_p)
-                     + k_m * dw_m + l_m * np.conjugate(dw_m))
+            # k_p dW_p + l_p conj(dW_p) + k_m dW_m + l_m conj(dW_m), summed in that
+            # order in k_p's storage, so no window-sized array is added
+            kicks = np.multiply(k_p, dw_p, out=k_p)
+            kicks += l_p * np.conjugate(dw_p)
+            kicks += k_m * dw_m
+            kicks += l_m * np.conjugate(dw_m)
             delta_panel_next = np.empty_like(delta_panel)
             for j in range(steps):
                 delta_m_now = 2.0 * g_m * beta.real
@@ -585,10 +583,8 @@ def _batch_run(
                     delta_panel_next[:, j // spp] = delta_m_now
                 beta = damp_fac * beta + rot_half * (-1j * g_m * pe_now * dt + kicks[j])
                 if options.full_bloch:
-                    y_bloch = bloch_step_batch(
-                        y_bloch, delta0 + delta_m_now, params, dt
-                    )
-            delta_panel_next[:, panels] = 2.0 * g_m * beta.real
+                    y_bloch = bloch_step_batch(y_bloch, delta0 + delta_m_now, params, dt)
+            delta_panel_next[:, WINDOW_PANELS] = 2.0 * g_m * beta.real
             delta_panel = delta_panel_next
 
         # closing record
@@ -601,9 +597,7 @@ def _batch_run(
             rec[name][:, -1] = value
     rec["delta_m"][:] = 2.0 * g_m * rec["beta"].real
 
-    rec["times"] = np.arange(n_rec) * stride * dt
-    rec["alive"] = alive
-    rec["abort_time"] = abort_time
+    rec.update(times=np.arange(n_rec) * stride * dt, alive=alive, abort_time=abort_time)
     return rec
 
 
