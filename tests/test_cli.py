@@ -624,7 +624,9 @@ def with_value(doc, path, value):
 def test_config_fuzz_exits_0_or_2(tmp_path, capsys, kind):
     # each number of a valid config set in turn to 0, -1, NaN, 0.5 and 1e300:
     # a run either writes its outputs or is refused at load, never failing
-    # midway; duration_periods 1e300 and a beta0 of 1e20 or 1e160 used to exit 3
+    # midway; an ensemble used to exit 3 at duration_periods 1e300 and at a
+    # beta0 of [0, 1e20], [0, 1e160] or 1e300, and sweep.delta_max 1e300
+    # overflowed the spectrum
     base = FUZZ_CONFIGS[kind]
     cases = [with_value(base, path, value)
              for path in numeric_fields(base) for value in FUZZ_VALUES]
