@@ -44,6 +44,17 @@ RUNS = {
                    "T_m": 0.01},
         "initial": {"beta0": [0.0, 20.0]},
     },
+    "ensemble_bloch": {
+        "kind": "ensemble",
+        "params": {**REQUIRED, "Gamma": 1e-4, "n_m": 1.0},
+        "initial": {"beta0": [0.0, 20.0]},
+        "duration_periods": 2,
+        "trajectories": 20,
+        "seed": 7,
+        "engine": {"full_bloch": True},
+    },
+    "semiclassical_bloch": {"kind": "semiclassical", "params": REQUIRED,
+                            "duration_periods": 3, "engine": {"full_bloch": True}},
 }
 
 
