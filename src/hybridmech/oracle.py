@@ -263,12 +263,10 @@ def lindblad_generator(
     and returns rhs(x) = K x + x K^dag + sum_s L_s x L_s^dag on the last two
     axes (stacks allowed on leading axes).  L_s is tridiagonal and K
     pentadiagonal, so rhs reads only the neighbours x[i + a, j + c] with
-    |a|, |c| <= 2: one weighted shift per offset (a, c), with weight 0 where
-    the neighbour falls outside the truncation.  The row shifts of K x weigh
-    whole rows and keep (dim, 1) weights; the other offsets shift the
-    flattened matrix under (dim * dim) weights, whose zeros also cut the
-    entries that wrap into the next row.  A band that is 0 throughout is
-    left out.
+    |a|, |c| <= 2: one shift of the flattened matrix per offset (a, c),
+    under (dim * dim) weights that are 0 where the neighbour falls outside
+    the truncation, which also cuts the entries that wrap into the next row.
+    A band that is 0 throughout is left out.
     """
     b = destroy_matrix(dim)
     bd = b.conj().T
@@ -281,11 +279,13 @@ def lindblad_generator(
 
     # weight of x[i + a, j + c] in rhs(x)[i, j], on the (i, j) grid:
     # conj(K[j, j + c]) from x K^dag, sum_s L_s[i, i + a] conj(L_s[j, j + c])
-    # from the jumps, and K[i, i] + conj(K[j, j]) at (0, 0)
+    # from the jumps, K[i, i + a] from K x, and K[i, i] + conj(K[j, j]) at (0, 0)
     weights = [((0, c), np.broadcast_to(k_bands[c].conj(), (dim, dim)))
                for c in (-2, -1, 1, 2)]
     weights += [((a, c), sum(np.outer(l[a], l[c].conj()) for l in ell_bands))
                 for a in (-1, 1) for c in (-1, 1)]
+    weights += [((a, 0), np.broadcast_to(k_bands[a][:, None], (dim, dim)))
+                for a in (-2, -1, 1, 2)]
     diag = k_bands[0][:, None] + k_bands[0].conj()
     flat_terms = []
     for (a, c), w in weights:
@@ -293,11 +293,6 @@ def lindblad_generator(
         w = w.reshape(-1)
         if span is not None and w.any():
             flat_terms.append((*span, w[span[0]]))
-    row_terms = []  # K[i, i + a] x[i + a, j]
-    for a in (-2, -1, 1, 2):
-        span = _span(a, dim)
-        if span is not None and k_bands[a].any():
-            row_terms.append((*span, k_bands[a][span[0], None]))
 
     def rhs(x: np.ndarray) -> np.ndarray:
         out = np.multiply(diag, x, order="C")  # so that out_flat is a view
@@ -306,9 +301,6 @@ def lindblad_generator(
         for dst, src, w in flat_terms:
             part = out_flat[..., dst]
             part += w * x_flat[..., src]
-        for dst, src, w in row_terms:
-            part = out[..., dst, :]
-            part += w * x[..., src, :]
         return out
 
     return rhs

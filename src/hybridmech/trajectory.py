@@ -414,13 +414,16 @@ def _batch_run(
 ) -> dict:
     """Run a batch of trajectories on a shared grid; returns raw arrays.
 
-    ``seeds is None`` gives the semiclassical reference: one lane that has no
-    generator, so it draws no increments, and no scattering channels, so its
-    kicks and variances stay zero; it damps at the schedule's h11 - h22, or at
-    Gamma.  With a schedule, one lane of variances and channel data broadcasts
+    Every lane damps at one rate per window, h11 - h22 of the dissipation
+    matrix: Gamma, or on a schedule the window's.  ``seeds is None`` gives the
+    semiclassical reference: one lane that has no generator, so it draws no
+    increments, and no scattering channels, so its kicks and variances stay
+    zero.  With a schedule, one lane of variances and channel data broadcasts
     over the batch, and beta moves by one map per record stride, not step by
-    step.  A non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``,
-    raises a ``ValueError`` naming the argument first.
+    step.  A window writes the records of its first to its last step, both
+    included, so the last window's last one is the closing record.  A
+    non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a
+    ``ValueError`` naming the argument first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
         if not cmath.isfinite(value):
@@ -473,6 +476,7 @@ def _batch_run(
     if schedule is None:
         # step-major rows, refilled every window; a lane without a generator keeps 0
         dw = tuple(np.zeros((steps, n), dtype=complex) for _ in range(2))
+    c_damp = Gamma  # the mean's damping rate, h11 - h22; per window on a schedule
     with np.errstate(invalid="ignore"):
         for w in range(n_windows):
             if schedule is not None:
@@ -481,23 +485,18 @@ def _batch_run(
                 lam_p, lam_m, u_p, w_p, u_m, w_m, theta_w = (
                     np.full(lanes, x) for x in data
                 )
+                c_damp = (lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2)
+                          + lam_m * (np.abs(u_m) ** 2 - np.abs(w_m) ** 2))[0]
             elif noise:
                 s0, s2 = panel_kernels(params, delta0 + delta_panel, panel_phases)
                 lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, params.n_m, s0, s2)
                 (u_p, w_p), (u_m, w_m) = v_p.T, v_m.T
-            if noise:  # the mean's damping rate, h11 - h22 of the dissipation matrix
-                c_damp = (lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2)
-                          + lam_m * (np.abs(u_m) ** 2 - np.abs(w_m) ** 2))
-            else:
-                # the noise-free reference damps as the lanes do, at the schedule's
-                # h11 - h22 or Gamma, but scatters through no channel
-                c_damp = np.full(lanes, Gamma if schedule is None else np.subtract(
-                    *np.diag(schedule[w].decomp.reconstruct()).real))
+            if not noise:  # the noise-free reference scatters through no channel
                 lam_p = lam_m = theta_w = np.zeros(lanes)
                 u_p = w_p = u_m = w_m = np.zeros(lanes, dtype=complex)
             # fmax skips the NaN rates of aborted lanes
             _check_step(params, window, steps,
-                        np.fmax.reduce(np.fmax(lam_p, c_damp), initial=0.0))
+                        max(np.fmax.reduce(lam_p, initial=0.0), c_damp))
             damp_fac = rot * (1.0 - 0.5 * c_damp * dt)
             if noise:
                 va_rows, vb_rows = _variance_step(
@@ -530,9 +529,10 @@ def _batch_run(
             k_m = sq_m * (u_m * vb_pre + w_m * (va_pre + 1.0))
             l_m = sq_m * (np.conjugate(u_m) * va_pre + np.conjugate(w_m) * vb_pre)
             k_p[late] = np.nan
-            cols = slice(w * per_window, (w + 1) * per_window)
-            rec["v_a"][:, cols] = va_rows[:-1:stride].T
-            rec["v_b"][:, cols] = vb_rows[:-1:stride].T
+            # records w * per_window .. (w + 1) * per_window; the next rewrites the last
+            cols = slice(w * per_window, (w + 1) * per_window + 1)
+            rec["v_a"][:, cols] = va_rows[::stride].T
+            rec["v_b"][:, cols] = vb_rows[::stride].T
             for name, value in (
                 ("lambda_plus", lam_p), ("lambda_minus", lam_m), ("theta", theta_w)
             ):
@@ -541,7 +541,7 @@ def _batch_run(
             if schedule is not None:
                 # the record map: with a = damp_fac, the S = stride steps between
                 # records give beta <- a^S beta + sum_i a^(S-1-i) (drift + kick_i)
-                powers = np.cumprod(np.full(stride, damp_fac[0]))  # a^1 .. a^S
+                powers = np.cumprod(np.full(stride, damp_fac))  # a^1 .. a^S
                 decay = np.concatenate(([1.0], powers[:-1]))[::-1]  # a^(S-1-i)
                 incr = np.full((n, per_window), (-1j * g_m * schedule[w].pe * dt)
                                * rot_half * decay.sum())
@@ -571,7 +571,6 @@ def _batch_run(
             kicks += l_p * np.conjugate(dw_p)
             kicks += k_m * dw_m
             kicks += l_m * np.conjugate(dw_m)
-            delta_panel_next = np.empty_like(delta_panel)
             for j in range(steps):
                 delta_m_now = 2.0 * g_m * beta.real
                 pe_now = population(delta_m_now)
@@ -580,21 +579,15 @@ def _batch_run(
                     rec["beta"][:, i_rec] = beta
                     rec["pe"][:, i_rec] = pe_now
                 if j % spp == 0:
-                    delta_panel_next[:, j // spp] = delta_m_now
+                    delta_panel[:, j // spp] = delta_m_now
                 beta = damp_fac * beta + rot_half * (-1j * g_m * pe_now * dt + kicks[j])
                 if options.full_bloch:
                     y_bloch = bloch_step_batch(y_bloch, delta0 + delta_m_now, params, dt)
-            delta_panel_next[:, WINDOW_PANELS] = 2.0 * g_m * beta.real
-            delta_panel = delta_panel_next
+            delta_panel[:, WINDOW_PANELS] = 2.0 * g_m * beta.real
 
-        # closing record
-        for name, value in (
-            ("beta", beta), ("v_a", va), ("v_b", vb), ("lambda_plus", lam_p),
-            ("pe", schedule[-1].pe if schedule is not None
-             else population(2.0 * g_m * beta.real)),
-            ("lambda_minus", lam_m), ("theta", theta_w),
-        ):
-            rec[name][:, -1] = value
+        rec["beta"][:, -1] = beta
+        if schedule is None:
+            rec["pe"][:, -1] = population(2.0 * g_m * beta.real)
     rec["delta_m"][:] = 2.0 * g_m * rec["beta"].real
 
     rec.update(times=np.arange(n_rec) * stride * dt, alive=alive, abort_time=abort_time)
