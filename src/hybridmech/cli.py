@@ -424,7 +424,8 @@ def _run_validate(config: ExperimentConfig, out: Path) -> list[str]:
             p = PhysParams(gamma=1.0, g=g, Omega=base.Omega, g_m=base.g_m)
             cf = spectrum_closed_form(p, delta)
             qrt = spectrum_qrt(p, delta, 0.0).real
-            worst = max(worst, abs(qrt - cf) / cf)
+            diff = abs(qrt - cf)  # both vanish at g_m = 0: only equal values agree
+            worst = max(worst, diff / cf if cf else (math.inf if diff else 0.0))
     check("spectrum_closed_form_vs_qrt", worst <= 1e-10, f"max rel diff {worst:.3e}")
 
     # Closed-form eigenpairs against a generic Hermitian eigensolver.

@@ -596,6 +596,7 @@ FUZZ_CONFIGS = {
     "phase-diagram": {"kind": "phase-diagram", "params": FUZZ_PARAMS,
                       "grid": {"n_m_min": 0.1, "n_m_max": 10.0, "ratio_min": 0.1,
                                "ratio_max": 10.0, "points": 3}},
+    "validate": {"kind": "validate", "params": {"g": 1.0, "Omega": 0.01, "g_m": 0.005}},
 }
 FUZZ_VALUES = [0, -1, math.nan, 0.5, 1e300]
 
@@ -625,8 +626,9 @@ def test_config_fuzz_exits_0_or_2(tmp_path, capsys, kind):
     # each number of a valid config set in turn to 0, -1, NaN, 0.5 and 1e300:
     # a run either writes its outputs or is refused at load, never failing
     # midway; an ensemble used to exit 3 at duration_periods 1e300 and at a
-    # beta0 of [0, 1e20], [0, 1e160] or 1e300, and sweep.delta_max 1e300
-    # overflowed the spectrum
+    # beta0 of [0, 1e20], [0, 1e160] or 1e300, sweep.delta_max 1e300
+    # overflowed the spectrum, and validate divided by the spectrum, which
+    # vanishes at g_m 0
     base = FUZZ_CONFIGS[kind]
     cases = [with_value(base, path, value)
              for path in numeric_fields(base) for value in FUZZ_VALUES]
