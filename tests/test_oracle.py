@@ -8,6 +8,10 @@ from hybridmech.bloch import PhysParams
 from hybridmech.lindblad import twisted_decomposition
 from hybridmech.oracle import (
     TruncationError,
+    _b_left,
+    _b_right,
+    _bdag_left,
+    _bdag_right,
     coherent_density,
     coherent_state,
     destroy_matrix,
@@ -40,6 +44,26 @@ def test_ladder_helpers_match_dense_operators():
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     assert np.allclose(lower_state(psi), b @ psi)
     assert np.allclose(raise_state(psi), b.conj().T @ psi)
+    # all six shifts against the dense products, on (dim, 5) states and
+    # (3, dim, dim) stacks
+    for dim in (1, 2, 7, 40):
+        b = destroy_matrix(dim)
+        bd = b.conj().T
+        psi = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
+        x = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+        cases = [
+            (lower_state, psi, b @ psi),
+            (raise_state, psi, bd @ psi),
+            (_b_left, x, b @ x),
+            (_bdag_left, x, bd @ x),
+            (_b_right, x, x @ b),
+            (_bdag_right, x, x @ bd),
+        ]
+        for shift, arg, dense in cases:
+            got = shift(arg)
+            assert got.shape == dense.shape, (shift.__name__, dim)
+            assert np.max(np.abs(got - dense)) <= 1e-15 * np.max(np.abs(arg)), (
+                shift.__name__, dim)
 
 
 def dense_lindblad_rhs(x, pe, decomp, params):
