@@ -66,88 +66,75 @@ def destroy_matrix(dim: int) -> np.ndarray:
     return np.diag(_sqrt_ladder(dim), k=1).astype(complex)
 
 
-# The shifts below flatten the shifted axis and those after it into one, so
-# that numpy runs one long contiguous inner loop per state or matrix instead
-# of one short loop per row.  A shift along a row of a matrix then crosses
-# into the next row at the edge column; the weight there is 0, which zeroes
-# that entry exactly as the truncated ladder operator does (finite input).
+# Every ladder shift is out[i, j] = w x[i + a, j + c], with i on one axis and j
+# over the axes after it, flattened: the offset rule of lindblad_generator.
+# On the flat axis numpy runs one long contiguous inner loop per state or
+# matrix instead of one short loop per row.  A column shift then crosses into
+# the next row at the edge column; the weight there is 0, which zeroes that
+# entry exactly as the truncated ladder operator does (finite input).
+
+def _span(shift: int, size: int):
+    """(output, source) slices of out[p] += w[p] x[p + shift] on an axis of
+    ``size``; empty when the shift leaves no overlap."""
+    n = max(size - abs(shift), 0)
+    lo = max(-shift, 0)
+    return slice(lo, lo + n), slice(lo + shift, lo + shift + n)
+
 
 @functools.lru_cache(maxsize=None)
-def _flat_weights(kind: str, rows: int, cols: int) -> np.ndarray:
-    if kind == "left":  # sqrt(i + 1) for every entry of row i < rows - 1
-        w = np.repeat(_sqrt_ladder(rows), cols)
-    elif kind == "right":  # sqrt(j) at column j, j >= 1 of the output
-        w = np.tile(np.concatenate(([0.0], _sqrt_ladder(cols))), rows)[1:]
-    else:  # "right_dag": sqrt(j + 1) at column j < cols - 1 of the output
-        w = np.tile(np.concatenate((_sqrt_ladder(cols), [0.0])), rows)[:-1]
+def _shift_term(rows: int, cols: int, a: int, c: int):
+    """(dst, src, w, rest) of a row shift (a = +-1, c = 0) or a column shift
+    (a = 0, c = +-1) on the (rows, cols) grid: w is sqrt(max(i, i + a)) or
+    sqrt(max(j, j + c)) at each output entry of ``dst``, 0 where the neighbour
+    leaves the grid, and ``rest`` is the slice of the output no source reaches."""
+    dst, src = _span(a * cols + c, rows * cols)
+    i, j = np.divmod(np.arange(dst.start, dst.stop), cols)
+    level = np.maximum(i, i + a) if c == 0 else np.maximum(j, j + c)
+    w = np.where((0 <= j + c) & (j + c < cols), np.sqrt(level), 0.0)
     w.flags.writeable = False
-    return w
+    rest = slice(dst.stop, None) if a * cols + c > 0 else slice(0, dst.start)
+    return dst, src, w, rest
 
 
-def _flat_pair(x: np.ndarray, axis: int):
-    """A new array shaped as x, and flat views of it and of x: ``axis`` holds
-    the rows, and the axes after it, flattened, the columns."""
+def _shift(x: np.ndarray, axis: int, a: int, c: int) -> np.ndarray:
+    """out[i, j] = w x[i + a, j + c], i on ``axis`` and j over the axes after
+    it, flattened (see :func:`_shift_term`)."""
     rows, cols = x.shape[axis], math.prod(x.shape[axis + 1:])
+    dst, src, w, rest = _shift_term(rows, cols, a, c)
     flat = x.shape[:axis] + (rows * cols,)
     out = np.empty(x.shape, dtype=x.dtype)
-    return out, out.reshape(flat), x.reshape(flat), rows, cols
-
-
-def _row_shift(x: np.ndarray, axis: int, lower: bool) -> np.ndarray:
-    """b (``lower``) or b^dagger applied along ``axis`` of x."""
-    out, of, xf, rows, cols = _flat_pair(x, axis)
-    w = _flat_weights("left", rows, cols)
-    if lower:
-        np.multiply(w, xf[..., cols:], out=of[..., :-cols])
-        of[..., -cols:] = 0
-    else:
-        np.multiply(w, xf[..., :-cols], out=of[..., cols:])
-        of[..., :cols] = 0
+    of, xf = out.reshape(flat), x.reshape(flat)
+    np.multiply(w, xf[..., src], out=of[..., dst])
+    of[..., rest] = 0
     return out
 
 
 def lower_state(psi: np.ndarray) -> np.ndarray:
     """b |psi> for state arrays shaped (dim, ...)."""
-    return _row_shift(psi, 0, lower=True)
+    return _shift(psi, 0, 1, 0)
 
 
 def raise_state(psi: np.ndarray) -> np.ndarray:
     """b^dagger |psi> for state arrays shaped (dim, ...)."""
-    return _row_shift(psi, 0, lower=False)
+    return _shift(psi, 0, -1, 0)
 
 
 def _b_left(x: np.ndarray) -> np.ndarray:
     """b X on the last two axes."""
-    return _row_shift(x, -2, lower=True)
+    return _shift(x, -2, 1, 0)
 
 
 def _bdag_left(x: np.ndarray) -> np.ndarray:
-    return _row_shift(x, -2, lower=False)
+    return _shift(x, -2, -1, 0)
 
 
 def _b_right(x: np.ndarray) -> np.ndarray:
     """X b on the last two axes."""
-    out, of, xf, rows, cols = _flat_pair(x, -2)
-    np.multiply(_flat_weights("right", rows, cols), xf[..., :-1], out=of[..., 1:])
-    of[..., 0] = 0
-    return out
+    return _shift(x, -2, 0, -1)
 
 
 def _bdag_right(x: np.ndarray) -> np.ndarray:
-    out, of, xf, rows, cols = _flat_pair(x, -2)
-    np.multiply(_flat_weights("right_dag", rows, cols), xf[..., 1:], out=of[..., :-1])
-    of[..., -1] = 0
-    return out
-
-
-def _number_left(x: np.ndarray) -> np.ndarray:
-    n = np.arange(x.shape[-2])
-    return n[:, None] * x
-
-
-def _number_right(x: np.ndarray) -> np.ndarray:
-    n = np.arange(x.shape[-1])
-    return n[None, :] * x
+    return _shift(x, -2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,32 +212,12 @@ def thermal_density(dim: int, n_m: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Generators (two independent routes).
 
-def _hamiltonian_part(x: np.ndarray, omega: float, force: float) -> np.ndarray:
-    """-i [Omega n + force (b + b^dag), X] acting on the last two axes."""
-    comm = omega * (_number_left(x) - _number_right(x))
-    if force != 0.0:
-        comm = comm + force * (
-            _b_left(x) + _bdag_left(x) - _b_right(x) - _bdag_right(x)
-        )
-    return -1j * comm
-
-
 def _band(m: np.ndarray, shift: int) -> np.ndarray:
     """m[i, i + shift] for every row i; 0 where i + shift leaves the matrix."""
     v = np.zeros(len(m), dtype=complex)
     d = np.diagonal(m, shift)
     v[max(-shift, 0):][: len(d)] = d
     return v
-
-
-def _span(shift: int, size: int):
-    """(output, source) slices of out[p] += w[p] x[p + shift] on an axis of
-    ``size``; None when the shift leaves no overlap."""
-    n = size - abs(shift)
-    if n <= 0:
-        return None
-    lo = max(-shift, 0)
-    return slice(lo, lo + n), slice(lo + shift, lo + shift + n)
 
 
 def lindblad_generator(
@@ -289,10 +256,10 @@ def lindblad_generator(
     diag = k_bands[0][:, None] + k_bands[0].conj()
     flat_terms = []
     for (a, c), w in weights:
-        span = _span(a * dim + c, dim * dim)
-        w = w.reshape(-1)
-        if span is not None and w.any():
-            flat_terms.append((*span, w[span[0]]))
+        dst, src = _span(a * dim + c, dim * dim)
+        w = w.reshape(-1)[dst]
+        if w.any():
+            flat_terms.append((dst, src, w))
 
     def rhs(x: np.ndarray) -> np.ndarray:
         out = np.multiply(diag, x, order="C")  # so that out_flat is a view
@@ -329,7 +296,15 @@ def kernel_form_rhs(
     :func:`lindblad_rhs` in equivalence tests.
     """
     s0, s2 = kernels.s0, kernels.s2
-    out = _hamiltonian_part(x, params.Omega, params.g_m * pe)
+    # -i [Omega n + force (b + b^dag), X]
+    n_left, n_right = np.arange(x.shape[-2])[:, None], np.arange(x.shape[-1])
+    comm = params.Omega * (n_left * x - n_right * x)
+    force = params.g_m * pe
+    if force != 0.0:
+        comm = comm + force * (
+            _b_left(x) + _bdag_left(x) - _b_right(x) - _bdag_right(x)
+        )
+    out = -1j * comm
 
     rate_down = Gamma * (n_m + 1.0) + s0
     rate_up = Gamma * n_m + s0
