@@ -65,11 +65,19 @@ class ValidationFailure(RuntimeError):
 
 
 def bose_occupation(omega_abs: float, temperature: float) -> float:
-    """Thermal occupation (exp(hbar omega / kB T) - 1)^-1."""
+    """Thermal occupation (exp(hbar omega / kB T) - 1)^-1, 0.0 where it
+    underflows; ``ValueError`` where it overflows or divides by 0."""
     if temperature <= 0:
         return 0.0
-    x = HBAR * omega_abs / (KB * temperature)
-    return 1.0 / math.expm1(x)
+    try:
+        n = 1.0 / math.expm1(HBAR * omega_abs / (KB * temperature))
+    except OverflowError:  # exp(hbar omega / kB T) beyond the float range
+        return 0.0
+    except ZeroDivisionError:  # hbar omega or kB T underflowed to 0
+        n = math.inf
+    if n == math.inf:
+        raise ValueError("the Bose occupation overflows")
+    return n
 
 
 @dataclass
@@ -251,7 +259,7 @@ def _normalize_params(raw: dict, units: str) -> tuple[PhysParams, dict]:
         omega_abs = raw[freq] * to_angular
         if not omega_abs > 0:  # the Bose law divides by expm1(0)
             raise ConfigError(f"params.{freq}", f"{freq} must be positive")
-        normalized[occ] = bose_occupation(omega_abs, raw[temp])
+        normalized[occ] = _build(f"params.{temp}", bose_occupation, omega_abs, raw[temp])
     return _build("params.", PhysParams, **normalized), normalized
 
 

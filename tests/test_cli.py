@@ -597,8 +597,14 @@ FUZZ_CONFIGS = {
                       "grid": {"n_m_min": 0.1, "n_m_max": 10.0, "ratio_min": 0.1,
                                "ratio_max": 10.0, "points": 3}},
     "validate": {"kind": "validate", "params": {"g": 1.0, "Omega": 0.01, "g_m": 0.005}},
+    "semiclassical_hz": {"kind": "semiclassical", "units": "hz",
+                         "params": {"gamma": 4e6, "g": 4e6, "Omega": 4e4, "g_m": 2e4,
+                                    "Gamma": 40.0, "T_m": 0.01, "T_q": 0.01,
+                                    "omega0": 5e9},
+                         "initial": {"beta0": [0.0, 10.0]}, "duration_periods": 1,
+                         "engine": {**FUZZ_ENGINE, "full_bloch": True}},
 }
-FUZZ_VALUES = [0, -1, math.nan, 0.5, 1e300]
+FUZZ_VALUES = [0, -1, math.nan, 0.5, 1e300, 1e-300]
 
 
 def numeric_fields(doc, path=()):
@@ -623,12 +629,13 @@ def with_value(doc, path, value):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("kind", list(FUZZ_CONFIGS))
 def test_config_fuzz_exits_0_or_2(tmp_path, capsys, kind):
-    # each number of a valid config set in turn to 0, -1, NaN, 0.5 and 1e300:
-    # a run either writes its outputs or is refused at load, never failing
-    # midway; an ensemble used to exit 3 at duration_periods 1e300 and at a
-    # beta0 of [0, 1e20], [0, 1e160] or 1e300, sweep.delta_max 1e300
-    # overflowed the spectrum, and validate divided by the spectrum, which
-    # vanishes at g_m 0
+    # each number of a valid config set in turn to 0, -1, NaN, 0.5, 1e300 and
+    # 1e-300: a run either writes its outputs or is refused at load, never
+    # failing midway; an ensemble used to exit 3 at duration_periods 1e300 and
+    # at a beta0 of [0, 1e20], [0, 1e160] or 1e300, sweep.delta_max 1e300
+    # overflowed the spectrum, validate divided by the spectrum, which
+    # vanishes at g_m 0, and the Bose law overflowed or divided by 0 at an
+    # extreme temperature or frequency
     base = FUZZ_CONFIGS[kind]
     cases = [with_value(base, path, value)
              for path in numeric_fields(base) for value in FUZZ_VALUES]
