@@ -483,9 +483,7 @@ def _run_validate(config: ExperimentConfig, out: Path) -> list[str]:
     decomp = twisted_decomposition(2e-3, 2e-4, 0.0)
     schedule = make_frozen_schedule(decomp, 0.0, 2)
     duration = 2 * p.mechanical_period
-    opts = TrajectoryOptions(
-        steps_per_window=256, record_stride=64, schedule=schedule, workers=1
-    )
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=64, schedule=schedule)
     ens = run_ensemble(p, 1.0 + 0.0j, duration, 300, config.seed, opts)
     master = integrate_master(
         p,

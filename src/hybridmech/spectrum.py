@@ -86,7 +86,6 @@ def g_vector(steady: BlochVector) -> np.ndarray:
 
 def spectrum_qrt(params: PhysParams, delta: float, omega: float) -> complex:
     """Population fluctuation spectrum S(omega) via the regression theorem."""
-    _require_zero_occupation(params)
     a = qrt_matrix(params, delta)
     steady = bloch_steady_state(params, delta)
     gvec = g_vector(steady)
