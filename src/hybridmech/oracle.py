@@ -84,15 +84,19 @@ def _span(shift: int, size: int):
 @functools.lru_cache(maxsize=None)
 def _shift_term(rows: int, cols: int, a: int, c: int):
     """(dst, src, w, rest) of a row shift (a = +-1, c = 0) or a column shift
-    (a = 0, c = +-1) on the (rows, cols) grid: w is sqrt(max(i, i + a)) or
-    sqrt(max(j, j + c)) at each output entry of ``dst``, 0 where the neighbour
-    leaves the grid, and ``rest`` is the slice of the output no source reaches."""
-    dst, src = _span(a * cols + c, rows * cols)
-    i, j = np.divmod(np.arange(dst.start, dst.stop), cols)
-    level = np.maximum(i, i + a) if c == 0 else np.maximum(j, j + c)
-    w = np.where((0 <= j + c) & (j + c < cols), np.sqrt(level), 0.0)
+    (a = 0, c = +-1) on the (rows, cols) grid: w weighs each output entry of
+    ``dst``, and ``rest`` is the slice of the output that no source reaches."""
+    shift = a * cols + c
+    dst, src = _span(shift, rows * cols)
+    # sqrt(max(k, k + a + c)) on the shifted axis, 0 where x[i, j + c] leaves
+    # the grid: sqrt(0) at the first column for c = -1, set at the last for c = 1
+    lo = max(a, c, 0)
+    w = np.sqrt(np.arange(float(lo), (cols if c else rows) + lo))
+    if c > 0:
+        w[-1:] = 0.0
+    w = np.broadcast_to(w if c else w[:, None], (rows, cols)).reshape(-1)[dst]
     w.flags.writeable = False
-    rest = slice(dst.stop, None) if a * cols + c > 0 else slice(0, dst.start)
+    rest = slice(dst.stop, None) if shift > 0 else slice(0, dst.start)
     return dst, src, w, rest
 
 
@@ -301,9 +305,7 @@ def kernel_form_rhs(
     comm = params.Omega * (n_left * x - n_right * x)
     force = params.g_m * pe
     if force != 0.0:
-        comm = comm + force * (
-            _b_left(x) + _bdag_left(x) - _b_right(x) - _bdag_right(x)
-        )
+        comm += force * (_b_left(x) + _bdag_left(x) - _b_right(x) - _bdag_right(x))
     out = -1j * comm
 
     rate_down = Gamma * (n_m + 1.0) + s0
