@@ -21,12 +21,12 @@ given schedule every trajectory starts from the same variances and sees the
 same frozen channel data, and the variance equations take no noise, so
 scheduled runs propagate one shared variance lane and broadcast it over the
 batch.  Their amplitude step then has constant coefficients, so the steps
-between two records compose into one linear map of each lane's normals,
-which the draw threads reduce as they draw them (Kloeden and Platen 1992).  A run
-records the quantities of ``_RECORDED`` at every stride, and refuses
-non-finite initial moments and a ``v_a0`` below ``-ABORT_VA_TOL``.  The
-noise-free reference is one more such run, of a lane without a generator or
-channels that damps as the trajectories do.
+between two records compose into one linear map, whose noise is a 2-D
+Gaussian drawn exactly from 2 normals per lane (Kloeden and Platen 1992;
+Gillespie 1996).  A run records the quantities of ``_RECORDED`` at every
+stride, and refuses non-finite initial moments and a ``v_a0`` below
+``-ABORT_VA_TOL``.  The noise-free reference is one more such run, of a lane
+without a generator or channels that damps as the trajectories do.
 
 Reproducibility: every trajectory owns a generator seeded by a SplitMix64
 mix of (master seed, trajectory index), so results are independent of batch
@@ -324,6 +324,14 @@ def _variance_step(va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m):
     return 0.5 * (x + z), 0.5 * (x - z) + 1j * y
 
 
+def _sqrt_psd(c):
+    """Symmetric roots (c + s I) / t, s = sqrt(det c), t = sqrt(tr c + 2 s) or 1 at
+    c = 0, of 2x2 covariances c (..., 2, 2), singular or NaN (Cayley-Hamilton)."""
+    s = np.sqrt(np.maximum(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0], 0.0))
+    t = np.sqrt(c[..., 0, 0] + c[..., 1, 1] + 2.0 * s)
+    return (c + s[..., None, None] * np.eye(2)) / np.where(t == 0.0, 1.0, t)[..., None, None]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -359,15 +367,16 @@ def _forget_draw_pool() -> None:
 os.register_at_fork(after_in_child=_forget_draw_pool)
 
 
-def _draw_window_noise(gens, steps: int, dt: float, out):
-    """Draw one window's ``(steps, 4)`` normals per trajectory and pass each
-    32-trajectory block to ``out`` on the thread that drew it; returns ``out``:
-    a sink ``out(lo, hi, x)`` of trajectories lo..hi-1's normals, or
-    ``(dw_p, dw_m)``, two (steps, n) arrays to fill step-major with complex
-    Wiener increments, trajectory i's ``(x0 + i x1, x2 + i x3) * sqrt(dt / 2)``.
-    Contiguous ranges of blocks go to up to ``_DRAW_THREADS`` threads; each
-    generator is used by one thread and each block reaches the sink once, so
-    the draws do not depend on the thread count."""
+def _draw_window_noise(gens, rows: int, dt: float, out):
+    """Draw ``(rows, 4)`` normals per trajectory, a row per step of a window (per
+    two records on a schedule), and pass each 32-trajectory block to ``out`` on
+    the thread that drew it; returns ``out``: a sink ``out(lo, hi, x)`` of
+    trajectories lo..hi-1's normals, or ``(dw_p, dw_m)``, two (rows, n) arrays
+    to fill row-major with complex Wiener increments, trajectory i's
+    ``(x0 + i x1, x2 + i x3) * sqrt(dt / 2)``.  Contiguous ranges of blocks go
+    to up to ``_DRAW_THREADS`` threads; each generator is used by one thread
+    and each block reaches the sink once, so the draws do not depend on the
+    thread count."""
     global _draw_pool
     scale = math.sqrt(0.5 * dt)
 
@@ -376,7 +385,7 @@ def _draw_window_noise(gens, steps: int, dt: float, out):
         out[0][:, lo:hi], out[1][:, lo:hi] = z[:, :, 0].T, z[:, :, 1].T
 
     def draw_blocks(lo, hi):
-        x = np.empty((min(_DRAW_BLOCK, hi - lo), steps, 4))
+        x = np.empty((min(_DRAW_BLOCK, hi - lo), rows, 4))
         for start in range(lo, hi, _DRAW_BLOCK):
             stop = min(start + _DRAW_BLOCK, hi)
             for k in range(start, stop):
@@ -384,11 +393,10 @@ def _draw_window_noise(gens, steps: int, dt: float, out):
             sink(start, stop, x[: stop - start])
 
     sink = fill if isinstance(out, tuple) else out
-    n = len(gens)
-    n_blocks = -(-n // _DRAW_BLOCK)
+    n_blocks = -(-len(gens) // _DRAW_BLOCK)
     threads = max(1, min(_DRAW_THREADS, n_blocks))
     # block boundaries of each thread's contiguous range
-    edges = [_DRAW_BLOCK * (n_blocks * t // threads) for t in range(threads)] + [n]
+    edges = [_DRAW_BLOCK * (n_blocks * t // threads) for t in range(threads)] + [len(gens)]
     if threads > 1 and _draw_pool is None:
         # imported here: concurrent.futures imports logging, which would add
         # milliseconds to every import of the package
@@ -419,11 +427,11 @@ def _batch_run(
     semiclassical reference: one lane that has no generator, so it draws no
     increments, and no scattering channels, so its kicks and variances stay
     zero.  With a schedule, one lane of variances and channel data broadcasts
-    over the batch, and beta moves by one map per record stride, not step by
-    step.  A window writes the records of its first to its last step, both
-    included, so the last window's last one is the closing record.  A
-    non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a
-    ``ValueError`` naming the argument first.
+    over the batch, and beta moves by one map per record stride, its noise
+    drawn from 2 normals per lane.  A window writes the records of its first
+    to its last step, both included, so the last window's last one is the
+    closing record.  A non-finite initial moment, or ``v_a0`` below
+    ``-ABORT_VA_TOL``, raises a ``ValueError`` naming the argument first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
         if not cmath.isfinite(value):
@@ -545,20 +553,18 @@ def _batch_run(
                 decay = np.concatenate(([1.0], powers[:-1]))[::-1]  # a^(S-1-i)
                 incr = np.full((n, per_window), (-1j * g_m * schedule[w].pe * dt)
                                * rot_half * decay.sum())
-                # k dW + l conj(dW) = sqrt(dt / 2) ((k + l) x0 + i (k - l) x1):
-                # weights of the real normals, which reduce() sums per block
+                # k dW + l conj(dW) = sqrt(dt / 2) ((k + l) x0 + i (k - l) x1): a record's
+                # kicks W x have covariance C = W W^T, so L y draws them, L L^T = C
                 wts = np.concatenate(
                     [k_p + l_p, 1j * (k_p - l_p), k_m + l_m, 1j * (k_m - l_m)], axis=1
                 ) * (rot_half * math.sqrt(0.5 * dt) * np.tile(decay, per_window)[:, None])
-                w_re = wts.real.reshape(per_window, -1).copy()
-                w_im = wts.imag.reshape(per_window, -1).copy()
+                w_rec = wts.view(float).reshape(per_window, -1, 2)  # W^T per record
+                col = np.array([1.0, 1j]) @ _sqrt_psd(np.einsum("rki,rkj->rij", w_rec, w_rec))
 
-                def reduce(lo, hi, x):  # on the draw thread; einsum calls no BLAS
-                    x = x.reshape(hi - lo, per_window, -1)
-                    incr[lo:hi] += (np.einsum("brk,rk->br", x, w_re)
-                                    + 1j * np.einsum("brk,rk->br", x, w_im))
+                def kick(lo, hi, x):  # record q: normals 2q, 2q + 1 times L's columns col
+                    incr[lo:hi] += (x.reshape(hi - lo, -1, 2)[:, :per_window] * col).sum(-1)
 
-                _draw_window_noise(gens, steps, dt, reduce)
+                _draw_window_noise(gens, -(-per_window // 2), dt, kick)
                 for q in range(per_window):
                     rec["beta"][:, w * per_window + q] = beta
                     beta = powers[-1] * beta + incr[:, q]

@@ -47,13 +47,13 @@ def traced_smoke_run(name, tmp_path, monkeypatch):
 
 
 def test_scheduled_smoke_trace_counts(tmp_path, monkeypatch):
-    # 200 trajectories over 2 windows of 256 steps: 4 normals per lane-step
-    # in one draw per window, one shared variance lane per window, and the
-    # ensemble's batch plus the reference's
+    # 200 trajectories over 2 windows of 4 records: 2 normals per lane per
+    # record in one draw per window, one shared variance lane per window, and
+    # the ensemble's batch plus the reference's
     workload, tracer, metrics, result = traced_smoke_run(
         "scheduled_ensemble", tmp_path, monkeypatch
     )
-    assert metrics["trajectory.draw_noise.normals"] == 409_600
+    assert metrics["trajectory.draw_noise.normals"] == 3_200
     assert metrics["trajectory.variance_step.lane_steps"] == 2
     assert metrics["trajectory.batch_run.calls"] == 2
     assert tracer.absent == []

@@ -766,11 +766,14 @@ def test_bad_engine_grid_names_field(field, value):
         TrajectoryOptions(**{field: value})
 
 
-def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options):
+def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options,
+                            rows=None):
     """The amplitude records of a scheduled run taken one step at a time, as
     the engine took them before it composed each record stride into one map:
     beta <- damp beta + rot_half (force + k dW + l conj(dW)).  ``seeds`` None
-    gives the noise-free reference, which scatters through no channel."""
+    gives the noise-free reference, which scatters through no channel.  With
+    a list ``rows``, the increments dW are zero instead of drawn, and each
+    window appends to it its damp and its steps' k_p, l_p, k_m and l_m."""
     schedule, steps = options.schedule, options.steps_per_window
     _, window = resolve_windows(params, duration, schedule)
     dt, omega = window / steps, params.Omega
@@ -801,8 +804,12 @@ def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options)
             k_m = np.sqrt(lam_m) * (u_m * vb_pre + w_m * (va_pre + 1.0))
             l_m = np.sqrt(lam_m) * (np.conj(u_m) * va_pre + np.conj(w_m) * vb_pre)
             k_p[late] = np.nan
-            buf = tuple(np.empty((steps, len(gens)), dtype=complex) for _ in range(2))
-            dw_p, dw_m = _draw_window_noise(gens, steps, dt, buf)
+            buf = tuple(np.zeros((steps, len(gens)), dtype=complex) for _ in range(2))
+            if rows is None:
+                dw_p, dw_m = _draw_window_noise(gens, steps, dt, buf)
+            else:
+                dw_p, dw_m = buf
+                rows.append((damp[0], k_p[:, 0], l_p[:, 0], k_m[:, 0], l_m[:, 0]))
             va, vb = va_rows[-1], vb_rows[-1]
         for j in range(steps):
             if j % options.record_stride == 0:
@@ -825,24 +832,105 @@ MAP_SCHEDULES = {
 }
 
 
+def planted_normals(gens, rows, dt, out):
+    """Stands in for a scheduled window's draws: record q reads a lane's
+    normals 2q and 2q + 1, here (1, 0) in lane 0, (0, 1) in lane 1 and (0, 0)
+    in lane 2."""
+    if gens:
+        x = np.zeros((3, rows, 2, 2))
+        x[0, :, :, 0] = x[1, :, :, 1] = 1.0
+        out(0, 3, x.reshape(3, rows, 4))
+
+
+def stride_covariances(rows, params, duration, options):
+    """Each record's covariance sum W W^T over its stride's normals, summed
+    step by step from the ``rows`` of ``stepwise_scheduled_beta``: step i's
+    kick k dW + l conj(dW) at dW = sqrt(dt / 2) and i sqrt(dt / 2), the
+    increments of its two unit normals per channel, carried to the record's
+    end by rot_half damp^(S-1-i).  Returns (records, 2, 2)."""
+    steps, stride = options.steps_per_window, options.record_stride
+    dt = duration / len(options.schedule) / steps
+    unit, rot_half = math.sqrt(0.5 * dt), cmath.exp(-0.5j * params.Omega * dt)
+    out = []
+    for damp, k_p, l_p, k_m, l_m in rows:
+        kicks = np.array([k * dw + l * np.conj(dw) for k, l in ((k_p, l_p), (k_m, l_m))
+                          for dw in (unit, 1j * unit)])
+        z = kicks * rot_half * damp ** (stride - 1 - np.arange(steps) % stride)
+        w = np.stack([z.real, z.imag]).reshape(2, 4, steps // stride, stride)
+        out.append(np.einsum("iqrs,jqrs->rij", w, w))
+    return np.concatenate(out)
+
+
 @pytest.mark.parametrize("stride", [1, 32, 256])
 @pytest.mark.parametrize("case", list(MAP_SCHEDULES))
-def test_record_map_matches_the_steps_it_composes(case, stride):
+def test_record_map_matches_the_steps_it_composes(monkeypatch, case, stride):
     # each record stride's S steps folded into one map per record, for the
-    # noisy lanes and the noise-free reference, on a 256-step window
+    # noisy lanes and the noise-free reference, on a 256-step window.  The
+    # lanes' two normals per record are planted: lane 2's zeros make it the
+    # stepwise run without kicks, and lanes 0 and 1 less lane 2 give each
+    # record's root L, whose L L^T must be the stepwise sum of W W^T
+    monkeypatch.setattr(trajectory, "_draw_window_noise", planted_normals)
     opts = TrajectoryOptions(steps_per_window=256, record_stride=stride,
                              schedule=MAP_SCHEDULES[case])
     duration = 2 * MAP_PARAMS.mechanical_period
     start = (0.8 - 0.4j, 0.3, 0.1 + 0.05j)
-    seeds = [derive_trajectory_seed(77, i) for i in range(40)]
+    seeds = [derive_trajectory_seed(77, i) for i in range(3)]
     for lanes, v_start in ((seeds, start[1:]), (None, (0.0, 0.0))):
+        rows = []
         got = _batch_run(MAP_PARAMS, start[0], *v_start, duration, lanes, opts)
         want = stepwise_scheduled_beta(MAP_PARAMS, start[0], *v_start, duration,
-                                       lanes, opts)
-        assert np.max(np.abs(got["beta"] - want)) <= 1e-12 * np.max(np.abs(want))
+                                       lanes, opts, rows)
+        assert np.max(np.abs(got["beta"][-1] - want[-1])) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(got["delta_m"], 2.0 * MAP_PARAMS.g_m * got["beta"].real)
         pe = [wc.pe for wc in opts.schedule for _ in range(256 // stride)]
         assert np.all(got["pe"] == pe + [opts.schedule[-1].pe])
+        if rows:  # L's column j: lane j's increment less lane 2's
+            d = got["beta"][:2] - got["beta"][2]
+            a_s = np.repeat([r[0] for r in rows], 256 // stride) ** stride
+            col = d[:, 1:] - a_s * d[:, :-1]
+            root = np.stack([col.real, col.imag]).transpose(2, 0, 1)
+            cov = stride_covariances(rows, MAP_PARAMS, duration, opts)
+            err = np.abs(root @ root.transpose(0, 2, 1) - cov).max(axis=(1, 2))
+            assert np.all(err <= 1e-12 * np.abs(cov).max(axis=(1, 2)))
+
+
+def test_record_increments_sample_their_covariance():
+    # 20,000 lanes on the "theta" schedule, 8 records per window: every
+    # entry of each record's sample covariance of beta_{r+1} - a^S beta_r
+    # lies within z = 5 of its standard error, (C_ii C_jj + C_ij^2) / n, of
+    # the stepwise sum C_r (48 entries; a false alarm has odds about 3e-5)
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=32,
+                             schedule=MAP_SCHEDULES["theta"])
+    duration = 2 * MAP_PARAMS.mechanical_period
+    start = (0.8 - 0.4j, 0.3, 0.1 + 0.05j)
+    n = 20_000
+    seeds = [derive_trajectory_seed(2718, i) for i in range(n)]
+    beta = _batch_run(MAP_PARAMS, *start, duration, seeds, opts)["beta"]
+    rows = []
+    stepwise_scheduled_beta(MAP_PARAMS, *start, duration, seeds[:1], opts, rows)
+    cov = stride_covariances(rows, MAP_PARAMS, duration, opts)
+    incr = beta[:, 1:] - np.repeat([r[0] for r in rows], 8) ** 32 * beta[:, :-1]
+    for r, c in enumerate(cov):
+        sample = np.cov(incr[:, r].real, incr[:, r].imag)
+        se = np.sqrt((np.outer(np.diag(c), np.diag(c)) + c**2) / n)
+        assert np.all(np.abs(sample - c) <= 5.0 * se), (r, sample, c)
+
+
+@pytest.mark.parametrize("case", ["positive-definite", "rank-1", "zero", "nan"])
+def test_sqrt_psd_squares_to_its_covariance(case):
+    # the record draw's root: symmetric, L L^T = C to 1e-12 of max |C| on a
+    # singular C too (all of a record's noise on one quadrature, or none),
+    # and NaN on a NaN C, as from a shared-lane abort; a RuntimeWarning
+    # would fail the test, as pyproject.toml makes it an error
+    a = np.random.default_rng(31).standard_normal((2, 2))
+    c = {"positive-definite": a @ a.T, "rank-1": np.outer(a[0], a[0]),
+         "zero": np.zeros((2, 2)), "nan": np.full((2, 2), np.nan)}[case]
+    root = trajectory._sqrt_psd(c)
+    if case == "nan":
+        assert np.isnan(root).all()
+    else:
+        assert np.array_equal(root, root.T)
+        assert np.max(np.abs(root @ root.T - c)) <= 1e-12 * np.max(np.abs(c))
 
 
 @pytest.mark.parametrize("n", [1, 31, 33, 67])
