@@ -295,10 +295,12 @@ def kernel_form_rhs(
 ) -> np.ndarray:
     """Same generator written directly from (s0, s2, Gamma, n_m).
 
-    Uses the anomalous superoperator A[X] rho = X rho X - {X^2, rho}/2 for
-    the s2 terms; serves as the independent counterpart of
-    :func:`lindblad_rhs` in equivalence tests.
+    Uses the anomalous superoperator A[X] rho = X rho X - {X^2, rho}/2 for the
+    s2 terms; serves as the independent counterpart of :func:`lindblad_rhs` in
+    equivalence tests.  An ``x`` that is not square raises ``ValueError``.
     """
+    if np.ndim(x) < 2 or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"x must be square on its last two axes, got shape {np.shape(x)}")
     s0, s2 = kernels.s0, kernels.s2
     # -i [Omega n + force (b + b^dag), X]
     n_left, n_right = np.arange(x.shape[-2])[:, None], np.arange(x.shape[-1])

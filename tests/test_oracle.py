@@ -158,6 +158,15 @@ def test_two_lindblad_forms_agree_as_superoperators(params):
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(40, 64), (3, 10, 9), (10,)])
+def test_kernel_form_refuses_a_non_square_state(params, shape):
+    # the generator closure fails on these inside numpy's reshape; the kernel
+    # form returned a result of the input's shape
+    kernels, _ = decomposition_from_set(0.1, 1.0, 0.2, 0.05j)
+    with pytest.raises(ValueError, match="^x must be square"):
+        kernel_form_rhs(np.zeros(shape, dtype=complex), 0.3, 0.1, 1.0, kernels, params)
+
+
 def test_quadrature_double_commutator_form(params):
     # at Gamma = 0 the dissipator equals the twisted double-commutator form
     rng = np.random.default_rng(29)
