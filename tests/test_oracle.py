@@ -160,8 +160,8 @@ def test_two_lindblad_forms_agree_as_superoperators(params):
 
 @pytest.mark.parametrize("shape", [(40, 64), (3, 10, 9), (10,)])
 def test_kernel_form_refuses_a_non_square_state(params, shape):
-    # the generator closure fails on these inside numpy's reshape; the kernel
-    # form returned a result of the input's shape
+    # lindblad_generator's closure raises on these; the kernel form returned
+    # a result of the input's shape for the first two
     kernels, _ = decomposition_from_set(0.1, 1.0, 0.2, 0.05j)
     with pytest.raises(ValueError, match="^x must be square"):
         kernel_form_rhs(np.zeros(shape, dtype=complex), 0.3, 0.1, 1.0, kernels, params)
