@@ -767,12 +767,12 @@ def test_bad_engine_grid_names_field(field, value):
 
 
 def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options,
-                            rows=None):
+                            coeffs=None):
     """The amplitude records of a scheduled run taken one step at a time, as
     the engine took them before it composed each record stride into one map:
     beta <- damp beta + rot_half (force + k dW + l conj(dW)).  ``seeds`` None
     gives the noise-free reference, which scatters through no channel.  With
-    a list ``rows``, the increments dW are zero instead of drawn, and each
+    a list ``coeffs``, the increments dW are zero instead of drawn, and each
     window appends to it its damp and its steps' k_p, l_p, k_m and l_m."""
     schedule, steps = options.schedule, options.steps_per_window
     _, window = resolve_windows(params, duration, schedule)
@@ -805,11 +805,11 @@ def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options,
             l_m = np.sqrt(lam_m) * (np.conj(u_m) * va_pre + np.conj(w_m) * vb_pre)
             k_p[late] = np.nan
             buf = tuple(np.zeros((steps, len(gens)), dtype=complex) for _ in range(2))
-            if rows is None:
+            if coeffs is None:
                 dw_p, dw_m = _draw_window_noise(gens, steps, dt, buf)
             else:
                 dw_p, dw_m = buf
-                rows.append((damp[0], k_p[:, 0], l_p[:, 0], k_m[:, 0], l_m[:, 0]))
+                coeffs.append((damp[0], k_p[:, 0], l_p[:, 0], k_m[:, 0], l_m[:, 0]))
             va, vb = va_rows[-1], vb_rows[-1]
         for j in range(steps):
             if j % options.record_stride == 0:
@@ -842,9 +842,9 @@ def planted_normals(gens, rows, dt, out):
         out(0, 3, x.reshape(3, rows, 4))
 
 
-def stride_covariances(rows, params, duration, options):
+def stride_covariances(coeffs, params, duration, options):
     """Each record's covariance sum W W^T over its stride's normals, summed
-    step by step from the ``rows`` of ``stepwise_scheduled_beta``: step i's
+    step by step from the ``coeffs`` of ``stepwise_scheduled_beta``: step i's
     kick k dW + l conj(dW) at dW = sqrt(dt / 2) and i sqrt(dt / 2), the
     increments of its two unit normals per channel, carried to the record's
     end by rot_half damp^(S-1-i).  Returns (records, 2, 2)."""
@@ -852,7 +852,7 @@ def stride_covariances(rows, params, duration, options):
     dt = duration / len(options.schedule) / steps
     unit, rot_half = math.sqrt(0.5 * dt), cmath.exp(-0.5j * params.Omega * dt)
     out = []
-    for damp, k_p, l_p, k_m, l_m in rows:
+    for damp, k_p, l_p, k_m, l_m in coeffs:
         kicks = np.array([k * dw + l * np.conj(dw) for k, l in ((k_p, l_p), (k_m, l_m))
                           for dw in (unit, 1j * unit)])
         z = kicks * rot_half * damp ** (stride - 1 - np.arange(steps) % stride)
@@ -876,20 +876,20 @@ def test_record_map_matches_the_steps_it_composes(monkeypatch, case, stride):
     start = (0.8 - 0.4j, 0.3, 0.1 + 0.05j)
     seeds = [derive_trajectory_seed(77, i) for i in range(3)]
     for lanes, v_start in ((seeds, start[1:]), (None, (0.0, 0.0))):
-        rows = []
+        coeffs = []
         got = _batch_run(MAP_PARAMS, start[0], *v_start, duration, lanes, opts)
         want = stepwise_scheduled_beta(MAP_PARAMS, start[0], *v_start, duration,
-                                       lanes, opts, rows)
+                                       lanes, opts, coeffs)
         assert np.max(np.abs(got["beta"][-1] - want[-1])) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(got["delta_m"], 2.0 * MAP_PARAMS.g_m * got["beta"].real)
         pe = [wc.pe for wc in opts.schedule for _ in range(256 // stride)]
         assert np.all(got["pe"] == pe + [opts.schedule[-1].pe])
-        if rows:  # L's column j: lane j's increment less lane 2's
+        if coeffs:  # L's column j: lane j's increment less lane 2's
             d = got["beta"][:2] - got["beta"][2]
-            a_s = np.repeat([r[0] for r in rows], 256 // stride) ** stride
+            a_s = np.repeat([c[0] for c in coeffs], 256 // stride) ** stride
             col = d[:, 1:] - a_s * d[:, :-1]
             root = np.stack([col.real, col.imag]).transpose(2, 0, 1)
-            cov = stride_covariances(rows, MAP_PARAMS, duration, opts)
+            cov = stride_covariances(coeffs, MAP_PARAMS, duration, opts)
             err = np.abs(root @ root.transpose(0, 2, 1) - cov).max(axis=(1, 2))
             assert np.all(err <= 1e-12 * np.abs(cov).max(axis=(1, 2)))
 
@@ -906,10 +906,10 @@ def test_record_increments_sample_their_covariance():
     n = 20_000
     seeds = [derive_trajectory_seed(2718, i) for i in range(n)]
     beta = _batch_run(MAP_PARAMS, *start, duration, seeds, opts)["beta"]
-    rows = []
-    stepwise_scheduled_beta(MAP_PARAMS, *start, duration, seeds[:1], opts, rows)
-    cov = stride_covariances(rows, MAP_PARAMS, duration, opts)
-    incr = beta[:, 1:] - np.repeat([r[0] for r in rows], 8) ** 32 * beta[:, :-1]
+    coeffs = []
+    stepwise_scheduled_beta(MAP_PARAMS, *start, duration, seeds[:1], opts, coeffs)
+    cov = stride_covariances(coeffs, MAP_PARAMS, duration, opts)
+    incr = beta[:, 1:] - np.repeat([c[0] for c in coeffs], 8) ** 32 * beta[:, :-1]
     for r, c in enumerate(cov):
         sample = np.cov(incr[:, r].real, incr[:, r].imag)
         se = np.sqrt((np.outer(np.diag(c), np.diag(c)) + c**2) / n)
