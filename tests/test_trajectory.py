@@ -894,6 +894,56 @@ def test_record_map_matches_the_steps_it_composes(monkeypatch, case, stride):
             assert np.all(err <= 1e-12 * np.abs(cov).max(axis=(1, 2)))
 
 
+def lane_stream(k, m):
+    """Normal m of lane k's stand-in stream: distinct values, and zeros in lane 2."""
+    return np.where(k == 2, 0.0, np.cos(1.0 + 0.37 * m + 1.9 * k))
+
+
+def streamed_normals():
+    """Stands in for ``_draw_window_noise`` as each lane's generator would:
+    every call hands a lane the next ``4 rows`` normals of its
+    ``lane_stream``, so one call per window and one per run read alike."""
+    used = 0
+
+    def draw(gens, rows, dt, out):
+        nonlocal used
+        if gens:
+            m = used + np.arange(4 * rows)
+            out(0, len(gens), lane_stream(np.arange(len(gens))[:, None], m)
+                .reshape(len(gens), rows, 4))
+        used += 4 * rows
+        return out
+
+    return draw
+
+
+@pytest.mark.parametrize("steps, stride", [(256, 256), (192, 64)])
+def test_record_draws_follow_each_lanes_stream(monkeypatch, steps, stride):
+    # with P records per window, record q of window v reads normals
+    # 4 v ceil(P / 2) + 2q and the next of its lane's stream, so an odd P
+    # leaves each window an unused pair: lane j's increment less lane 2's,
+    # whose stream is zeros, is the root of C_r times those two normals
+    monkeypatch.setattr(trajectory, "_draw_window_noise", streamed_normals())
+    opts = TrajectoryOptions(steps_per_window=steps, record_stride=stride,
+                             schedule=MAP_SCHEDULES["two-windows"])
+    duration = 2 * MAP_PARAMS.mechanical_period
+    start = (0.8 - 0.4j, 0.3, 0.1 + 0.05j)
+    seeds = [derive_trajectory_seed(77, i) for i in range(3)]
+    beta = _batch_run(MAP_PARAMS, *start, duration, seeds, opts)["beta"]
+    coeffs = []
+    stepwise_scheduled_beta(MAP_PARAMS, *start, duration, seeds, opts, coeffs)
+    cov = stride_covariances(coeffs, MAP_PARAMS, duration, opts)
+    per_window = steps // stride
+    window, q = np.divmod(np.arange(2 * per_window), per_window)
+    first = 4 * window * -(-per_window // 2) + 2 * q
+    y = lane_stream(np.arange(2)[:, None, None], first[:, None] + np.arange(2))
+    want = np.einsum("rij,krj->kri", trajectory._sqrt_psd(cov), y)
+    d = beta[:2] - beta[2]
+    incr = d[:, 1:] - np.repeat([c[0] for c in coeffs], per_window) ** stride * d[:, :-1]
+    got = np.stack([incr.real, incr.imag], axis=-1)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_record_increments_sample_their_covariance():
     # 20,000 lanes on the "theta" schedule, 8 records per window: every
     # entry of each record's sample covariance of beta_{r+1} - a^S beta_r
