@@ -30,8 +30,9 @@ without a generator or channels that damps as the trajectories do.
 
 Reproducibility: every trajectory owns a generator seeded by a SplitMix64
 mix of (master seed, trajectory index), so results are independent of batch
-partitioning and execution order.  Each window's Wiener increments are drawn
-on up to as many threads as the process has CPUs, each thread drawing its own
+partitioning and execution order.  The normals are drawn once per window
+without a schedule, and once for all the records of a scheduled run, on up to
+as many threads as the process has CPUs, each thread drawing its own
 trajectories' normals from their own generators, so the results do not depend
 on the thread count either.  ``TrajectoryOptions.workers`` does nothing.
 """
@@ -368,15 +369,16 @@ os.register_at_fork(after_in_child=_forget_draw_pool)
 
 
 def _draw_window_noise(gens, rows: int, dt: float, out):
-    """Draw ``(rows, 4)`` normals per trajectory, a row per step of a window (per
-    two records on a schedule), and pass each 32-trajectory block to ``out`` on
-    the thread that drew it; returns ``out``: a sink ``out(lo, hi, x)`` of
-    trajectories lo..hi-1's normals, or ``(dw_p, dw_m)``, two (rows, n) arrays
-    to fill row-major with complex Wiener increments, trajectory i's
-    ``(x0 + i x1, x2 + i x3) * sqrt(dt / 2)``.  Contiguous ranges of blocks go
-    to up to ``_DRAW_THREADS`` threads; each generator is used by one thread
-    and each block reaches the sink once, so the draws do not depend on the
-    thread count."""
+    """Draw ``(rows, 4)`` normals per trajectory, and pass each 32-trajectory
+    block to ``out`` on the thread that drew it.  ``rows`` counts the steps of
+    a window without a schedule, and on a schedule the half-records of the
+    whole run, ceil(P / 2) per window of P records.  Returns ``out``: a sink
+    ``out(lo, hi, x)`` of trajectories lo..hi-1's normals, or ``(dw_p, dw_m)``,
+    two (rows, n) arrays to fill row-major with complex Wiener increments,
+    trajectory i's ``(x0 + i x1, x2 + i x3) * sqrt(dt / 2)``.  Contiguous
+    ranges of blocks go to up to ``_DRAW_THREADS`` threads; each generator is
+    used by one thread and each block reaches the sink once, so the draws do
+    not depend on the thread count."""
     global _draw_pool
     scale = math.sqrt(0.5 * dt)
 
@@ -428,7 +430,8 @@ def _batch_run(
     increments, and no scattering channels, so its kicks and variances stay
     zero.  With a schedule, one lane of variances and channel data broadcasts
     over the batch, and beta moves by one map per record stride, its noise
-    drawn from 2 normals per lane.  A window writes the records of its first
+    drawn from 2 normals per lane; each lane draws the normals of every record
+    at once, after the last window.  A window writes the records of its first
     to its last step, both included, so the last window's last one is the
     closing record.  A non-finite initial moment, or ``v_a0`` below
     ``-ABORT_VA_TOL``, raises a ``ValueError`` naming the argument first.
@@ -484,6 +487,10 @@ def _batch_run(
     if schedule is None:
         # step-major rows, refilled every window; a lane without a generator keeps 0
         dw = tuple(np.zeros((steps, n), dtype=complex) for _ in range(2))
+    else:
+        # record r's slot r + 1 gathers its increment; each window's a^S and L columns
+        rec["beta"][:, 0] = beta
+        maps, roots = [], []
     c_damp = Gamma  # the mean's damping rate, h11 - h22; per window on a schedule
     with np.errstate(invalid="ignore"):
         for w in range(n_windows):
@@ -551,23 +558,17 @@ def _batch_run(
                 # records give beta <- a^S beta + sum_i a^(S-1-i) (drift + kick_i)
                 powers = np.cumprod(np.full(stride, damp_fac))  # a^1 .. a^S
                 decay = np.concatenate(([1.0], powers[:-1]))[::-1]  # a^(S-1-i)
-                incr = np.full((n, per_window), (-1j * g_m * schedule[w].pe * dt)
-                               * rot_half * decay.sum())
+                rec["beta"][:, cols.start + 1 : cols.stop] = (
+                    (-1j * g_m * schedule[w].pe * dt) * rot_half * decay.sum())
                 # k dW + l conj(dW) = sqrt(dt / 2) ((k + l) x0 + i (k - l) x1): a record's
                 # kicks W x have covariance C = W W^T, so L y draws them, L L^T = C
                 wts = np.concatenate(
                     [k_p + l_p, 1j * (k_p - l_p), k_m + l_m, 1j * (k_m - l_m)], axis=1
                 ) * (rot_half * math.sqrt(0.5 * dt) * np.tile(decay, per_window)[:, None])
                 w_rec = wts.view(float).reshape(per_window, -1, 2)  # W^T per record
-                col = np.array([1.0, 1j]) @ _sqrt_psd(np.einsum("rki,rkj->rij", w_rec, w_rec))
-
-                def kick(lo, hi, x):  # record q: normals 2q, 2q + 1 times L's columns col
-                    incr[lo:hi] += (x.reshape(hi - lo, -1, 2)[:, :per_window] * col).sum(-1)
-
-                _draw_window_noise(gens, -(-per_window // 2), dt, kick)
-                for q in range(per_window):
-                    rec["beta"][:, w * per_window + q] = beta
-                    beta = powers[-1] * beta + incr[:, q]
+                roots.append(np.array([1.0, 1j]) @ _sqrt_psd(
+                    np.einsum("rki,rkj->rij", w_rec, w_rec)))
+                maps.append(powers[-1])
                 rec["pe"][:, cols] = schedule[w].pe
                 continue
             dw_p, dw_m = _draw_window_noise(gens, steps, dt, dw)
@@ -591,6 +592,17 @@ def _batch_run(
                     y_bloch = bloch_step_batch(y_bloch, delta0 + delta_m_now, params, dt)
             delta_panel[:, WINDOW_PANELS] = 2.0 * g_m * beta.real
 
+        if schedule is not None:
+            col = np.stack(roots)  # (windows, records, 2)
+
+            def kick(lo, hi, x):  # window v's record q: normals 4 v ceil(P / 2) + 2q, + 1
+                x = x.reshape(hi - lo, n_windows, -1, 2)[:, :, :per_window]
+                rec["beta"][lo:hi, 1:] += (x * col).sum(-1).reshape(hi - lo, -1)
+
+            _draw_window_noise(gens, n_windows * -(-per_window // 2), dt, kick)
+            for r in range(n_rec - 1):  # beta_{r+1} = a^S beta_r + increment_r
+                beta = maps[r // per_window] * beta + rec["beta"][:, r + 1]
+                rec["beta"][:, r + 1] = beta
         rec["beta"][:, -1] = beta
         if schedule is None:
             rec["pe"][:, -1] = population(2.0 * g_m * beta.real)

@@ -833,9 +833,9 @@ MAP_SCHEDULES = {
 
 
 def planted_normals(gens, rows, dt, out):
-    """Stands in for a scheduled window's draws: record q reads a lane's
-    normals 2q and 2q + 1, here (1, 0) in lane 0, (0, 1) in lane 1 and (0, 0)
-    in lane 2."""
+    """Stands in for a scheduled run's draws, one call for all its records:
+    each record reads a pair of a lane's normals, here (1, 0) in lane 0,
+    (0, 1) in lane 1 and (0, 0) in lane 2."""
     if gens:
         x = np.zeros((3, rows, 2, 2))
         x[0, :, :, 0] = x[1, :, :, 1] = 1.0
@@ -985,8 +985,8 @@ def test_sqrt_psd_squares_to_its_covariance(case):
 
 @pytest.mark.parametrize("n", [1, 31, 33, 67])
 def test_record_map_lanes_match_their_runs_alone(n):
-    # the einsum over each block's normals gives a lane the same bits in
-    # every batch: partial blocks, several blocks and one lane alone
+    # a lane's own generator and the elementwise L y give it the same bits
+    # in every batch: partial blocks, several blocks and one lane alone
     opts = TrajectoryOptions(steps_per_window=256, record_stride=32,
                              schedule=MAP_SCHEDULES["two-windows"])
     duration = 2 * MAP_PARAMS.mechanical_period
