@@ -149,7 +149,8 @@ _POSITIVE = _reader(lambda v: v > 0, "a positive number", _real)
 # up to the eighth; magnitudes within 1e-15..1e15 keep every one of them finite
 _EMITTER = _reader(lambda v: v == 0 or 1e-15 <= abs(v) <= 1e15,
                    "0 or a magnitude within 1e-15..1e15", _real)
-_GAMMA = _reader(lambda v: 1e-15 <= v <= 1e15, "a positive number within 1e-15..1e15", _real)
+# gamma, and Omega, which beyond about 9e307 overflowed the engine's phases 2 Omega t
+_RATE = _reader(lambda v: 1e-15 <= v <= 1e15, "a positive number within 1e-15..1e15", _real)
 _POINTS = _reader(lambda v: v >= 2, "at least 2 points", _integer)
 
 
@@ -194,8 +195,8 @@ def _table(**fields) -> tuple:
 
 
 # the rates of `params`, which _normalize_params divides by gamma
-_RATES = dict(gamma=(_GAMMA, 1.0), g=(_EMITTER, _REQUIRED), delta0=(_EMITTER, 0.0),
-              Omega=(_real, _REQUIRED), g_m=(_EMITTER, _REQUIRED), Gamma=(_real, 0.0))
+_RATES = dict(gamma=(_RATE, 1.0), g=(_EMITTER, _REQUIRED), delta0=(_EMITTER, 0.0),
+              Omega=(_RATE, _REQUIRED), g_m=(_EMITTER, _REQUIRED), Gamma=(_real, 0.0))
 
 # every key the config accepts, with its reader and default
 _TOP = {

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -457,6 +458,7 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("seed",), 1e300, "seed"),
         (("engine", "steps_per_window"), 1e300, "engine.steps_per_window"),
         (("seed",), 2**63, "seed"),
+        (("params", "Omega"), 1e308, "params.Omega"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
          "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
@@ -467,7 +469,8 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
          "n_m_max-zero", "sweep-points-one", "sweep-reversed", "trajectories-fraction",
          "trajectories-bool", "steps-numeric-text", "grid-points-fraction",
          "output-dir-null", "seed-negative", "periods-outside", "duration-fraction",
-         "trajectories-huge", "seed-huge", "steps-huge", "seed-2**63"],
+         "trajectories-huge", "seed-huge", "steps-huge", "seed-2**63",
+         "Omega-huge"],
 )
 def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
     # each used to escape as a traceback (exit 1), to fail with a misleading
@@ -652,3 +655,46 @@ def test_config_fuzz_exits_0_or_2(tmp_path, capsys, kind):
         elif code != 0:
             failed.append((code, doc, err))
     assert not failed, failed
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_config_fuzz_two_fields_at_once(tmp_path, capsys):
+    # two numbers of one valid config changed together, which the fuzz above
+    # never does: finite values small enough for a quick run, NaN, +-inf and
+    # huge values; a run writes its outputs (exit 0) or is refused at load
+    # with a message that starts with a field's name (exit 2).  Derandomized
+    # and without an example database, so it draws the same cases every run;
+    # the cache of constants it reads from the source goes under tmp_path
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from hypothesis.configuration import set_hypothesis_home_dir
+    value = st.one_of(
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1.7e308]),
+    )
+    runs = itertools.count()
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=150)
+    @hypothesis.given(st.data())
+    def check(data):
+        base = FUZZ_CONFIGS[data.draw(st.sampled_from(list(FUZZ_CONFIGS)))]
+        paths = data.draw(st.lists(st.sampled_from(list(numeric_fields(base))),
+                                   min_size=2, max_size=2, unique=True))
+        doc = base
+        for path in paths:
+            doc = with_value(doc, path, data.draw(value))
+        i = next(runs)
+        code = main(["--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / f"out{i}")])
+        err = capsys.readouterr().err.strip()
+        if code == 2:
+            assert re.match(r"[\w.\[\]]+: ", json.loads(err)["error"]["message"]), err
+        else:
+            assert code == 0, (doc, err)
+
+    set_hypothesis_home_dir(tmp_path / "hypothesis")
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
