@@ -488,9 +488,7 @@ def _batch_run(
         # step-major rows, refilled every window; a lane without a generator keeps 0
         dw = tuple(np.zeros((steps, n), dtype=complex) for _ in range(2))
     else:
-        # record r's slot r + 1 gathers its increment; each window's a^S and L columns
-        rec["beta"][:, 0] = beta
-        maps, roots = [], []
+        a_s, roots = [], []  # each window's a^S and the columns of its records' L
     c_damp = Gamma  # the mean's damping rate, h11 - h22; per window on a schedule
     with np.errstate(invalid="ignore"):
         for w in range(n_windows):
@@ -558,6 +556,7 @@ def _batch_run(
                 # records give beta <- a^S beta + sum_i a^(S-1-i) (drift + kick_i)
                 powers = np.cumprod(np.full(stride, damp_fac))  # a^1 .. a^S
                 decay = np.concatenate(([1.0], powers[:-1]))[::-1]  # a^(S-1-i)
+                # record r's increment gathers in slot r + 1: the drift now, L y later
                 rec["beta"][:, cols.start + 1 : cols.stop] = (
                     (-1j * g_m * schedule[w].pe * dt) * rot_half * decay.sum())
                 # k dW + l conj(dW) = sqrt(dt / 2) ((k + l) x0 + i (k - l) x1): a record's
@@ -568,7 +567,7 @@ def _batch_run(
                 w_rec = wts.view(float).reshape(per_window, -1, 2)  # W^T per record
                 roots.append(np.array([1.0, 1j]) @ _sqrt_psd(
                     np.einsum("rki,rkj->rij", w_rec, w_rec)))
-                maps.append(powers[-1])
+                a_s.append(powers[-1])
                 rec["pe"][:, cols] = schedule[w].pe
                 continue
             dw_p, dw_m = _draw_window_noise(gens, steps, dt, dw)
@@ -600,8 +599,9 @@ def _batch_run(
                 rec["beta"][lo:hi, 1:] += (x * col).sum(-1).reshape(hi - lo, -1)
 
             _draw_window_noise(gens, n_windows * -(-per_window // 2), dt, kick)
+            rec["beta"][:, 0] = beta
             for r in range(n_rec - 1):  # beta_{r+1} = a^S beta_r + increment_r
-                beta = maps[r // per_window] * beta + rec["beta"][:, r + 1]
+                beta = a_s[r // per_window] * beta + rec["beta"][:, r + 1]
                 rec["beta"][:, r + 1] = beta
         rec["beta"][:, -1] = beta
         if schedule is None:
