@@ -149,7 +149,7 @@ _POSITIVE = _reader(lambda v: v > 0, "a positive number", _real)
 # up to the eighth; magnitudes within 1e-15..1e15 keep every one of them finite
 _EMITTER = _reader(lambda v: v == 0 or 1e-15 <= abs(v) <= 1e15,
                    "0 or a magnitude within 1e-15..1e15", _real)
-# gamma, and Omega, which beyond about 9e307 overflowed the engine's phases 2 Omega t
+# gamma, and Omega, whose engine phases 2 Omega t overflow beyond about 9e307
 _RATE = _reader(lambda v: 1e-15 <= v <= 1e15, "a positive number within 1e-15..1e15", _real)
 _POINTS = _reader(lambda v: v >= 2, "at least 2 points", _integer)
 
