@@ -663,8 +663,9 @@ def test_config_fuzz_two_fields_at_once(tmp_path, capsys):
     # never does: finite values small enough for a quick run, NaN, +-inf and
     # huge values; a run writes its outputs (exit 0) or is refused at load
     # with a message that starts with a field's name (exit 2).  Derandomized
-    # and without an example database, so it draws the same cases every run;
-    # the cache of constants it reads from the source goes under tmp_path
+    # and without an example database, so one pytest command draws the same
+    # cases on every run (hypothesis also draws constants from the source of
+    # the modules loaded so far, and caches them under tmp_path here)
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from hypothesis.configuration import set_hypothesis_home_dir

@@ -771,7 +771,8 @@ def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options,
     """The amplitude records of a scheduled run taken one step at a time, as
     the engine took them before it composed each record stride into one map:
     beta <- damp beta + rot_half (force + k dW + l conj(dW)).  ``seeds`` None
-    gives the noise-free reference, which scatters through no channel.  With
+    gives the noise-free reference, which damps as the lanes do but scatters
+    through no channel.  With
     a list ``coeffs``, the increments dW are zero instead of drawn, and each
     window appends to it its damp and its steps' k_p, l_p, k_m and l_m."""
     schedule, steps = options.schedule, options.steps_per_window
@@ -786,9 +787,9 @@ def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options,
     for wc in schedule:
         d = wc.decomp
         lam_p, lam_m, u_p, w_p, u_m, w_m = (
-            np.array([x if noise else 0.0 * x])
-            for x in (d.lambda_plus, d.lambda_minus, *d.v_plus, *d.v_minus)
+            np.array([x]) for x in (d.lambda_plus, d.lambda_minus, *d.v_plus, *d.v_minus)
         )
+        # the reference damps as the lanes do; it draws no kicks below
         c_damp = lam_p * (abs(u_p) ** 2 - abs(w_p) ** 2) + lam_m * (
             abs(u_m) ** 2 - abs(w_m) ** 2)
         damp = rot * (1.0 - 0.5 * c_damp * dt)
@@ -829,6 +830,10 @@ MAP_SCHEDULES = {
     "zero-rate": [WindowCoefficients(twisted_decomposition(2e-3, 0.0, 0.0), 0.0)] * 2,
     "two-windows": [WindowCoefficients(twisted_decomposition(2e-3, 4e-4, 0.4), 0.3),
                     WindowCoefficients(twisted_decomposition(1e-3, 0.0, -0.7), 0.6)],
+    # twisted channels leave the mean undamped; these damp it at Gamma, a
+    # different rate in each window
+    "damped": [WindowCoefficients(decompose(1e-3, 0.5, 2e-3, 5e-4 + 3e-4j), 0.3),
+               WindowCoefficients(decompose(4e-4, 1.0, 1e-3, -2e-4j), 0.6)],
 }
 
 
