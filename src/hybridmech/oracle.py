@@ -27,6 +27,7 @@ from .spectrum import NoiseKernels, steps_in_window
 from .trajectory import (
     WindowCoefficients,
     _draw_window_noise,
+    _lane_generators,
     _standard_error,
     derive_trajectory_seed,
     resolve_windows,
@@ -517,7 +518,7 @@ def _sse_batch(
     n = len(seeds)
     dim = psi0.shape[0]
     psi = np.tile(psi0[:, None], (1, n)).astype(complex)
-    gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+    gens = _lane_generators(seeds)
     omega, g_m = params.Omega, params.g_m
 
     n_rec = n_windows * steps // record_stride + 1

@@ -28,13 +28,13 @@ stride, and refuses non-finite initial moments and a ``v_a0`` below
 ``-ABORT_VA_TOL``.  The noise-free reference is one more such run, of a lane
 without a generator or channels that damps as the trajectories do.
 
-Reproducibility: every trajectory owns a generator seeded by a SplitMix64
-mix of (master seed, trajectory index), so results are independent of batch
-partitioning and execution order.  The normals are drawn once per window
-without a schedule, and once for all the records of a scheduled run, on up to
-as many threads as the process has CPUs, each thread drawing its own
-trajectories' normals from their own generators, so the results do not depend
-on the thread count either.  ``TrajectoryOptions.workers`` does nothing.
+Reproducibility: trajectory i owns ``Generator(PCG64(seed_i))``, seed_i a
+SplitMix64 mix of (master seed, i) that numpy's SeedSequence hashes, so the
+results do not depend on batch partitioning or execution order.  The
+normals are drawn once per window without a schedule, and once for all the
+records of a scheduled run, on up to as many threads as the process has CPUs,
+each thread drawing its own trajectories' normals from their own generators,
+so the results do not depend on the thread count either; ``workers`` is inert.
 """
 
 from __future__ import annotations
@@ -93,6 +93,35 @@ def derive_trajectory_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _lane_generators(seeds: Sequence[int]) -> list:
+    """Each seed's ``Generator(PCG64(s))``, bit for bit, by one SeedSequence hash (NEP 19)."""
+    if not all(0 <= s <= _MASK64 for s in seeds):  # numpy raises, or hashes more words
+        return [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+
+    def hashmix(v, k, init=0x43B0D7E5, mult=0x931E8875):  # by init * mult**k mod 2**32
+        c0, c1 = (init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in (k, k + 1))
+        v = (v ^ c0) * c1
+        return v ^ (v >> 16)
+
+    s = np.array(seeds, dtype=np.uint64)  # two little-endian entropy words; a missing
+    pool = [hashmix(x.astype(np.uint32), k)  # high word hashes as a zero word does
+            for k, x in enumerate([s, s >> 32, 0 * s, 0 * s])]
+    for k, (i, j) in enumerate([(i, j) for i in range(4) for j in range(4) if i != j], 4):
+        x = 0xCA01F9DD * pool[j] - 0x4973F715 * hashmix(pool[i], k)
+        pool[j] = x ^ (x >> 16)
+    state = np.stack([hashmix(pool[k % 4], k, 0x8B51F9DD, 0x58F38DED) for k in range(8)],
+                     axis=1).astype("<u4").view("<u8").astype(np.uint64)  # 4 per PCG64
+
+    class Words(np.random.bit_generator.ISeedSequence):  # numpy.random loads on first use
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return [np.random.Generator(np.random.PCG64(Words(x))) for x in state]
 
 
 @dataclass(frozen=True)
@@ -461,7 +490,7 @@ def _batch_run(
     panel_rel_t = np.arange(WINDOW_PANELS + 1) * (spp * dt)
     panel_phases = np.exp(-2j * omega * panel_rel_t)
 
-    gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds or ()]
+    gens = _lane_generators(seeds or ())
 
     beta = np.full(n, complex(beta0), dtype=complex)
     va = np.full(lanes, float(v_a0))
