@@ -26,6 +26,12 @@ def decomposition_from_set(Gamma, n_m, s0, s2):
     return NoiseKernels(s0=s0, s2=s2), decompose(Gamma, n_m, s0, s2)
 
 
+def reference_generators(seeds):
+    """One generator per seed by numpy's own constructor, independent of the
+    engine's vectorised seeding: ``Generator(PCG64(int(s)))``."""
+    return [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+
+
 def sinusoidal_kernels(params, amplitude):
     """Exact window kernels (s0, s2) for delta_m(t) = amplitude * cos(Omega t).
 

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import sinusoidal_rates
+from conftest import reference_generators, sinusoidal_rates
 
 from hybridmech import trajectory
 from hybridmech.bloch import PhysParams, _expm
@@ -20,6 +20,7 @@ from hybridmech.trajectory import (
     _RECORDED,
     _batch_run,
     _draw_window_noise,
+    _lane_generators,
     _variance_step,
     derive_trajectory_seed,
     resolve_windows,
@@ -39,7 +40,7 @@ def frozen_frame_params():
 
 
 def draw_window(seeds, steps, dt):
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    gens = reference_generators(seeds)
     buf = tuple(np.empty((steps, len(seeds)), dtype=complex) for _ in range(2))
     return _draw_window_noise(gens, steps, dt, buf)
 
@@ -54,7 +55,7 @@ def test_complex_wiener_moments():
         assert abs(np.mean(draws**2)) <= 5e-3 * dt
     assert abs(np.mean(dw_p * np.conjugate(dw_m))) <= 5e-3 * dt
     # column i holds trajectory i's stream: (x0 + i x1, x2 + i x3) sqrt(dt / 2)
-    x = np.random.Generator(np.random.PCG64(seeds[7])).standard_normal((10_000, 4))
+    x = reference_generators(seeds[7:8])[0].standard_normal((10_000, 4))
     assert np.array_equal(dw_p[:, 7], (x[:, 0] + 1j * x[:, 1]) * math.sqrt(0.5 * dt))
     assert np.array_equal(dw_m[:, 7], (x[:, 2] + 1j * x[:, 3]) * math.sqrt(0.5 * dt))
 
@@ -82,8 +83,7 @@ def window_formula(seeds, steps, dt):
     """Each trajectory's increments written out, one generator at a time."""
     scale = math.sqrt(0.5 * dt)
     x = np.stack(
-        [np.random.Generator(np.random.PCG64(s)).standard_normal((steps, 4))
-         for s in seeds],
+        [gen.standard_normal((steps, 4)) for gen in reference_generators(seeds)],
         axis=1,
     )
     return (x[..., 0] + 1j * x[..., 1]) * scale, (x[..., 2] + 1j * x[..., 3]) * scale
@@ -102,7 +102,7 @@ def test_window_draw_matches_per_trajectory_formula(monkeypatch, n, steps, threa
     got = draw_window(seeds, steps, dt)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     # the SSE passes the first steps of a (2, chunk, n) buffer
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    gens = reference_generators(seeds)
     noise = np.full((2, steps + 7, n), np.nan + 0j)
     _draw_window_noise(gens, steps, dt, (noise[0, :steps], noise[1, :steps]))
     assert all(np.array_equal(noise[c, :steps], want[c]) for c in range(2))
@@ -151,6 +151,60 @@ def test_seed_derivation_is_stable():
     assert derive_trajectory_seed(0, 0) == 0xE220A8397B1DCDAF
     assert derive_trajectory_seed(0, 1) == 0x6E789E6AA1B965F4
     assert derive_trajectory_seed(12345, 0) != derive_trajectory_seed(12345, 1)
+
+
+def assert_streams_match_numpy(seeds):
+    """Each lane's generator has numpy's state and first normals for its seed."""
+    gens = _lane_generators(seeds)
+    assert len(gens) == len(seeds)
+    for seed, gen, ref in zip(seeds, gens, reference_generators(seeds)):
+        assert gen.bit_generator.state == ref.bit_generator.state, seed
+        assert gen.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes(), seed
+
+
+def test_lane_generators_match_numpy_seeding():
+    # the engine's one vectorised SeedSequence hash against numpy's own, on
+    # seeds of one and two 32-bit words, the edges of 2**32, 2**63 and 2**64,
+    # and the 2,000 derived seeds of scheduled_ensemble; if numpy ever changes
+    # its seeding, this fails rather than the golden digests
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    assert_streams_match_numpy(edges + [derive_trajectory_seed(1112, i) for i in range(2000)])
+    assert _lane_generators([]) == []
+
+
+def test_lane_generators_match_numpy_on_drawn_seeds(tmp_path):
+    # derandomized and without an example database, as the config fuzz is
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=200)
+    @hypothesis.given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def check(seeds):
+        assert_streams_match_numpy(seeds)
+
+    set_hypothesis_home_dir(tmp_path / "hypothesis")
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+def test_seeds_outside_64_bits_keep_numpys_behaviour():
+    # run_trajectory takes any int seed: numpy refuses a negative one, and
+    # hashes one above 2**64 from three entropy words; the engine does the same
+    p = tls_noise_params()
+    opts = TrajectoryOptions(steps_per_window=64, record_stride=16)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        run_trajectory(p, 1j, 0.0, 0.0, p.mechanical_period, seed=-1, options=opts)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        _lane_generators([5, -1])
+    gens = _lane_generators([5, 2**70])
+    assert gens[1].bit_generator.random_raw() == 10013647886062870613
+    assert gens[0].bit_generator.state == np.random.PCG64(5).state
+    record = run_trajectory(p, 1j, 0.0, 0.0, p.mechanical_period, seed=2**70, options=opts)
+    assert record.seed == 2**70 and np.isfinite(record.beta).all()
 
 
 def frozen_options(decomp, steps, pe=0.0):
@@ -780,7 +834,7 @@ def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options,
     dt, omega = window / steps, params.Omega
     rot, rot_half = cmath.exp(-1j * omega * dt), cmath.exp(-0.5j * omega * dt)
     noise = seeds is not None
-    gens = [np.random.Generator(np.random.PCG64(int(s))) for s in seeds or ()]
+    gens = reference_generators(seeds or ())
     beta = np.full(len(gens) if noise else 1, complex(beta0))
     va, vb = np.array([float(v_a0)]), np.array([complex(v_b0)])
     out = []
