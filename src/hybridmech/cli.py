@@ -37,6 +37,7 @@ from .oracle import (
 )
 from .spectrum import NoiseKernels, spectrum_closed_form, spectrum_qrt
 from .trajectory import (
+    _RECORDED,
     TrajectoryOptions,
     _check_step,
     histogram_targets,
@@ -50,6 +51,9 @@ HBAR = 1.054571817e-34  # J s
 KB = 1.380649e-23  # J / K
 
 KINDS = ("semiclassical", "ensemble", "phase-diagram", "spectra", "validate")
+
+# Largest records or window noise buffers a run may allocate, the same on every host.
+MEMORY_CAP = 16 * 2**30  # bytes
 
 
 class ConfigError(ValueError):
@@ -322,6 +326,7 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
                             config.duration_periods * period, None)
         if windows * config.steps_per_window >= 2**63:
             raise ConfigError("duration_periods", "the run reaches 2**63 steps")
+        _check_memory(config, windows)
         if not 2.0 * params.g_m * abs(config.beta0) <= 1e15:  # as _EMITTER bounds rates
             raise ConfigError("initial.beta0", "induced detuning 2 g_m |beta0| above 1e15")
         floor = params.Gamma * (params.n_m + 1.0 if config.kind == "ensemble" else 1.0)
@@ -337,6 +342,26 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
             f"the {config.kind} kind{hint} needs n_q = 0 (zero-temperature emitter); "
             f"got n_q = {params.n_q:.3g}",
         )
+
+
+def _check_memory(config: ExperimentConfig, windows: int) -> None:
+    """Refuse a run whose records (lanes x records x 80 bytes) or window noise
+    buffers (2 x steps x lanes x 16 bytes) exceed ``MEMORY_CAP``, naming the
+    field that one lane already breaks it by, else ``trajectories``."""
+    lanes = config.trajectories if config.kind == "ensemble" else 1
+    steps = config.steps_per_window
+    record_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
+    for what, per_lane, field_name in (
+        ("window noise buffers", 2 * steps * 16, "engine.steps_per_window"),
+        ("records", (windows * steps // config.record_stride + 1) * record_bytes,
+         "duration_periods"),
+    ):
+        if lanes * per_lane > MEMORY_CAP:
+            raise ConfigError(
+                field_name if per_lane > MEMORY_CAP else "trajectories",
+                f"the run's {what} would take {lanes * per_lane / 2**30:.3g} GiB, "
+                f"above the {MEMORY_CAP // 2**30} GiB cap",
+            )
 
 
 # ---------------------------------------------------------------------------

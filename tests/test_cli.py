@@ -10,6 +10,7 @@ import pytest
 from hybridmech.cli import (
     HBAR,
     KB,
+    MEMORY_CAP,
     _TOP,
     ConfigError,
     bose_occupation,
@@ -459,6 +460,9 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("engine", "steps_per_window"), 1e300, "engine.steps_per_window"),
         (("seed",), 2**63, "seed"),
         (("params", "Omega"), 1e308, "params.Omega"),
+        (("duration_periods",), 6.75e15, "duration_periods"),
+        (("trajectories",), 10**9, "trajectories"),
+        (("engine", "steps_per_window"), 2**40, "engine.steps_per_window"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
          "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
@@ -470,7 +474,7 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
          "trajectories-bool", "steps-numeric-text", "grid-points-fraction",
          "output-dir-null", "seed-negative", "periods-outside", "duration-fraction",
          "trajectories-huge", "seed-huge", "steps-huge", "seed-2**63",
-         "Omega-huge"],
+         "Omega-huge", "duration-memory", "trajectories-memory", "steps-memory"],
 )
 def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
     # each used to escape as a traceback (exit 1), to fail with a misleading
@@ -487,6 +491,22 @@ def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name)
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"]["code"] == 2
     assert payload["error"]["message"].startswith(field_name + ":")
+
+
+def test_memory_cap_is_exact_at_load():
+    # at 256 steps per window, stride 32 and 2 periods, a lane holds 17
+    # records (1,360 bytes) and 8,192 bytes of window noise buffers, so
+    # 2**21 lanes fill MEMORY_CAP exactly and one more is refused at load;
+    # the 2**63-step rule lets 6.75e15 periods through, whose records
+    # used to fail the run on a 767 PiB allocation (exit 3)
+    assert MEMORY_CAP == 16 * 2**30
+    config_from_dict(base_config(kind="ensemble", trajectories=2**21))
+    with pytest.raises(ConfigError, match="^trajectories: the run's window noise buffers"):
+        config_from_dict(base_config(kind="ensemble", trajectories=2**21 + 1))
+    # one lane: the semiclassical kind runs a single reference lane
+    config_from_dict(base_config(kind="semiclassical", trajectories=2**40))
+    with pytest.raises(ConfigError, match="^duration_periods: the run's records"):
+        config_from_dict(base_config(kind="semiclassical", duration_periods=6.75e15))
 
 
 @pytest.mark.parametrize(
@@ -645,6 +665,9 @@ def test_config_fuzz_exits_0_or_2(tmp_path, capsys, kind):
     if "initial" in base:
         cases += [with_value(base, ("initial", "beta0"), [0.0, 1e20]),
                   with_value(base, ("initial", "beta0"), [0.0, 1e160])]
+    if "trajectories" in base:  # records or window buffers far above MEMORY_CAP
+        cases += [with_value(base, ("duration_periods",), 6.75e15),
+                  with_value(base, ("trajectories",), 10**9)]
     failed = []
     for i, doc in enumerate(cases):
         path = write_config(tmp_path, doc)
