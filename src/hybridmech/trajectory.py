@@ -96,7 +96,7 @@ def derive_trajectory_seed(master_seed: int, index: int) -> int:
 
 
 def _lane_generators(seeds: Sequence[int]) -> list:
-    """Each seed's ``Generator(PCG64(s))``, bit for bit, by one SeedSequence hash (NEP 19)."""
+    """``Generator(PCG64(s))`` for each seed, bit for bit: one SeedSequence hash (NEP 19)."""
     if not all(0 <= s <= _MASK64 for s in seeds):  # numpy raises, or hashes more words
         return [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
 
@@ -105,9 +105,8 @@ def _lane_generators(seeds: Sequence[int]) -> list:
         v = (v ^ c0) * c1
         return v ^ (v >> 16)
 
-    s = np.array(seeds, dtype=np.uint64)  # two little-endian entropy words; a missing
-    pool = [hashmix(x.astype(np.uint32), k)  # high word hashes as a zero word does
-            for k, x in enumerate([s, s >> 32, 0 * s, 0 * s])]
+    s = np.array(seeds, dtype=np.uint64)  # 2 entropy words; a missing one hashes as a 0
+    pool = [hashmix(x.astype("u4"), k) for k, x in enumerate([s, s >> 32, 0 * s, 0 * s])]
     for k, (i, j) in enumerate([(i, j) for i in range(4) for j in range(4) if i != j], 4):
         x = 0xCA01F9DD * pool[j] - 0x4973F715 * hashmix(pool[i], k)
         pool[j] = x ^ (x >> 16)
