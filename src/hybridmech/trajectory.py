@@ -19,14 +19,14 @@ come exactly, at every step, from the exponential of its 4x4 Hamiltonian
 matrix (Radon's lemma) rather than from a step-by-step integration.  On a
 given schedule every trajectory starts from the same variances and sees the
 same frozen channel data, and the variance equations take no noise, so
-scheduled runs propagate one shared variance lane and broadcast it over the
-batch.  Their amplitude step then has constant coefficients, so the steps
-between two records compose into one linear map, whose noise is a 2-D
-Gaussian drawn exactly from 2 normals per lane (Kloeden and Platen 1992;
-Gillespie 1996).  A run records the quantities of ``_RECORDED`` at every
-stride, and refuses non-finite initial moments and a ``v_a0`` below
-``-ABORT_VA_TOL``.  The noise-free reference is one more such run, of a lane
-without a generator or channels that damps as the trajectories do.
+scheduled runs propagate one shared variance lane.  Their amplitude step
+then has constant coefficients, so the steps between two records compose
+into one linear map, whose noise is a 2-D Gaussian drawn exactly from 2
+normals per lane (Kloeden and Platen 1992; Gillespie 1996).  A run records
+the quantities of ``_RECORDED`` at every stride, beta and delta_m per
+trajectory and the others per variance lane, and refuses non-finite initial
+moments and a ``v_a0`` below ``-ABORT_VA_TOL``.  The noise-free reference is
+one more run: a lane without generator or channels, damped as the others.
 
 Reproducibility: trajectory i owns ``Generator(PCG64(seed_i))``, seed_i a
 SplitMix64 mix of (master seed, i) that numpy's SeedSequence hashes, so the
@@ -204,6 +204,7 @@ _RECORDED = {
     "beta": complex, "v_a": float, "v_b": complex, "delta_m": float, "pe": float,
     "lambda_plus": float, "lambda_minus": float, "theta": float,
 }
+_PER_TRAJECTORY = ("beta", "delta_m")  # a row per trajectory, the others per variance lane
 
 
 @dataclass(frozen=True)
@@ -456,12 +457,13 @@ def _batch_run(
     matrix: Gamma, or on a schedule the window's.  ``seeds is None`` gives the
     semiclassical reference: one lane that has no generator, so it draws no
     increments, and no scattering channels, so its kicks and variances stay
-    zero.  With a schedule, one lane of variances and channel data broadcasts
-    over the batch, and beta moves by one map per record stride, its noise
+    zero.  With a schedule, beta moves by one map per record stride, its noise
     drawn from 2 normals per lane; each lane draws the normals of every record
     at once, after the last window.  A window writes the records of its first
     to its last step, both included, so the last window's last one is the
-    closing record.  A non-finite initial moment, or ``v_a0`` below
+    closing record.  beta and delta_m have a row per trajectory; the other
+    records, ``alive`` and ``abort_time`` have one per variance lane, which a
+    schedule's batch shares.  A non-finite initial moment, or ``v_a0`` below
     ``-ABORT_VA_TOL``, raises a ``ValueError`` naming the argument first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
@@ -494,11 +496,12 @@ def _batch_run(
     beta = np.full(n, complex(beta0), dtype=complex)
     va = np.full(lanes, float(v_a0))
     vb = np.full(lanes, complex(v_b0), dtype=complex)
-    alive = np.ones(n, dtype=bool)
-    abort_time = np.full(n, np.nan)
+    alive = np.ones(lanes, dtype=bool)
+    abort_time = np.full(lanes, np.nan)
 
     n_rec = n_windows * per_window + 1
-    rec = {name: np.empty((n, n_rec), dtype=dtype) for name, dtype in _RECORDED.items()}
+    rec = {name: np.empty((n if name in _PER_TRAJECTORY else lanes, n_rec), dtype=dtype)
+           for name, dtype in _RECORDED.items()}
 
     # Kernel input for window 0: induced detuning predicted from free rotation.
     delta_panel = 2.0 * g_m * np.real(beta[:, None] * np.exp(-1j * omega * panel_rel_t))
@@ -552,11 +555,8 @@ def _batch_run(
                 late = hit & (np.arange(steps)[:, None] >= first)
                 va_rows[1:][late] = np.nan
                 vb_rows[1:][late] = np.nan
-                # a shared lane aborts every trajectory at once
-                newly = alive & np.broadcast_to(hit, (n,))
-                abort_time[newly] = (
-                    w * steps + np.broadcast_to(first, (n,))[newly] + 1
-                ) * dt
+                newly = alive & hit
+                abort_time[newly] = (w * steps + first[newly] + 1) * dt
                 alive[newly] = False
             else:
                 va_rows, vb_rows = (np.broadcast_to(x, (steps + 1, lanes)) for x in (va, vb))
@@ -640,12 +640,10 @@ def _batch_run(
     return rec
 
 
-def _record_from_batch(batch: dict, lane: int, seed: int | None) -> TrajectoryRecord:
-    return TrajectoryRecord(
-        times=batch["times"].copy(),
-        **{name: batch[name][lane].copy() for name in _RECORDED},
-        seed=seed,
-    )
+def _record_from_batch(batch: dict, seed: int | None) -> TrajectoryRecord:
+    # a batch of one lane, whose rows are its whole arrays: none needs a copy
+    return TrajectoryRecord(times=batch["times"], seed=seed,
+                            **{name: batch[name][0] for name in _RECORDED})
 
 
 def run_trajectory(
@@ -662,7 +660,7 @@ def run_trajectory(
     batch = _batch_run(params, beta0, v_a0, v_b0, duration, [seed], options)
     if not batch["alive"][0]:
         raise TrajectoryAbort(0, float(batch["abort_time"][0]))
-    return _record_from_batch(batch, 0, seed)
+    return _record_from_batch(batch, seed)
 
 
 def semiclassical_run(
@@ -680,7 +678,7 @@ def semiclassical_run(
     """
     options = options or TrajectoryOptions()
     batch = _batch_run(params, beta0, 0.0, 0.0, duration, None, options)
-    return _record_from_batch(batch, 0, None)
+    return _record_from_batch(batch, None)
 
 
 def _sample_variance(values: np.ndarray) -> np.ndarray:
@@ -725,20 +723,18 @@ def run_ensemble(
     seeds = [derive_trajectory_seed(master_seed, i) for i in range(n_traj)]
     batch = _batch_run(params, beta0, v_a0, v_b0, duration, seeds, options)
 
-    alive = batch["alive"]
-    aborted = [
-        (int(i), float(batch["abort_time"][i])) for i in np.flatnonzero(~alive)
-    ]
+    # a schedule's shared lane aborts every trajectory at once
+    alive, abort_time = (np.broadcast_to(batch[k], n_traj) for k in ("alive", "abort_time"))
+    aborted = [(int(i), float(abort_time[i])) for i in np.flatnonzero(~alive)]
     if len(aborted) > 0.01 * n_traj:
         raise EnsembleAbortError(
             f"{len(aborted)}/{n_traj} trajectories aborted: {aborted[:10]}"
         )
 
+    # so a lane aborted here is self-scheduled, and every field has its row
+    live = batch if alive.all() else {name: batch[name][alive] for name in _RECORDED}
+    beta, va, vb = live["beta"], live["v_a"], live["v_b"]
     reference = semiclassical_run(params, beta0, duration, options)
-
-    beta = batch["beta"][alive]
-    va = batch["v_a"][alive]
-    vb = batch["v_b"][alive]
 
     n_vals = va + np.abs(beta) ** 2
     b2_vals = vb + beta**2
@@ -747,7 +743,6 @@ def run_ensemble(
     return EnsembleResult(
         times=batch["times"].copy(),
         mean_beta=beta.mean(axis=0),
-        mean_pe=batch["pe"][alive].mean(axis=0),
         mean_n=n_vals.mean(axis=0),
         mean_b2=b2_vals.mean(axis=0),
         var_dbeta_x=_sample_variance(dbeta.real),
@@ -755,9 +750,8 @@ def run_ensemble(
         se_beta=_standard_error(dbeta),
         se_n=_standard_error(n_vals),
         se_b2=_standard_error(b2_vals),
-        mean_lambda_plus=batch["lambda_plus"][alive].mean(axis=0),
-        mean_lambda_minus=batch["lambda_minus"][alive].mean(axis=0),
-        mean_theta=batch["theta"][alive].mean(axis=0),
+        **{f"mean_{name}": live[name].mean(axis=0)
+           for name in ("pe", "lambda_plus", "lambda_minus", "theta")},
         histograms=_histograms(
             batch["times"], dbeta, params, targets, options.histogram_bins
         ),

@@ -1051,10 +1051,34 @@ def test_record_map_lanes_match_their_runs_alone(n):
     duration = 2 * MAP_PARAMS.mechanical_period
     seeds = [derive_trajectory_seed(5, i) for i in range(n)]
     batch = _batch_run(MAP_PARAMS, 0.8 - 0.4j, 0.3, 0.1j, duration, seeds, opts)
+    # a field the lanes share has one row, which stands for every lane
+    rows = {name: np.broadcast_to(batch[name], (n, batch[name].shape[1]))
+            for name in _RECORDED}
     for i, seed in enumerate(seeds):
         alone = _batch_run(MAP_PARAMS, 0.8 - 0.4j, 0.3, 0.1j, duration, [seed], opts)
         for name in _RECORDED:
-            assert np.array_equal(batch[name][i], alone[name][0]), (i, name)
+            assert np.array_equal(rows[name][i], alone[name][0]), (i, name)
+
+
+@pytest.mark.parametrize("case", list(MAP_SCHEDULES))
+def test_schedule_stores_and_reduces_its_shared_fields_once(case):
+    # on a schedule the variances, the population and the channel data are
+    # every lane's: the batch holds one row of each, the ensemble's means are
+    # the schedule's own values bit for bit (the mean of 67 equal rows was
+    # not), and beta and delta_m keep a row per trajectory
+    schedule = MAP_SCHEDULES[case]
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=32, schedule=schedule)
+    duration = 2 * MAP_PARAMS.mechanical_period
+    seeds = [derive_trajectory_seed(5, i) for i in range(67)]
+    batch = _batch_run(MAP_PARAMS, 0.8 - 0.4j, 0.3, 0.1j, duration, seeds, opts)
+    assert {name: len(batch[name]) for name in _RECORDED} == {
+        name: 67 if name in ("beta", "delta_m") else 1 for name in _RECORDED}
+    res = run_ensemble(MAP_PARAMS, 0.8 - 0.4j, duration, 67, 5, opts, 0.3, 0.1j)
+    for name in ("pe", "lambda_plus", "lambda_minus", "theta"):
+        per_window = [wc.pe if name == "pe" else getattr(wc.decomp, name)
+                      for wc in schedule]
+        want = np.append(np.repeat(per_window, 8), per_window[-1])
+        assert np.array_equal(getattr(res, f"mean_{name}"), want), name
 
 
 def test_record_map_abort_in_mid_stride():
