@@ -52,8 +52,9 @@ KB = 1.380649e-23  # J / K
 
 KINDS = ("semiclassical", "ensemble", "phase-diagram", "spectra", "validate")
 
-# Largest records or window noise buffers a run may allocate, the same on every host.
+# Largest arrays a run may allocate, the same on every host.
 MEMORY_CAP = 16 * 2**30  # bytes
+_POINT_BYTES = 32  # a sweep's or grid's peak per point (measured: 32 and 25.3)
 
 
 class ConfigError(ValueError):
@@ -332,6 +333,8 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
         floor = params.Gamma * (params.n_m + 1.0 if config.kind == "ensemble" else 1.0)
         _build("engine.steps_per_window", _check_step, params, period,
                config.steps_per_window, floor)
+    elif config.kind != "validate":  # a sweep or a grid, whose sizes count no windows
+        _check_memory(config, 0)
     if params.n_q != 0 and (config.kind in ("ensemble", "spectra") or (
             config.kind == "semiclassical" and not config.full_bloch)):
         # the emitter spectrum and the closed-form population hold for n_q = 0
@@ -345,17 +348,20 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
 
 
 def _check_memory(config: ExperimentConfig, windows: int) -> None:
-    """Refuse a run whose records (lanes x records x 80 bytes) or window noise
-    buffers (2 x steps x lanes x 16 bytes) exceed ``MEMORY_CAP``, naming the
-    field that one lane already breaks it by, else ``trajectories``."""
+    """Refuse a run whose records (lanes x records x 80 bytes), window noise buffers
+    (2 x steps x lanes x 16 bytes), or sweep or grid points (``_POINT_BYTES`` each)
+    exceed ``MEMORY_CAP``, naming the field one lane breaks it by, else ``trajectories``."""
     lanes = config.trajectories if config.kind == "ensemble" else 1
     steps = config.steps_per_window
     record_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
-    for what, per_lane, field_name in (
+    for what, per_lane, field_name in {
+        "spectra": [("sweep", config.sweep["points"] * _POINT_BYTES, "sweep.points")],
+        "phase-diagram": [("grid", config.grid["points"]**2 * _POINT_BYTES, "grid.points")],
+    }.get(config.kind, [
         ("window noise buffers", 2 * steps * 16, "engine.steps_per_window"),
         ("records", (windows * steps // config.record_stride + 1) * record_bytes,
          "duration_periods"),
-    ):
+    ]):
         if lanes * per_lane > MEMORY_CAP:
             raise ConfigError(
                 field_name if per_lane > MEMORY_CAP else "trajectories",

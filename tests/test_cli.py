@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hybridmech.cli import (
     HBAR,
     KB,
+    KINDS,
     MEMORY_CAP,
     _TOP,
     ConfigError,
@@ -19,6 +21,9 @@ from hybridmech.cli import (
     main,
     write_csv,
 )
+from hybridmech.lindblad import twisted_decomposition
+from hybridmech.oracle import make_frozen_schedule
+from hybridmech.trajectory import _RECORDED, _batch_run, derive_trajectory_seed
 
 
 def base_config(**overrides):
@@ -463,6 +468,8 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("duration_periods",), 6.75e15, "duration_periods"),
         (("trajectories",), 10**9, "trajectories"),
         (("engine", "steps_per_window"), 2**40, "engine.steps_per_window"),
+        (("spectra", "sweep"), {"points": 1e15}, "sweep.points"),
+        (("phase-diagram", "grid"), {"points": 10**8}, "grid.points"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
          "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
@@ -474,14 +481,17 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
          "trajectories-bool", "steps-numeric-text", "grid-points-fraction",
          "output-dir-null", "seed-negative", "periods-outside", "duration-fraction",
          "trajectories-huge", "seed-huge", "steps-huge", "seed-2**63",
-         "Omega-huge", "duration-memory", "trajectories-memory", "steps-memory"],
+         "Omega-huge", "duration-memory", "trajectories-memory", "steps-memory",
+         "sweep-memory", "grid-memory"],
 )
 def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
     # each used to escape as a traceback (exit 1), to fail with a misleading
     # message after the run started (exit 3) or, for a NaN or infinite
     # number, an unknown key, a loose value or a section the kind does not
-    # run, to pass the load
-    doc = base_config(kind="ensemble")
+    # run, to pass the load; keys that start with a kind run that kind, whose
+    # sweep or grid above MEMORY_CAP used to fail on a PiB allocation (exit 3)
+    kind, keys = (keys[0], keys[1:]) if keys[0] in KINDS else ("ensemble", keys)
+    doc = base_config(kind=kind)
     target = doc
     for key in keys[:-1]:
         target = target[key]
@@ -507,6 +517,37 @@ def test_memory_cap_is_exact_at_load():
     config_from_dict(base_config(kind="semiclassical", trajectories=2**40))
     with pytest.raises(ConfigError, match="^duration_periods: the run's records"):
         config_from_dict(base_config(kind="semiclassical", duration_periods=6.75e15))
+    # a sweep holds 32 bytes a point, and a grid points**2 points
+    config_from_dict(base_config(kind="spectra", sweep={"points": 2**29}))
+    with pytest.raises(ConfigError, match="^sweep.points: the run's sweep"):
+        config_from_dict(base_config(kind="spectra", sweep={"points": 2**29 + 1}))
+    config_from_dict(base_config(kind="phase-diagram", grid={"points": 23170}))
+    with pytest.raises(ConfigError, match="^grid.points: the run's grid"):
+        config_from_dict(base_config(kind="phase-diagram", grid={"points": 23171}))
+
+
+def test_memory_cap_counts_the_records_a_batch_allocates():
+    # at stride 4 over 2 periods a lane holds 129 records, 10,320 bytes: more
+    # than its 8,192 bytes of window noise buffers, so the records decide the
+    # cap.  A self-scheduled batch allocates exactly that per lane, and a
+    # scheduled one less, since its lanes share all but beta and delta_m
+    engine = {"steps_per_window": 256, "record_stride": 4}
+    per_lane = 129 * sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
+    config = config_from_dict(base_config(kind="ensemble", engine=engine,
+                                          trajectories=MEMORY_CAP // per_lane))
+    with pytest.raises(ConfigError, match="^trajectories: the run's records"):
+        config_from_dict(base_config(kind="ensemble", engine=engine,
+                                     trajectories=MEMORY_CAP // per_lane + 1))
+    duration = 2 * config.params.mechanical_period
+    seeds = [derive_trajectory_seed(7, i) for i in range(3)]
+    schedule = make_frozen_schedule(twisted_decomposition(2e-3, 4e-4, 0.4), 0.3, 2)
+
+    def record_bytes(options):
+        batch = _batch_run(config.params, config.beta0, 0.0, 0.0, duration, seeds, options)
+        return sum(batch[name].nbytes for name in _RECORDED)
+
+    assert record_bytes(config.options()) == 3 * per_lane
+    assert record_bytes(replace(config.options(), schedule=schedule)) < 3 * per_lane
 
 
 @pytest.mark.parametrize(
@@ -668,6 +709,10 @@ def test_config_fuzz_exits_0_or_2(tmp_path, capsys, kind):
     if "trajectories" in base:  # records or window buffers far above MEMORY_CAP
         cases += [with_value(base, ("duration_periods",), 6.75e15),
                   with_value(base, ("trajectories",), 10**9)]
+    if "sweep" in base:  # 7.11 PiB of sweep
+        cases.append(with_value(base, ("sweep", "points"), 1e15))
+    if "grid" in base:  # 71.1 PiB of grid
+        cases.append(with_value(base, ("grid", "points"), 10**8))
     failed = []
     for i, doc in enumerate(cases):
         path = write_config(tmp_path, doc)
