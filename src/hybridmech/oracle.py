@@ -82,11 +82,13 @@ def _span(shift: int, size: int):
     return slice(lo, lo + n), slice(lo + shift, lo + shift + n)
 
 
-@functools.lru_cache(maxsize=None)
-def _shift_term(rows: int, cols: int, a: int, c: int):
-    """(dst, src, w, rest) of a row shift (a = +-1, c = 0) or a column shift
-    (a = 0, c = +-1) on the (rows, cols) grid: w weighs each output entry of
-    ``dst``, and ``rest`` is the slice of the output that no source reaches."""
+@functools.lru_cache(maxsize=64)  # bounded: keyed by whole shapes, stack lengths included
+def _shift_term(shape: tuple, axis: int, a: int, c: int):
+    """(flat, dst, src, w, rest) of a row (a = +-1, c = 0) or column (a = 0,
+    c = +-1) shift on ``axis`` of ``shape``, merged with the later axes in ``flat``:
+    w weighs each entry of ``dst``, and no source reaches the ``rest``."""
+    axis %= len(shape)
+    rows, cols = shape[axis], math.prod(shape[axis + 1:])
     shift = a * cols + c
     dst, src = _span(shift, rows * cols)
     # sqrt(max(k, k + a + c)) on the shifted axis, 0 where x[i, j + c] leaves
@@ -98,20 +100,17 @@ def _shift_term(rows: int, cols: int, a: int, c: int):
     w = np.broadcast_to(w if c else w[:, None], (rows, cols)).reshape(-1)[dst]
     w.flags.writeable = False
     rest = slice(dst.stop, None) if shift > 0 else slice(0, dst.start)
-    return dst, src, w, rest
+    return shape[:axis] + (rows * cols,), dst, src, w, rest
 
 
 def _shift(x: np.ndarray, axis: int, a: int, c: int) -> np.ndarray:
     """out[i, j] = w x[i + a, j + c], i on ``axis`` and j over the axes after
     it, flattened (see :func:`_shift_term`)."""
-    rows, cols = x.shape[axis], math.prod(x.shape[axis + 1:])
-    dst, src, w, rest = _shift_term(rows, cols, a, c)
-    flat = x.shape[:axis] + (rows * cols,)
-    out = np.empty(x.shape, dtype=x.dtype)
-    of, xf = out.reshape(flat), x.reshape(flat)
-    np.multiply(w, xf[..., src], out=of[..., dst])
-    of[..., rest] = 0
-    return out
+    flat, dst, src, w, rest = _shift_term(x.shape, axis, a, c)
+    out = np.empty(flat, dtype=x.dtype)
+    np.multiply(w, x.reshape(flat)[..., src], out=out[..., dst])
+    out[..., rest] = 0
+    return out.reshape(x.shape)
 
 
 def lower_state(psi: np.ndarray) -> np.ndarray:
@@ -478,15 +477,12 @@ def integrate_master(
 
 
 def _rk4_step(x, h, rhs):
-    # k1 + 2 k2 + 2 k3 + k4 summed in place, left to right, so that no more
-    # than two stages are held at once
-    acc = rhs(x)
-    k = rhs(x + 0.5 * h * acc)
-    acc += 2.0 * k
-    k = rhs(x + 0.5 * h * k)
-    acc += 2.0 * k
-    acc += rhs(x + h * k)
-    return x + (h / 6.0) * acc
+    # RK4 for a linear rhs L, in Horner form x + h L (x + h/2 L (x + h/3 L (x + h/4 L x))):
+    # the degree-4 Taylor polynomial of exp(h L) x, holding one stage at a time
+    y = x + (h / 4.0) * rhs(x)
+    y = x + (h / 3.0) * rhs(y)
+    y = x + (h / 2.0) * rhs(y)
+    return x + h * rhs(y)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +536,7 @@ def _sse_batch(
 
     chunk = min(SSE_NOISE_CHUNK, steps)
     noise = np.empty((2, chunk, n), dtype=complex)
+    zc, z = zs = np.empty((2, n), dtype=complex)  # conj(z) and z of the step
     levels = np.arange(dim, dtype=float)
     s2 = np.sqrt(levels[2:] * (levels[2:] - 1.0))[:, None]
     record(0.0)
@@ -547,40 +544,43 @@ def _sse_batch(
         dec = schedule[w].decomp
         lam = np.array([dec.lambda_plus, dec.lambda_minus])
         ch = np.array([dec.v_plus, dec.v_minus])  # rows: channels; columns: u, w
-        # g_uw = sum_s lam_s u_s conj(w_s) etc.; mix @ dW = sum_s sqrt(lam_s) (u_s, w_s) dW_s
-        (g_uu, g_uw), (g_wu, g_ww) = ch.T @ (lam[:, None] * ch.conj())
+        # h/2 g, g = [[g_uu, g_uw], [g_wu, g_ww]] with g_uw = sum_s lam_s u_s
+        # conj(w_s) etc.; mix @ dW = sum_s sqrt(lam_s) (u_s, w_s) dW_s
+        half_hg = (0.5 * h) * (ch.T @ (lam[:, None] * ch.conj()))
         mix = (np.sqrt(lam)[:, None] * ch).T
         force_h = 1j * g_m * schedule[w].pe * h
         # -h/2 sum_s lam_s L_s^dag L_s: q0 on the diagonal (truncated b b^dag is
         # 0 on the top level) and q2 conj(ph)^2 on the b^dag^2 diagonal
-        q0 = (-0.5 * h) * (g_uu.real * levels + g_ww.real * np.roll(levels, -1))[:, None]
-        q2 = (-0.5 * h) * g_wu * s2
+        q0 = -(half_hg[0, 0].real * levels + half_hg[1, 1].real * np.roll(levels, -1))[:, None]
+        q2 = -half_hg[1, 0] * s2
+        q2c = np.conjugate(q2)
         for j in range(steps):
             if j % chunk == 0:
                 m = min(chunk, steps - j)
                 _draw_window_noise(gens, m, h, (noise[0, :m], noise[1, :m]))
-            nu, nw = mix @ noise[:, j % chunk]
+            c = mix @ noise[:, j % chunk]  # (nu, nw)
             t = (w * steps + j) * h
             ph = cmath.exp(-1j * omega * t)
             phc = ph.conjugate()
             bpsi = lower_state(psi)
             bdpsi = raise_state(psi)
-            # psi' = c_psi psi + c_b b psi + c_bd b^dag psi - h/2 P psi, with
-            # L_s = u_s ph b + w_s conj(ph) b^dag and z = ph <b>
-            z = ph * np.sum(np.conjugate(psi) * bpsi, axis=0)
-            zc = np.conjugate(z)
-            c_b = ph * (h * (g_uu * zc + g_uw * z) + nu - force_h)
-            c_bd = phc * (h * (g_wu * zc + g_ww * z) + nw - force_h)
-            c_psi = 1.0 - z * nu - zc * nw
-            c_psi -= (0.5 * h) * ((g_uu + g_ww).real * abs(z) ** 2 + 2 * (g_uw * z * z).real)
-            new = (c_psi + q0) * psi
-            new += c_b * bpsi
-            new += c_bd * bdpsi
+            # psi' = c_psi psi + ph c_0 b psi + conj(ph) c_1 b^dag psi - h/2 P psi, with
+            # L_s = u_s ph b + w_s conj(ph) b^dag, z = ph <b>, c = (nu, nw) + pre - force_h
+            # for pre = h g zs, and c_psi = 1 - zs[::-1] . ((nu, nw) + pre / 2)
+            np.multiply(ph, np.vecdot(psi, bpsi, axis=0), out=z)
+            np.conjugate(z, out=zc)
+            half = half_hg @ zs
+            c += half
+            new = (1.0 - z * c[0] - zc * c[1] + q0) * psi
+            c += half
+            c -= force_h
+            new += (ph * c[0]) * bpsi
+            new += (phc * c[1]) * bdpsi
             new[2:] += (q2 * (phc * phc)) * psi[:-2]
-            new[:-2] += (np.conjugate(q2) * (ph * ph)) * psi[2:]
+            new[:-2] += (q2c * (ph * ph)) * psi[2:]
             psi = new
-            norms = np.sqrt(np.sum(psi.real**2 + psi.imag**2, axis=0))
-            drift = np.max(np.abs(norms - 1.0))
+            norms = np.sqrt(np.vecdot(psi, psi, axis=0).real)
+            drift = np.abs(norms - 1.0).max()
             if not drift <= SSE_NORM_TOL:
                 bad = int(np.argmax(np.abs(norms - 1.0)))
                 raise RuntimeError(

@@ -4,8 +4,8 @@
 a toy size.  It exits nonzero when an output check fails or when a function
 the tracer wraps by name is absent, so a rename in ``src/`` that the
 benchmark does not follow fails here rather than in a benchmark run.  The
-per-layer counts of the smoke ``scheduled_ensemble`` and ``long_run`` are
-pinned as well, so a route that bypasses a traced function fails here too.
+per-layer counts of every smoke workload are pinned as well, so a route that
+bypasses a traced function fails here too.
 """
 
 import re
@@ -79,5 +79,27 @@ def test_self_scheduled_smoke_trace_counts(tmp_path, monkeypatch):
     assert metrics["lindblad.eigenpairs.calls"] == 12
     assert metrics["spectrum.spectrum_closed_form.calls"] == 12
     assert metrics["bloch.pe_closed_form.calls"] == 3_074
+    assert tracer.absent == []
+    assert all(ok for ok, _ in workload.check(result))
+
+
+def test_master_oracle_smoke_trace_counts(tmp_path, monkeypatch):
+    # one window of 512 RK4 steps after its 3-call step-halving probe
+    workload, tracer, metrics, result = traced_smoke_run(
+        "master_oracle", tmp_path, monkeypatch
+    )
+    assert metrics["oracle.rk4_step.calls"] == 515
+    assert tracer.absent == []
+    assert all(ok for ok, _ in workload.check(result))
+
+
+def test_sse_oracle_smoke_trace_counts(tmp_path, monkeypatch):
+    # one batch of 4,096 steps: lower_state and raise_state once each per
+    # step, and lower_state twice at each of the 5 records
+    workload, tracer, metrics, result = traced_smoke_run(
+        "sse_oracle", tmp_path, monkeypatch
+    )
+    assert metrics["oracle.ladder.calls"] == 8_202
+    assert tracer.totals["oracle.sse_batch"]["calls"] == 1
     assert tracer.absent == []
     assert all(ok for ok, _ in workload.check(result))

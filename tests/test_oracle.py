@@ -12,6 +12,8 @@ from hybridmech.oracle import (
     _b_right,
     _bdag_left,
     _bdag_right,
+    _shift,
+    _sse_batch,
     coherent_density,
     coherent_state,
     destroy_matrix,
@@ -44,8 +46,12 @@ def test_ladder_helpers_match_dense_operators():
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     assert np.allclose(lower_state(psi), b @ psi)
     assert np.allclose(raise_state(psi), b.conj().T @ psi)
+
+    def lower_last(v):
+        return _shift(v, -1, 1, 0)
+
     # all six shifts against the dense products, on (dim, 5) states and
-    # (3, dim, dim) stacks
+    # (3, dim, dim) stacks, and a lowering on the last axis of a (5, dim) stack
     for dim in (1, 2, 7, 40):
         b = destroy_matrix(dim)
         bd = b.conj().T
@@ -58,6 +64,7 @@ def test_ladder_helpers_match_dense_operators():
             (_bdag_left, x, bd @ x),
             (_b_right, x, x @ b),
             (_bdag_right, x, x @ bd),
+            (lower_last, psi.T, psi.T @ b.T),
         ]
         for shift, arg, dense in cases:
             got = shift(arg)
@@ -456,24 +463,14 @@ def test_sse_ensemble_trajectory_count(params):
         assert not np.any(se)
 
 
-def test_fused_sse_step_matches_dense_reference(params):
-    # Euler-Maruyama on dense operators, one channel at a time, with the same
-    # PCG64 draws; the state has weight on the top level, where the truncated
-    # b b^dag is 0, and the channels are twisted and pushed by a force
-    dim, seed, steps, stride, pe = 6, 31, 1024, 128, 0.4
-    amps = np.exp(0.7j * np.arange(dim)) / math.sqrt(dim)
-    dec = twisted_decomposition(4e-4, 1e-4, 0.6)
-    h = params.mechanical_period / steps
-    series = sse_ensemble(
-        params, amps, params.mechanical_period, h, 1, seed,
-        make_frozen_schedule(dec, pe, 1), record_stride=stride,
-    ).moments
-
+def dense_sse_moments(params, amps, dec, pe, h, steps, stride, seed):
+    """(<b>, <n>, <b^2>) every ``stride`` steps of Euler-Maruyama state
+    diffusion on dense operators, one channel at a time, with the draws of
+    ``PCG64(seed)``."""
+    dim = len(amps)
     b = destroy_matrix(dim)
     bd = b.conj().T
-    x = np.random.Generator(
-        np.random.PCG64(derive_trajectory_seed(seed, 0))
-    ).standard_normal((steps, 4))
+    x = np.random.Generator(np.random.PCG64(seed)).standard_normal((steps, 4))
     dws = (x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
     channels = ((dec.lambda_plus, *dec.v_plus), (dec.lambda_minus, *dec.v_minus))
     psi = amps.copy()
@@ -498,8 +495,44 @@ def test_fused_sse_step_matches_dense_reference(params):
             dpsi += (lpsi - e * psi) * dw[j] * math.sqrt(0.5 * h)
         psi = psi + dpsi
         psi /= np.linalg.norm(psi)
-    exp_b, exp_n, exp_b2 = (np.array(v) for v in zip(*expected))
+    return tuple(np.array(v) for v in zip(*expected))
+
+
+def test_fused_sse_step_matches_dense_reference(params):
+    # Euler-Maruyama on dense operators, one channel at a time, with the same
+    # PCG64 draws; the state has weight on the top level, where the truncated
+    # b b^dag is 0, and the channels are twisted and pushed by a force
+    dim, seed, steps, stride, pe = 6, 31, 1024, 128, 0.4
+    amps = np.exp(0.7j * np.arange(dim)) / math.sqrt(dim)
+    dec = twisted_decomposition(4e-4, 1e-4, 0.6)
+    h = params.mechanical_period / steps
+    series = sse_ensemble(
+        params, amps, params.mechanical_period, h, 1, seed,
+        make_frozen_schedule(dec, pe, 1), record_stride=stride,
+    ).moments
+    exp_b, exp_n, exp_b2 = dense_sse_moments(
+        params, amps, dec, pe, h, steps, stride, derive_trajectory_seed(seed, 0)
+    )
     assert np.allclose(series.times, np.arange(0, steps + 1, stride) * h, rtol=0, atol=1e-9)
     assert np.max(np.abs(series.b - exp_b)) <= 1e-12
     assert np.max(np.abs(series.n - exp_n)) <= 1e-12
     assert np.max(np.abs(series.b2 - exp_b2)) <= 1e-12
+
+
+def test_sse_batch_lanes_match_their_dense_runs(params):
+    # three lanes of one batch, each against the dense run on its own seed's
+    # stream: the per-step coefficients, two rows over the lanes, must neither
+    # mix lanes nor swap the channel cross terms g_uw and g_wu
+    dim, steps, stride, pe = 6, 1024, 128, 0.4
+    amps = np.exp(0.7j * np.arange(dim)) / math.sqrt(dim)
+    dec = twisted_decomposition(4e-4, 1e-4, 0.6)
+    h = params.mechanical_period / steps
+    seeds = [derive_trajectory_seed(8, i) for i in range(3)]
+    _, b, n, b2 = _sse_batch(
+        params, amps, params.mechanical_period, h, seeds,
+        make_frozen_schedule(dec, pe, 1), stride,
+    )
+    for lane, seed in enumerate(seeds):
+        expected = dense_sse_moments(params, amps, dec, pe, h, steps, stride, seed)
+        for got, want in zip((b[lane], n[lane], b2[lane]), expected):
+            assert np.max(np.abs(got - want)) <= 1e-12, lane
