@@ -129,7 +129,8 @@ def pe_closed_form(g: float, gamma, delta):
     if g <= 0:
         return np.zeros(np.shape(delta)) if np.ndim(delta) else 0.0
     delta = np.asarray(delta, dtype=float)
-    out = 1.0 / (2.0 + (2.0 * delta / g) ** 2 + (gamma / g) ** 2)
+    # the scalars first: an engine step calls this on its lanes' detunings
+    out = np.reciprocal((2.0 + (gamma / g) ** 2) + (delta * (2.0 / g)) ** 2)
     return float(out) if out.ndim == 0 else out
 
 

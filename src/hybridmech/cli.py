@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import PhysParams
-from .lindblad import classify_regime, decompose, twisted_decomposition
+from .lindblad import NoiseRegime, decompose, regime_codes, twisted_decomposition
 from .oracle import (
     coherent_density,
     integrate_master,
@@ -54,7 +54,7 @@ KINDS = ("semiclassical", "ensemble", "phase-diagram", "spectra", "validate")
 
 # Largest arrays a run may allocate, the same on every host.
 MEMORY_CAP = 16 * 2**30  # bytes
-_POINT_BYTES = 32  # a sweep's or grid's peak per point (measured: 32 and 25.3)
+_POINT_BYTES = 32  # a sweep's or grid's peak per point (measured at 10**6: 32.0 and 25.4)
 
 
 class ConfigError(ValueError):
@@ -335,6 +335,14 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
                config.steps_per_window, floor)
     elif config.kind != "validate":  # a sweep or a grid, whose sizes count no windows
         _check_memory(config, 0)
+    if config.kind == "phase-diagram":
+        with np.errstate(over="ignore", invalid="ignore"):  # an end may overflow to inf
+            n_m_axis, ratio_axis = _grid_axes(config.grid)
+            if not np.isfinite(n_m_axis).all():
+                raise ConfigError("grid.n_m_max", "the grid's largest n_m overflows")
+            if not np.isfinite(ratio_axis * params.tls_noise_rate).all():
+                raise ConfigError("grid.ratio_max", "the grid's largest damping, "
+                                  "ratio_max g_m**2 / gamma, overflows")
     if params.n_q != 0 and (config.kind in ("ensemble", "spectra") or (
             config.kind == "semiclassical" and not config.full_bloch)):
         # the emitter spectrum and the closed-form population hold for n_q = 0
@@ -373,6 +381,9 @@ def _check_memory(config: ExperimentConfig, windows: int) -> None:
 # ---------------------------------------------------------------------------
 # CSV emission.
 
+_CSV_CHUNK = 1024  # rows formatted at a time
+
+
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -385,10 +396,19 @@ def write_csv(path: Path, columns: dict) -> str:
     """Write ``columns``, an ordered mapping from each column's name to its
     values, as a CSV table at ``path``, and return the file's name.  Columns
     of unequal length raise ``ValueError`` rather than drop rows."""
+    if len({len(values) for values in columns.values()}) > 1:
+        raise ValueError("columns of unequal length")
+    rows = len(next(iter(columns.values()), ()))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in zip(*columns.values(), strict=True):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # a chunk of rows at a time, so the text held stays small; a numpy
+        # column turns into Python numbers in one call, which format as its
+        # scalars do
+        for lo in range(0, rows, _CSV_CHUNK):
+            chunks = (values[lo : lo + _CSV_CHUNK] for values in columns.values())
+            cells = [[_fmt(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+                     for c in chunks]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     return path.name
 
 
@@ -433,20 +453,26 @@ def _run_spectra(config: ExperimentConfig, out: Path) -> list[str]:
     })]
 
 
+def _grid_axes(grid: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The phase diagram's log-spaced n_m and Gamma-ratio axes."""
+    def axis(name):
+        return np.logspace(math.log10(grid[f"{name}_min"]), math.log10(grid[f"{name}_max"]),
+                           grid["points"])
+
+    return axis("n_m"), axis("ratio")
+
+
 def _run_phase_diagram(config: ExperimentConfig, out: Path) -> list[str]:
-    grid = config.grid
-    log10 = {key: math.log10(grid[key]) for key in grid if key != "points"}
-    points = grid["points"]
-    n_ms = np.repeat(np.logspace(log10["n_m_min"], log10["n_m_max"], points), points)
-    ratios = np.tile(np.logspace(log10["ratio_min"], log10["ratio_max"], points), points)
-    base = config.params
-    labels = [
-        classify_regime(replace(base, Gamma=ratio * base.tls_noise_rate,
-                                n_m=float(n_m))).regime.value
-        for n_m, ratio in zip(n_ms, ratios)
-    ]
-    return [write_csv(out / "phase_diagram.csv",
-                      {"n_m": n_ms, "gamma_ratio": ratios, "label": labels})]
+    # rows run over the ratios within each n_m; Gamma = ratio g_m**2 / gamma
+    n_m_axis, ratio_axis = _grid_axes(config.grid)
+    tls_rate = config.params.tls_noise_rate
+    codes = regime_codes(ratio_axis * tls_rate, n_m_axis[:, None], tls_rate).ravel()
+    labels = np.array([regime.value for regime in NoiseRegime], dtype=object)[codes]
+    points = config.grid["points"]
+    return [write_csv(out / "phase_diagram.csv", {
+        "n_m": np.repeat(n_m_axis, points), "gamma_ratio": np.tile(ratio_axis, points),
+        "label": labels,
+    })]
 
 
 def _run_validate(config: ExperimentConfig, out: Path) -> list[str]:

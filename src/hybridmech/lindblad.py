@@ -192,28 +192,33 @@ def effective_thermal(
     return gamma_eff, n_m_eff
 
 
-def classify_regime(params: PhysParams) -> RegimeLabel:
-    """Classify the dominant mechanical noise source.
+def regime_codes(Gamma, n_m, tls_rate: float) -> np.ndarray:
+    """The dominant mechanical noise source at each (Gamma, n_m), over their
+    broadcast, as int8 indices into ``list(NoiseRegime)``.
 
     Emitter-induced noise dominates when both Gamma and n_m Gamma fall below
-    g_m^2/gamma (boundary points inclusive).  Otherwise the emitter either
-    renormalises the thermal bath (weak coupling, n_m <= 1) or is negligible.
+    ``tls_rate`` = g_m^2/gamma (boundary points inclusive).  Otherwise the
+    emitter either renormalises the thermal bath (weak coupling, n_m <= 1) or
+    is negligible.
     """
+    Gamma, n_m = np.asarray(Gamma, dtype=float), np.asarray(n_m, dtype=float)
+    codes = np.full(np.broadcast(Gamma, n_m).shape, 2, dtype=np.int8)  # THERMAL
+    codes[(Gamma > tls_rate) & (n_m <= 1.0)] = 1  # EFFECTIVE_THERMAL
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN compare as floats do
+        codes[(Gamma <= tls_rate) & (n_m * Gamma <= tls_rate)] = 0  # TLS_INDUCED
+    return codes
+
+
+def classify_regime(params: PhysParams) -> RegimeLabel:
+    """Classify the dominant mechanical noise source by ``regime_codes``."""
     tls_rate = params.tls_noise_rate
     Gamma, n_m = params.Gamma, params.n_m
 
     tls_vs_damping = tls_rate / Gamma if Gamma > 0 else math.inf
     thermal_rate = n_m * Gamma
     tls_vs_thermal = tls_rate / thermal_rate if thermal_rate > 0 else math.inf
-
-    if Gamma <= tls_rate and thermal_rate <= tls_rate:
-        regime = NoiseRegime.TLS_INDUCED
-    elif Gamma > tls_rate and n_m <= 1.0:
-        regime = NoiseRegime.EFFECTIVE_THERMAL
-    else:
-        regime = NoiseRegime.THERMAL
     return RegimeLabel(
-        regime=regime,
+        regime=list(NoiseRegime)[int(regime_codes(Gamma, n_m, tls_rate))],
         tls_vs_damping=tls_vs_damping,
         tls_vs_thermal=tls_vs_thermal,
         n_m=n_m,

@@ -43,6 +43,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -313,9 +314,14 @@ def _riccati_generator(omega, channels):
 def _riccati_map(p, x, y, z):
     """W -> (p_11 W + p_12)(p_21 W + p_22)^-1 on W = [[x, y], [y, z]], for an
     entry-major 4x4 propagator p, elementwise over its broadcast with x, y, z."""
-    (x00, x01), (x10, x11), (y00, y01), (y10, y11) = [
-        (r[0] * x + r[1] * y + r[2], r[0] * y + r[1] * z + r[3]) for r in p
-    ]
+    # columns 0 and 1 of [p_11 W + p_12; p_21 W + p_22], the four rows at once
+    col0 = p[:, 0] * x
+    col0 += p[:, 1] * y
+    col0 += p[:, 2]
+    col1 = p[:, 0] * y
+    col1 += p[:, 1] * z
+    col1 += p[:, 3]
+    (x00, x10, y00, y10), (x01, x11, y01, y11) = col0, col1
     det = y00 * y11 - y01 * y10
     return (
         (x00 * y11 - x01 * y10) / det,
@@ -329,28 +335,27 @@ def _variance_step(va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m):
 
     Returns (steps + 1, lanes) rows of v_a and v_b; row j is the state after
     j steps of length dt.  The one-step propagator exp(dt H) and its powers
-    up to _VARIANCE_BLOCK are formed once.  The block's power carries the
-    state from one block start to the next, and one broadcast map then gives
-    every row of every block.  Blocks keep the powers, whose entries grow
-    like exp(|H| t), close to the identity.
+    up to _VARIANCE_BLOCK are formed once.  Each block of _VARIANCE_BLOCK
+    steps maps its first row by the powers P^0 .. P^_VARIANCE_BLOCK at once,
+    so its last row starts the next block.  Blocks keep the powers, whose
+    entries grow like exp(|H| t), close to the identity.
     """
     h = _riccati_generator(omega, ((lam_p, u_p, w_p), (lam_m, u_m, w_m)))
     phi = _expm(dt * h)[:, :, None]
-    eye = np.broadcast_to(np.eye(4)[:, :, None, None], phi.shape)
-    powers = np.concatenate([eye, phi], axis=2)
-    while powers.shape[2] < _VARIANCE_BLOCK:
-        step = _matmul(powers[:, :, -1:], phi)
-        powers = np.concatenate([powers, _matmul(powers, step)], axis=2)
-    block = _matmul(powers[:, :, -1], phi[:, :, 0])
-    n_blocks = -(-(steps + 1) // _VARIANCE_BLOCK)
-    starts = np.empty((3, n_blocks) + np.shape(va))
-    starts[:, 0] = va + vb.real, vb.imag, va - vb.real
-    for q in range(1, n_blocks):
-        starts[:, q] = _riccati_map(block, *starts[:, q - 1])
-    x, y, z = (
-        r.reshape((-1,) + np.shape(va))[: steps + 1]
-        for r in _riccati_map(powers, *starts[:, :, None])
-    )
+    powers = np.empty((4, 4, _VARIANCE_BLOCK + 1) + np.shape(va))
+    powers[:, :, 0], powers[:, :, 1:2] = np.eye(4)[:, :, None], phi
+    k = 2
+    while k < _VARIANCE_BLOCK:  # P^k .. P^(2k - 1) from P^0 .. P^(k - 1) and P^k
+        step = _matmul(powers[:, :, k - 1 : k], phi)
+        powers[:, :, k : 2 * k] = _matmul(powers[:, :, :k], step)
+        k *= 2
+    powers[:, :, k:] = _matmul(powers[:, :, k - 1 : k], phi)
+    x, y, z = np.empty((3, steps + 1) + np.shape(va))  # W's entries per row
+    x[0], y[0], z[0] = va + vb.real, vb.imag, va - vb.real
+    for start in range(0, steps, _VARIANCE_BLOCK):
+        block = slice(start, min(start + _VARIANCE_BLOCK, steps) + 1)
+        x[block], y[block], z[block] = _riccati_map(
+            powers[:, :, : block.stop - start], x[start], y[start], z[start])
     return 0.5 * (x + z), 0.5 * (x - z) + 1j * y
 
 
@@ -503,17 +508,20 @@ def _batch_run(
     rec = {name: np.empty((n if name in _PER_TRAJECTORY else lanes, n_rec), dtype=dtype)
            for name, dtype in _RECORDED.items()}
 
-    # Kernel input for window 0: induced detuning predicted from free rotation.
-    delta_panel = 2.0 * g_m * np.real(beta[:, None] * np.exp(-1j * omega * panel_rel_t))
+    # The detuning is d0 + g2 Re beta.  The step's numbers are 0-d arrays:
+    # numpy converts a Python number operand on every call.  Kernel input for
+    # window 0: the detuning predicted from free rotation.
+    d0, g2 = np.array(delta0), np.array(2.0 * g_m)
+    delta_panel = d0 + g2 * np.real(beta[:, None] * np.exp(-1j * omega * panel_rel_t))
 
     if options.full_bloch:
         st0 = bloch_steady_state(params, delta0 + 2.0 * g_m * beta0.real)
         y_bloch = np.tile([st0.pe, st0.s.real, st0.s.imag], (n, 1))
 
-    def population(delta_m):
-        if options.full_bloch:
+        def population(delta):
             return y_bloch[:, 0].copy()
-        return pe_closed_form(params.g, params.gamma, delta0 + delta_m)
+    else:
+        population = partial(pe_closed_form, params.g, params.gamma)
 
     if schedule is None:
         # step-major rows, refilled every window; a lane without a generator keeps 0
@@ -532,7 +540,7 @@ def _batch_run(
                 c_damp = (lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2)
                           + lam_m * (np.abs(u_m) ** 2 - np.abs(w_m) ** 2))[0]
             elif noise:
-                s0, s2 = panel_kernels(params, delta0 + delta_panel, panel_phases)
+                s0, s2 = panel_kernels(params, delta_panel, panel_phases)
                 lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, params.n_m, s0, s2)
                 (u_p, w_p), (u_m, w_m) = v_p.T, v_m.T
             if not noise:  # the noise-free reference scatters through no channel
@@ -542,6 +550,7 @@ def _batch_run(
             _check_step(params, window, steps,
                         max(np.fmax.reduce(lam_p, initial=0.0), c_damp))
             damp_fac = rot * (1.0 - 0.5 * c_damp * dt)
+            late = False
             if noise:
                 va_rows, vb_rows = _variance_step(
                     va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m
@@ -549,22 +558,24 @@ def _batch_run(
                 # a lane aborts at the first step that leaves v_a below
                 # tolerance or NaN (~(va >= -tol) is True for NaN); from that
                 # step on its variances and amplitude are NaN
-                bad = ~(va_rows[1:] >= -ABORT_VA_TOL)
-                first = np.argmax(bad, axis=0)
-                hit = bad.any(axis=0)
-                late = hit & (np.arange(steps)[:, None] >= first)
-                va_rows[1:][late] = np.nan
-                vb_rows[1:][late] = np.nan
-                newly = alive & hit
-                abort_time[newly] = (w * steps + first[newly] + 1) * dt
-                alive[newly] = False
+                if not va_rows[1:].min() >= -ABORT_VA_TOL:
+                    bad = ~(va_rows[1:] >= -ABORT_VA_TOL)
+                    first = np.argmax(bad, axis=0)
+                    hit = bad.any(axis=0)
+                    late = hit & (np.arange(steps)[:, None] >= first)
+                    va_rows[1:][late] = np.nan
+                    vb_rows[1:][late] = np.nan
+                    newly = alive & hit
+                    abort_time[newly] = (w * steps + first[newly] + 1) * dt
+                    alive[newly] = False
             else:
                 va_rows, vb_rows = (np.broadcast_to(x, (steps + 1, lanes)) for x in (va, vb))
-                late = False
             # noise coefficients of every step, from the pre-step rows; a NaN
             # one makes the aborting step leave the amplitude NaN
             va_pre, vb_pre = va_rows[:-1], vb_rows[:-1]
             sq_p, sq_m = np.sqrt(lam_p), np.sqrt(lam_m)
+            if schedule is None:  # the step takes its kicks turned by half a step
+                sq_p, sq_m = rot_half * sq_p, rot_half * sq_m
             k_p = sq_p * (u_p * vb_pre + w_p * (va_pre + 1.0))
             l_p = sq_p * (np.conjugate(u_p) * va_pre + np.conjugate(w_p) * vb_pre)
             k_m = sq_m * (u_m * vb_pre + w_m * (va_pre + 1.0))
@@ -578,7 +589,7 @@ def _batch_run(
                 ("lambda_plus", lam_p), ("lambda_minus", lam_m), ("theta", theta_w)
             ):
                 rec[name][:, cols] = value[:, None]
-            va, vb = va_rows[-1], vb_rows[-1]
+            va, vb = va_rows[-1].copy(), vb_rows[-1].copy()  # not views of the rows
             if schedule is not None:
                 # the record map: with a = damp_fac, the S = stride steps between
                 # records give beta <- a^S beta + sum_i a^(S-1-i) (drift + kick_i)
@@ -605,19 +616,28 @@ def _batch_run(
             kicks += l_p * np.conjugate(dw_p)
             kicks += k_m * dw_m
             kicks += l_m * np.conjugate(dw_m)
+            # the variance rows go before the next window's variance step; the
+            # k and l rows stay until the next window replaces them, since freeing
+            # them here too made the allocator return the pages and fault them in
+            # again every window
+            del va_rows, vb_rows, va_pre, vb_pre
+            # complex products out of place: numpy's in-place a *= c rounds
+            # by the array's length, so a lane would depend on its batch
+            damp, force = np.array(damp_fac), np.array(rot_half * (-1j * g_m * dt))
             for j in range(steps):
-                delta_m_now = 2.0 * g_m * beta.real
-                pe_now = population(delta_m_now)
+                delta_now = d0 + g2 * beta.real
+                pe_now = population(delta_now)
                 if j % stride == 0:
                     i_rec = w * per_window + j // stride
                     rec["beta"][:, i_rec] = beta
                     rec["pe"][:, i_rec] = pe_now
                 if j % spp == 0:
-                    delta_panel[:, j // spp] = delta_m_now
-                beta = damp_fac * beta + rot_half * (-1j * g_m * pe_now * dt + kicks[j])
+                    delta_panel[:, j // spp] = delta_now
+                beta = damp * beta + force * pe_now
+                beta += kicks[j]
                 if options.full_bloch:
-                    y_bloch = bloch_step_batch(y_bloch, delta0 + delta_m_now, params, dt)
-            delta_panel[:, WINDOW_PANELS] = 2.0 * g_m * beta.real
+                    y_bloch = bloch_step_batch(y_bloch, delta_now, params, dt)
+            delta_panel[:, WINDOW_PANELS] = d0 + g2 * beta.real
 
         if schedule is not None:
             col = np.stack(roots)  # (windows, records, 2)
@@ -633,8 +653,8 @@ def _batch_run(
                 rec["beta"][:, r + 1] = beta
         rec["beta"][:, -1] = beta
         if schedule is None:
-            rec["pe"][:, -1] = population(2.0 * g_m * beta.real)
-    rec["delta_m"][:] = 2.0 * g_m * rec["beta"].real
+            rec["pe"][:, -1] = population(d0 + g2 * beta.real)
+    rec["delta_m"][:] = g2 * rec["beta"].real
 
     rec.update(times=np.arange(n_rec) * stride * dt, alive=alive, abort_time=abort_time)
     return rec

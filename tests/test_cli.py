@@ -373,6 +373,24 @@ def test_write_csv_refuses_ragged_columns(tmp_path):
         write_csv(path, {"a": [1, 2], "b": [0.5]})
 
 
+def test_write_csv_formats_each_column_type(tmp_path):
+    # floats as repr of the float (shortest round trip, -0.0 and subnormals
+    # kept), int64 counts as integers (2**53 + 1 is not a float), labels as is
+    path = tmp_path / "mixed.csv"
+    write_csv(path, {
+        "x": np.array([0.1 + 0.2, -0.0, 1e-300, 5e-324]),
+        "count": np.array([3, 0, -7, 2**53 + 1], dtype=np.int64),
+        "label": ["tls_induced", "thermal", "a b", ""],
+    })
+    assert path.read_text() == (
+        "x,count,label\n"
+        "0.30000000000000004,3,tls_induced\n"
+        "-0.0,0,thermal\n"
+        "1e-300,-7,a b\n"
+        "5e-324,9007199254740993,\n"
+    )
+
+
 def test_nonzero_emitter_occupation_rejected_at_load(tmp_path, capsys):
     # 10 mK at 5 GHz gives n_q = 3.8e-11, still outside the zero-temperature
     # spectrum that the ensemble and spectra runs evaluate, and outside the
@@ -500,6 +518,30 @@ def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name)
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"]["code"] == 2
+    assert payload["error"]["message"].startswith(field_name + ":")
+
+
+@pytest.mark.parametrize(
+    "params, grid, field_name",
+    [
+        ({"g": 1, "Omega": 0.01, "g_m": 1e10}, {"ratio_max": 1e300, "points": 3},
+         "grid.ratio_max"),
+        ({"g": 1, "Omega": 0.01, "g_m": 0.0}, {"ratio_max": 1.7976931348623157e308},
+         "grid.ratio_max"),
+        ({"g": 1, "Omega": 0.01, "g_m": 0.005}, {"n_m_max": 1.7976931348623157e308},
+         "grid.n_m_max"),
+    ],
+    ids=["damping-overflows", "ratio-overflows-at-g_m-0", "n_m-overflows"],
+)
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_phase_diagram_grid_overflow_refused_at_load(tmp_path, capsys, params, grid,
+                                                     field_name):
+    # each passed the load and exited 3 midway: the grid's largest damping
+    # ratio_max g_m**2 / gamma (1e320), the largest ratio itself, whose
+    # log-spaced end rounds to inf (inf * 0 is NaN), and the largest n_m
+    path = write_config(tmp_path, {"kind": "phase-diagram", "params": params, "grid": grid})
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"]["message"].startswith(field_name + ":")
 
 

@@ -4,6 +4,9 @@ same bytes.  A change that alters bytes on purpose rerecords this machine's
 entry with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints each key whose digest moved against the recorded entry
+(or is new, or gone), then writes the entry.
 """
 
 import hashlib
@@ -110,7 +113,12 @@ def test_manifests_reproduce_outputs(runs):
 
 if __name__ == "__main__":
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    old = table.get(machine_key(), {})
     with tempfile.TemporaryDirectory() as tmp:
-        table[machine_key()] = digests(Path(tmp), run_all(Path(tmp)))
+        table[machine_key()] = new = digests(Path(tmp), run_all(Path(tmp)))
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            state = "new" if key not in old else "gone" if key not in new else "moved"
+            print(f"{state}: {key}")
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"recorded {machine_key()!r} in {DIGESTS}")

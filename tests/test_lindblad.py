@@ -10,6 +10,7 @@ from hybridmech.lindblad import (
     classify_regime,
     decompose,
     effective_thermal,
+    regime_codes,
     twisted_decomposition,
 )
 from hybridmech.spectrum import NoiseKernels
@@ -159,6 +160,26 @@ def test_classify_regime_inequalities():
     )
     assert classify_regime(params(tls_rate * 1.01, 1.01)).regime is NoiseRegime.THERMAL
     assert classify_regime(params(tls_rate, 1e6)).regime is NoiseRegime.THERMAL
+
+
+def test_regime_codes_match_the_scalar_rule():
+    # one numpy pass over a grid, against the rule written out per point,
+    # at its boundaries and at 0, inf, an overflowing n_m Gamma and NaN
+    def rule(Gamma, n_m, tls_rate):
+        if Gamma <= tls_rate and n_m * Gamma <= tls_rate:
+            return NoiseRegime.TLS_INDUCED
+        if Gamma > tls_rate and n_m <= 1.0:
+            return NoiseRegime.EFFECTIVE_THERMAL
+        return NoiseRegime.THERMAL
+
+    values = [0.0, 1e-300, 1e-4, 1e-4 * (1 + 1e-15), 0.5, 1.0, 1.0 + 1e-15, 2.0,
+              1e300, math.inf, math.nan]
+    for tls_rate in (0.0, 1e-4, 1.0, 1e300):
+        codes = regime_codes(np.array(values)[None, :], np.array(values)[:, None], tls_rate)
+        assert codes.dtype == np.int8 and codes.shape == (len(values), len(values))
+        for i, n_m in enumerate(values):
+            for j, Gamma in enumerate(values):
+                assert list(NoiseRegime)[codes[i, j]] is rule(Gamma, n_m, tls_rate)
 
 
 def test_classify_regime_scale_invariant():

@@ -288,13 +288,16 @@ def test_ensemble_single_trajectory_matches_run_trajectory():
     assert np.array_equal(ens.mean_pe, single.pe)
 
 
-def test_self_scheduled_ensemble_matches_single_trajectories():
+@pytest.mark.parametrize("full_bloch", [False, True])
+def test_self_scheduled_ensemble_matches_single_trajectories(full_bloch):
     # every self-scheduled lane builds its own kernels, channels and
-    # variances inside one batch; each must still reproduce its own trajectory
+    # variances inside one batch, and takes its population from its own
+    # detuning (closed form, or a Bloch step); each must still reproduce its
+    # own trajectory
     p = tls_noise_params()
     dur = 2 * p.mechanical_period
     n_traj, master_seed = 12, 9
-    opts = TrajectoryOptions(steps_per_window=256, record_stride=64)
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=64, full_bloch=full_bloch)
     ens = run_ensemble(p, 200j, dur, n_traj, master_seed, opts)
     recs = [
         run_trajectory(
