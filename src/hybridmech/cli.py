@@ -55,6 +55,7 @@ KINDS = ("semiclassical", "ensemble", "phase-diagram", "spectra", "validate")
 # Largest arrays a run may allocate, the same on every host.
 MEMORY_CAP = 16 * 2**30  # bytes
 _POINT_BYTES = 32  # a sweep's or grid's peak per point (measured at 10**6: 32.0 and 25.4)
+_BIN_BYTES = 32  # a histogram's peak per bin and target (at 10**6 bins: 32.0 for 1, 21.3 for 3)
 
 
 class ConfigError(ValueError):
@@ -357,23 +358,30 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
 
 def _check_memory(config: ExperimentConfig, windows: int) -> None:
     """Refuse a run whose records (lanes x records x 80 bytes), window noise buffers
-    (2 x steps x lanes x 16 bytes), or sweep or grid points (``_POINT_BYTES`` each)
-    exceed ``MEMORY_CAP``, naming the field one lane breaks it by, else ``trajectories``."""
+    (2 x steps x lanes x 16 bytes), sweep or grid points (``_POINT_BYTES`` each) or
+    histogram bins (``_BIN_BYTES`` per bin and target) exceed ``MEMORY_CAP``,
+    naming the field one lane breaks it by, else ``trajectories``."""
     lanes = config.trajectories if config.kind == "ensemble" else 1
     steps = config.steps_per_window
     record_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
-    for what, per_lane, field_name in {
-        "spectra": [("sweep", config.sweep["points"] * _POINT_BYTES, "sweep.points")],
-        "phase-diagram": [("grid", config.grid["points"]**2 * _POINT_BYTES, "grid.points")],
+    sizes = {  # (what, lanes, bytes per lane, the field one lane breaks the cap by)
+        "spectra": [("sweep", 1, config.sweep["points"] * _POINT_BYTES, "sweep.points")],
+        "phase-diagram": [("grid", 1, config.grid["points"]**2 * _POINT_BYTES,
+                           "grid.points")],
     }.get(config.kind, [
-        ("window noise buffers", 2 * steps * 16, "engine.steps_per_window"),
-        ("records", (windows * steps // config.record_stride + 1) * record_bytes,
+        ("window noise buffers", lanes, 2 * steps * 16, "engine.steps_per_window"),
+        ("records", lanes, (windows * steps // config.record_stride + 1) * record_bytes,
          "duration_periods"),
-    ]):
-        if lanes * per_lane > MEMORY_CAP:
+    ])
+    if config.kind == "ensemble":
+        targets = len(histogram_targets(config.duration_periods, config.histogram_periods))
+        sizes.append(("histograms", 1, targets * config.histogram_bins * _BIN_BYTES,
+                      "engine.histogram_bins"))
+    for what, count, per_lane, field_name in sizes:
+        if count * per_lane > MEMORY_CAP:
             raise ConfigError(
                 field_name if per_lane > MEMORY_CAP else "trajectories",
-                f"the run's {what} would take {lanes * per_lane / 2**30:.3g} GiB, "
+                f"the run's {what} would take {count * per_lane / 2**30:.3g} GiB, "
                 f"above the {MEMORY_CAP // 2**30} GiB cap",
             )
 

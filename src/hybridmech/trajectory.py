@@ -32,9 +32,7 @@ Reproducibility: trajectory i owns ``Generator(PCG64(seed_i))``, seed_i a
 SplitMix64 mix of (master seed, i) that numpy's SeedSequence hashes, so the
 results do not depend on batch partitioning or execution order.  The
 normals are drawn once per window without a schedule, and once for all the
-records of a scheduled run, on up to as many threads as the process has CPUs,
-each thread drawing its own trajectories' normals from their own generators,
-so the results do not depend on the thread count either; ``workers`` is inert.
+records of a scheduled run; ``workers`` is inert.
 """
 
 from __future__ import annotations
@@ -155,10 +153,8 @@ class TrajectoryOptions:
     construction raise a ``ValueError`` whose message starts with the field's
     name.
 
-    ``workers`` has no effect: the batch always runs as one, and only the
-    Wiener draws use threads, as many as the process has CPUs, without
-    changing any result.  It is accepted so that older callers and run
-    manifests that set it keep working.
+    ``workers`` has no effect: the batch always runs as one.  It is accepted
+    so that older callers and run manifests that set it keep working.
     """
 
     steps_per_window: int = 256
@@ -375,75 +371,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Most threads that fill one window's Wiener increments, and the trajectories
-# each thread draws per scratch block.  Neither changes any draw.
-_DRAW_THREADS = _usable_cpus()
+# Trajectories drawn per scratch block; it bounds the scratch and changes no draw.
 _DRAW_BLOCK = 32
-# A ThreadPoolExecutor, started by the first draw that splits over threads.
-_draw_pool = None
 
 
 def machine_diagnostics() -> dict:
-    """The numpy version, the CPUs this process may use and the most threads
-    the Wiener draws use, as a run manifest records them."""
-    return {
-        "numpy": np.__version__,
-        "nproc": _usable_cpus(),
-        "draw_threads": _DRAW_THREADS,
-    }
-
-
-def _forget_draw_pool() -> None:
-    global _draw_pool
-    _draw_pool = None
-
-
-# a forked child inherits the pool object but none of its threads
-os.register_at_fork(after_in_child=_forget_draw_pool)
+    """The numpy version and the CPUs this process may use, as a run manifest
+    records them."""
+    return {"numpy": np.__version__, "nproc": _usable_cpus()}
 
 
 def _draw_window_noise(gens, rows: int, dt: float, out):
     """Draw ``(rows, 4)`` normals per trajectory, and pass each 32-trajectory
-    block to ``out`` on the thread that drew it.  ``rows`` counts the steps of
-    a window without a schedule, and on a schedule the half-records of the
-    whole run, ceil(P / 2) per window of P records.  Returns ``out``: a sink
+    block to ``out`` as it is drawn.  ``rows`` counts the steps of a window
+    without a schedule, and on a schedule the half-records of the whole run,
+    ceil(P / 2) per window of P records.  Returns ``out``: a sink
     ``out(lo, hi, x)`` of trajectories lo..hi-1's normals, or ``(dw_p, dw_m)``,
     two (rows, n) arrays to fill row-major with complex Wiener increments,
-    trajectory i's ``(x0 + i x1, x2 + i x3) * sqrt(dt / 2)``.  Contiguous
-    ranges of blocks go to up to ``_DRAW_THREADS`` threads; each generator is
-    used by one thread and each block reaches the sink once, so the draws do
-    not depend on the thread count."""
-    global _draw_pool
+    trajectory i's ``(x0 + i x1, x2 + i x3) * sqrt(dt / 2)``."""
     scale = math.sqrt(0.5 * dt)
 
     def fill(lo, hi, x):
         z = np.multiply(x, scale, out=x).view(complex)  # x0 + i x1 and x2 + i x3
         out[0][:, lo:hi], out[1][:, lo:hi] = z[:, :, 0].T, z[:, :, 1].T
 
-    def draw_blocks(lo, hi):
-        x = np.empty((min(_DRAW_BLOCK, hi - lo), rows, 4))
-        for start in range(lo, hi, _DRAW_BLOCK):
-            stop = min(start + _DRAW_BLOCK, hi)
-            for k in range(start, stop):
-                gens[k].standard_normal(out=x[k - start])
-            sink(start, stop, x[: stop - start])
-
     sink = fill if isinstance(out, tuple) else out
-    n_blocks = -(-len(gens) // _DRAW_BLOCK)
-    threads = max(1, min(_DRAW_THREADS, n_blocks))
-    # block boundaries of each thread's contiguous range
-    edges = [_DRAW_BLOCK * (n_blocks * t // threads) for t in range(threads)] + [len(gens)]
-    if threads > 1 and _draw_pool is None:
-        # imported here: concurrent.futures imports logging, which would add
-        # milliseconds to every import of the package
-        from concurrent.futures import ThreadPoolExecutor
-
-        _draw_pool = ThreadPoolExecutor(max_workers=_DRAW_THREADS - 1)
-    futures = [_draw_pool.submit(draw_blocks, lo, hi)
-               for lo, hi in zip(edges[1:-1], edges[2:])]
-    draw_blocks(edges[0], edges[1])
-    for f in futures:
-        f.result()
+    x = np.empty((min(_DRAW_BLOCK, len(gens)), rows, 4))
+    for start in range(0, len(gens), _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, len(gens))
+        for k in range(start, stop):
+            gens[k].standard_normal(out=x[k - start])
+        sink(start, stop, x[: stop - start])
     return out
 
 
@@ -730,11 +688,10 @@ def run_ensemble(
 
     Per-trajectory seeds derive deterministically from the master seed, and
     all trajectories run as one batch whose lanes do not interact, so each
-    trajectory matches its own :func:`run_trajectory`.  The Wiener draws run
-    on up to as many threads as the process has CPUs, and the results do not
-    depend on that number; ``options.workers`` has no effect.  Fails before
-    the run on a histogram time outside [0, duration] or a refused initial
-    moment, and after it when more than 1% of trajectories abort.
+    trajectory matches its own :func:`run_trajectory`; ``options.workers``
+    has no effect.  Fails before the run on a histogram time outside
+    [0, duration] or a refused initial moment, and after it when more than
+    1% of trajectories abort.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

@@ -160,11 +160,9 @@ def test_manifest_records_the_machine(tmp_path):
     diagnostics = json.loads((tmp_path / "out" / "manifest.json").read_text())[
         "diagnostics"
     ]
-    assert set(diagnostics) == {"numpy", "nproc", "draw_threads"}
+    assert set(diagnostics) == {"numpy", "nproc"}
     assert diagnostics["numpy"] == np.__version__
     assert isinstance(diagnostics["nproc"], int) and diagnostics["nproc"] >= 1
-    assert isinstance(diagnostics["draw_threads"], int)
-    assert 1 <= diagnostics["draw_threads"] <= diagnostics["nproc"]
 
 
 def test_ensemble_schema_and_histogram_mass(tmp_path):
@@ -488,6 +486,7 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("engine", "steps_per_window"), 2**40, "engine.steps_per_window"),
         (("spectra", "sweep"), {"points": 1e15}, "sweep.points"),
         (("phase-diagram", "grid"), {"points": 10**8}, "grid.points"),
+        (("engine", "histogram_bins"), 4 * 10**12, "engine.histogram_bins"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
          "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
@@ -500,14 +499,15 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
          "output-dir-null", "seed-negative", "periods-outside", "duration-fraction",
          "trajectories-huge", "seed-huge", "steps-huge", "seed-2**63",
          "Omega-huge", "duration-memory", "trajectories-memory", "steps-memory",
-         "sweep-memory", "grid-memory"],
+         "sweep-memory", "grid-memory", "bins-memory"],
 )
 def test_bad_config_value_names_field(tmp_path, capsys, keys, value, field_name):
     # each used to escape as a traceback (exit 1), to fail with a misleading
     # message after the run started (exit 3) or, for a NaN or infinite
     # number, an unknown key, a loose value or a section the kind does not
     # run, to pass the load; keys that start with a kind run that kind, whose
-    # sweep or grid above MEMORY_CAP used to fail on a PiB allocation (exit 3)
+    # sweep or grid above MEMORY_CAP used to fail on a PiB allocation (exit 3),
+    # as histograms above it did after the whole ensemble had run
     kind, keys = (keys[0], keys[1:]) if keys[0] in KINDS else ("ensemble", keys)
     doc = base_config(kind=kind)
     target = doc

@@ -38,6 +38,8 @@ RUNS = {
     "semiclassical": {"kind": "semiclassical", "params": REQUIRED},
     "spectra": {"kind": "spectra", "params": REQUIRED},
     "phase_diagram": {"kind": "phase-diagram", "params": REQUIRED},
+    # Gamma = n_m = 0 and beta0 = 0 leave theta to roundoff: a change to the
+    # step's rounding moves this key by about 1e-8, the others by about 1e-12
     "ensemble": {"kind": "ensemble", "params": REQUIRED, "trajectories": 20,
                  "engine": {"histogram_periods": [1, 5.5, 10]}},
     "semiclassical_hz": {

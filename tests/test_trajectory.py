@@ -1,7 +1,9 @@
 import cmath
 import dataclasses
 import math
-import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,14 +73,6 @@ def test_complex_wiener_deterministic():
     assert not np.array_equal(a[0][:, 0], a[0][:, 1])
 
 
-NPROC = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1
-)
-# one thread, and two where the host has the cores for them
-DRAW_THREADS = sorted({1, min(2, NPROC)})
-
-
 def window_formula(seeds, steps, dt):
     """Each trajectory's increments written out, one generator at a time."""
     scale = math.sqrt(0.5 * dt)
@@ -89,17 +83,19 @@ def window_formula(seeds, steps, dt):
     return (x[..., 0] + 1j * x[..., 1]) * scale, (x[..., 2] + 1j * x[..., 3]) * scale
 
 
-@pytest.mark.parametrize("threads", DRAW_THREADS)
+@pytest.mark.parametrize("parts", [1, 2])
 @pytest.mark.parametrize("steps", [64, 512])
 @pytest.mark.parametrize("n", [1, 31, 33, 67])
-def test_window_draw_matches_per_trajectory_formula(monkeypatch, n, steps, threads):
-    # blocks of 32 trajectories, a partial last block, and threads that split
-    # the blocks leave every increment as the per-trajectory formula gives it
-    monkeypatch.setattr(trajectory, "_DRAW_THREADS", threads)
+def test_window_draw_matches_per_trajectory_formula(n, steps, parts):
+    # blocks of 32 trajectories, a partial last block, and a batch drawn in
+    # two calls split inside a block leave every increment as the
+    # per-trajectory formula gives it
     dt = 0.37
     seeds = [derive_trajectory_seed(2024, i) for i in range(n)]
     want = window_formula(seeds, steps, dt)
-    got = draw_window(seeds, steps, dt)
+    bounds = [0, n // 2, n] if parts == 2 else [0, n]
+    pieces = [draw_window(seeds[lo:hi], steps, dt) for lo, hi in zip(bounds, bounds[1:])]
+    got = [np.concatenate([piece[c] for piece in pieces], axis=1) for c in range(2)]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     # the SSE passes the first steps of a (2, chunk, n) buffer
     gens = reference_generators(seeds)
@@ -107,43 +103,49 @@ def test_window_draw_matches_per_trajectory_formula(monkeypatch, n, steps, threa
     _draw_window_noise(gens, steps, dt, (noise[0, :steps], noise[1, :steps]))
     assert all(np.array_equal(noise[c, :steps], want[c]) for c in range(2))
     assert np.isnan(noise[:, steps:]).all()
+    # a scheduled run passes a sink, which gets each block's normals once
+    blocks, raw = [], np.full((n, steps, 4), np.nan)
+
+    def sink(lo, hi, x):
+        blocks.append((lo, hi))
+        raw[lo:hi] = x
+
+    _draw_window_noise(reference_generators(seeds), steps, dt, sink)
+    assert sorted(blocks) == [(lo, min(lo + 32, n)) for lo in range(0, n, 32)]
+    want_raw = [gen.standard_normal((steps, 4)) for gen in reference_generators(seeds)]
+    assert np.array_equal(raw, np.stack(want_raw))
 
 
-def test_ensemble_is_independent_of_draw_threads(monkeypatch):
-    # criterion 6's frozen schedule, grid and seed on 200 trajectories (seven
-    # blocks, the last one partial); and self-scheduled, 67 trajectories over
-    # two periods
-    params = PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
-    schedule = make_frozen_schedule(twisted_decomposition(5e-3, 5e-4, 0.0), 0.0, 5)
-    opts = TrajectoryOptions(
-        steps_per_window=1024, record_stride=128, schedule=schedule
-    )
-    p = tls_noise_params()
-    settings = [
-        (params, 1.0 + 0.0j, 5 * 2.0 * math.pi / 0.01, 200, 1112, opts),
-        (p, 200j, 2 * p.mechanical_period, 67, 1112,
-         TrajectoryOptions(steps_per_window=256, record_stride=64)),
-    ]
-    for args in settings:
-        runs = []
-        for threads in DRAW_THREADS:
-            monkeypatch.setattr(trajectory, "_DRAW_THREADS", threads)
-            runs.append(run_ensemble(*args))
-        first, last = runs[0], runs[-1]
-        for f in dataclasses.fields(first):
-            a, b = getattr(first, f.name), getattr(last, f.name)
-            if f.name == "histograms":
-                assert all(
-                    ta == tb and np.array_equal(ea, eb) and np.array_equal(ca, cb)
-                    for (ta, ea, ca), (tb, eb, cb) in zip(a, b, strict=True)
-                )
-            elif f.name == "reference":
-                assert all(
-                    np.array_equal(getattr(a, r.name), getattr(b, r.name))
-                    for r in dataclasses.fields(a)
-                )
-            else:
-                assert np.array_equal(a, b), f.name
+def test_runs_leave_no_thread_behind():
+    # the draws run on the calling thread: a self-scheduled ensemble of three
+    # draw blocks, a scheduled one and the unraveling start no thread and load
+    # no executor
+    src = str(Path(trajectory.__file__).parents[1])
+    code = f"""if True:
+        import math, sys, threading
+        sys.path.insert(0, {src!r})
+        import numpy as np
+        from hybridmech.bloch import PhysParams
+        from hybridmech.lindblad import twisted_decomposition
+        from hybridmech.oracle import make_frozen_schedule, sse_ensemble
+        from hybridmech.trajectory import TrajectoryOptions, run_ensemble
+        p = PhysParams(gamma=1.0, g=1.0, Omega=1e-2, g_m=5e-3, Gamma=1e-10, n_m=100.0)
+        run_ensemble(p, 200j, p.mechanical_period, 67, 1,
+                     TrajectoryOptions(steps_per_window=64, record_stride=16))
+        frozen = PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
+        schedule = make_frozen_schedule(twisted_decomposition(5e-3, 5e-4, 0.0), 0.0, 2)
+        run_ensemble(frozen, 1.0 + 0.0j, 2 * 2.0 * math.pi / 0.01, 67, 1,
+                     TrajectoryOptions(steps_per_window=64, record_stride=16,
+                                       schedule=schedule))
+        weak = make_frozen_schedule(twisted_decomposition(1e-5, 1e-6, 0.0), 0.0, 1)
+        sse_ensemble(frozen, np.eye(8)[0], 2.0 * math.pi / 0.01,
+                     2.0 * math.pi / 0.01 / 64, 33, 1, weak)
+        print(threading.active_count(), "concurrent.futures" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]
 
 
 def test_seed_derivation_is_stable():
