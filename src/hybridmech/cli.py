@@ -357,23 +357,27 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
 
 
 def _check_memory(config: ExperimentConfig, windows: int) -> None:
-    """Refuse a run whose records (lanes x records x 80 bytes), window noise buffers
-    (2 x steps x lanes x 16 bytes), sweep or grid points (``_POINT_BYTES`` each) or
-    histogram bins (``_BIN_BYTES`` per bin and target) exceed ``MEMORY_CAP``,
-    naming the field one lane breaks it by, else ``trajectories``."""
-    lanes = config.trajectories if config.kind == "ensemble" else 1
-    steps = config.steps_per_window
-    record_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
+    """Refuse a run whose records, window noise buffers (2 x steps x lanes x 16 bytes),
+    sweep or grid points (``_POINT_BYTES`` each) or histogram bins (``_BIN_BYTES`` per
+    bin and target) exceed ``MEMORY_CAP``, naming the field one lane breaks it by, else
+    ``trajectories``.  The reference lane keeps whole rows of records, and an ensemble
+    128 bytes a record more, its 12 mean rows and 2 of times; its lanes stream theirs,
+    delta_m left out, a window's block at a time, at least 3 columns wide."""
+    ensemble = config.kind == "ensemble"
+    lanes, steps = config.trajectories if ensemble else 1, config.steps_per_window
+    row_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
     sizes = {  # (what, lanes, bytes per lane, the field one lane breaks the cap by)
         "spectra": [("sweep", 1, config.sweep["points"] * _POINT_BYTES, "sweep.points")],
         "phase-diagram": [("grid", 1, config.grid["points"]**2 * _POINT_BYTES,
                            "grid.points")],
     }.get(config.kind, [
         ("window noise buffers", lanes, 2 * steps * 16, "engine.steps_per_window"),
-        ("records", lanes, (windows * steps // config.record_stride + 1) * record_bytes,
-         "duration_periods"),
+        ("records", 1, (windows * steps // config.record_stride + 1)
+         * (row_bytes + 128 * ensemble), "duration_periods"),
+        ("record blocks", lanes * ensemble, max(steps // config.record_stride + 1, 3)
+         * (row_bytes - 8), "engine.steps_per_window"),
     ])
-    if config.kind == "ensemble":
+    if ensemble:
         targets = len(histogram_targets(config.duration_periods, config.histogram_periods))
         sizes.append(("histograms", 1, targets * config.histogram_bins * _BIN_BYTES,
                       "engine.histogram_bins"))

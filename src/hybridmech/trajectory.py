@@ -24,9 +24,11 @@ then has constant coefficients, so the steps between two records compose
 into one linear map, whose noise is a 2-D Gaussian drawn exactly from 2
 normals per lane (Kloeden and Platen 1992; Gillespie 1996).  A run records
 the quantities of ``_RECORDED`` at every stride, beta and delta_m per
-trajectory and the others per variance lane, and refuses non-finite initial
-moments and a ``v_a0`` below ``-ABORT_VA_TOL``.  The noise-free reference is
-one more run: a lane without generator or channels, damped as the others.
+trajectory and the others per variance lane; an ensemble without a schedule
+reduces them window by window, so its memory does not grow with the run.  A
+run refuses non-finite initial moments and a ``v_a0`` below
+``-ABORT_VA_TOL``.  The noise-free reference is one more run: a lane without
+generator or channels, damped as the others.
 
 Reproducibility: trajectory i owns ``Generator(PCG64(seed_i))``, seed_i a
 SplitMix64 mix of (master seed, i) that numpy's SeedSequence hashes, so the
@@ -413,6 +415,7 @@ def _batch_run(
     duration: float,
     seeds: Sequence[int] | None,
     options: TrajectoryOptions,
+    sink=None,
 ) -> dict:
     """Run a batch of trajectories on a shared grid; returns raw arrays.
 
@@ -426,8 +429,12 @@ def _batch_run(
     to its last step, both included, so the last window's last one is the
     closing record.  beta and delta_m have a row per trajectory; the other
     records, ``alive`` and ``abort_time`` have one per variance lane, which a
-    schedule's batch shares.  A non-finite initial moment, or ``v_a0`` below
-    ``-ABORT_VA_TOL``, raises a ``ValueError`` naming the argument first.
+    schedule's batch shares.  Given a ``sink``, delta_m is not recorded, and a
+    run without a schedule keeps its records in one block, refilled every
+    window, calling ``sink(lo, hi, block)`` on records lo..hi-1, two or more,
+    once they are final; a schedule's go to it whole.  A non-finite initial
+    moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a ``ValueError``
+    naming the argument first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
         if not cmath.isfinite(value):
@@ -463,8 +470,11 @@ def _batch_run(
     abort_time = np.full(lanes, np.nan)
 
     n_rec = n_windows * per_window + 1
-    rec = {name: np.empty((n if name in _PER_TRAJECTORY else lanes, n_rec), dtype=dtype)
-           for name, dtype in _RECORDED.items()}
+    # a sink's self-scheduled records refill one block, 3 wide to hold a column
+    width = n_rec if sink is None or schedule is not None else max(per_window + 1, 3)
+    rec = {name: np.empty((n if name in _PER_TRAJECTORY else lanes, width), dtype=dtype)
+           for name, dtype in _RECORDED.items() if sink is None or name != "delta_m"}
+    rec0 = 0  # the record in rec's column 0
 
     # The detuning is d0 + g2 Re beta.  The step's numbers are 0-d arrays:
     # numpy converts a Python number operand on every call.  Kernel input for
@@ -540,7 +550,7 @@ def _batch_run(
             l_m = sq_m * (np.conjugate(u_m) * va_pre + np.conjugate(w_m) * vb_pre)
             k_p[late] = np.nan
             # records w * per_window .. (w + 1) * per_window; the next rewrites the last
-            cols = slice(w * per_window, (w + 1) * per_window + 1)
+            cols = slice(w * per_window - rec0, (w + 1) * per_window - rec0 + 1)
             rec["v_a"][:, cols] = va_rows[::stride].T
             rec["v_b"][:, cols] = vb_rows[::stride].T
             for name, value in (
@@ -586,7 +596,7 @@ def _batch_run(
                 delta_now = d0 + g2 * beta.real
                 pe_now = population(delta_now)
                 if j % stride == 0:
-                    i_rec = w * per_window + j // stride
+                    i_rec = cols.start + j // stride
                     rec["beta"][:, i_rec] = beta
                     rec["pe"][:, i_rec] = pe_now
                 if j % spp == 0:
@@ -596,6 +606,10 @@ def _batch_run(
                 if options.full_bloch:
                     y_bloch = bloch_step_batch(y_bloch, delta_now, params, dt)
             delta_panel[:, WINDOW_PANELS] = d0 + g2 * beta.real
+            done = cols.stop - 1  # final columns; numpy would sum 1 alone pairwise
+            if sink is not None and done >= 2 and w + 1 < n_windows:
+                sink(rec0, rec0 + done, {name: x[:, :done] for name, x in rec.items()})
+                rec0 += done
 
         if schedule is not None:
             col = np.stack(roots)  # (windows, records, 2)
@@ -609,10 +623,15 @@ def _batch_run(
             for r in range(n_rec - 1):  # beta_{r+1} = a^S beta_r + increment_r
                 beta = a_s[r // per_window] * beta + rec["beta"][:, r + 1]
                 rec["beta"][:, r + 1] = beta
-        rec["beta"][:, -1] = beta
+        last = n_rec - 1 - rec0
+        rec["beta"][:, last] = beta
         if schedule is None:
-            rec["pe"][:, -1] = population(d0 + g2 * beta.real)
-    rec["delta_m"][:] = g2 * rec["beta"].real
+            rec["pe"][:, last] = population(d0 + g2 * beta.real)
+        if sink is not None:
+            del gens  # 1.2 KB a lane, freed before the last block is reduced
+            sink(rec0, n_rec, {name: x[:, : last + 1] for name, x in rec.items()})
+    if sink is None:
+        rec["delta_m"][:] = g2 * rec["beta"].real
 
     rec.update(times=np.arange(n_rec) * stride * dt, alive=alive, abort_time=abort_time)
     return rec
@@ -689,17 +708,40 @@ def run_ensemble(
     Per-trajectory seeds derive deterministically from the master seed, and
     all trajectories run as one batch whose lanes do not interact, so each
     trajectory matches its own :func:`run_trajectory`; ``options.workers``
-    has no effect.  Fails before the run on a histogram time outside
-    [0, duration] or a refused initial moment, and after it when more than
-    1% of trajectories abort.
+    has no effect.  The reference runs first, so that the statistics reduce
+    each block of records the batch hands over; numpy reduces two or more
+    columns row by row, so they equal the whole rows' statistics bit for bit.
+    Fails before the run on a histogram time outside [0, duration] or a
+    refused initial moment, and after it when more than 1% of trajectories
+    abort; when fewer abort, the batch reruns on the survivors' seeds.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     options = options or TrajectoryOptions()
     targets = histogram_targets(duration, options.histogram_times)
-    seeds = [derive_trajectory_seed(master_seed, i) for i in range(n_traj)]
-    batch = _batch_run(params, beta0, v_a0, v_b0, duration, seeds, options)
+    reference = semiclassical_run(params, beta0, duration, options)
+    at = [int(np.argmin(np.abs(reference.times - t))) for t in targets]
+    rows, kept = {}, {}  # the statistics rows, and the lanes' dbeta at the records `at`
 
+    def sink(lo, hi, live):
+        beta = live["beta"]
+        n_vals, b2_vals = live["v_a"] + np.abs(beta) ** 2, live["v_b"] + beta**2
+        dbeta = beta - reference.beta[lo:hi]
+        for name, row in dict(
+            mean_beta=beta.mean(axis=0), mean_n=n_vals.mean(axis=0),
+            mean_b2=b2_vals.mean(axis=0), var_dbeta_x=_sample_variance(dbeta.real),
+            var_dbeta_p=_sample_variance(dbeta.imag), se_beta=_standard_error(dbeta),
+            se_n=_standard_error(n_vals), se_b2=_standard_error(b2_vals),
+            **{f"mean_{name}": live[name].mean(axis=0)
+               for name in ("pe", "lambda_plus", "lambda_minus", "theta")},
+        ).items():
+            if name not in rows:
+                rows[name] = np.empty(len(reference.times), row.dtype)
+            rows[name][lo:hi] = row
+        kept.update((i, dbeta[:, i - lo].copy()) for i in at if lo <= i < hi)
+
+    seeds = [derive_trajectory_seed(master_seed, i) for i in range(n_traj)]
+    batch = _batch_run(params, beta0, v_a0, v_b0, duration, seeds, options, sink)
     # a schedule's shared lane aborts every trajectory at once
     alive, abort_time = (np.broadcast_to(batch[k], n_traj) for k in ("alive", "abort_time"))
     aborted = [(int(i), float(abort_time[i])) for i in np.flatnonzero(~alive)]
@@ -707,31 +749,16 @@ def run_ensemble(
         raise EnsembleAbortError(
             f"{len(aborted)}/{n_traj} trajectories aborted: {aborted[:10]}"
         )
-
-    # so a lane aborted here is self-scheduled, and every field has its row
-    live = batch if alive.all() else {name: batch[name][alive] for name in _RECORDED}
-    beta, va, vb = live["beta"], live["v_a"], live["v_b"]
-    reference = semiclassical_run(params, beta0, duration, options)
-
-    n_vals = va + np.abs(beta) ** 2
-    b2_vals = vb + beta**2
-    dbeta = beta - reference.beta[None, :]
+    if aborted:  # a lane runs bitwise the same in any batch: rewrite rows and kept
+        survivors = [s for s, ok in zip(seeds, alive) if ok]
+        batch = _batch_run(params, beta0, v_a0, v_b0, duration, survivors, options, sink)
 
     return EnsembleResult(
-        times=batch["times"].copy(),
-        mean_beta=beta.mean(axis=0),
-        mean_n=n_vals.mean(axis=0),
-        mean_b2=b2_vals.mean(axis=0),
-        var_dbeta_x=_sample_variance(dbeta.real),
-        var_dbeta_p=_sample_variance(dbeta.imag),
-        se_beta=_standard_error(dbeta),
-        se_n=_standard_error(n_vals),
-        se_b2=_standard_error(b2_vals),
-        **{f"mean_{name}": live[name].mean(axis=0)
-           for name in ("pe", "lambda_plus", "lambda_minus", "theta")},
-        histograms=_histograms(
-            batch["times"], dbeta, params, targets, options.histogram_bins
-        ),
+        times=batch["times"],
+        **rows,
+        # (time, edges, counts) of the induced detuning 2 g_m Re dbeta at each target
+        histograms=[(float(batch["times"][i]), *np.histogram(
+            2.0 * params.g_m * kept[i].real, bins=options.histogram_bins)[::-1]) for i in at],
         reference=reference,
         n_traj=n_traj,
         master_seed=master_seed,
@@ -749,14 +776,3 @@ def histogram_targets(duration: float, times: Sequence[float] | None) -> list[fl
             raise ValueError(f"histogram time {t:.6g} lies outside the run "
                              f"[0, {duration:.6g}]")
     return list(times)
-
-
-def _histograms(times, dbeta, params, targets, bins):
-    """Histograms of the stochastic induced detuning at the target times."""
-    out = []
-    for target in targets:
-        idx = int(np.argmin(np.abs(times - target)))
-        values = 2.0 * params.g_m * dbeta[:, idx].real
-        counts, edges = np.histogram(values, bins=bins)
-        out.append((float(times[idx]), edges, counts))
-    return out

@@ -21,9 +21,7 @@ from hybridmech.cli import (
     main,
     write_csv,
 )
-from hybridmech.lindblad import twisted_decomposition
-from hybridmech.oracle import make_frozen_schedule
-from hybridmech.trajectory import _RECORDED, _batch_run, derive_trajectory_seed
+from hybridmech.trajectory import _RECORDED, _batch_run, derive_trajectory_seed, run_ensemble
 
 
 def base_config(**overrides):
@@ -546,11 +544,11 @@ def test_phase_diagram_grid_overflow_refused_at_load(tmp_path, capsys, params, g
 
 
 def test_memory_cap_is_exact_at_load():
-    # at 256 steps per window, stride 32 and 2 periods, a lane holds 17
-    # records (1,360 bytes) and 8,192 bytes of window noise buffers, so
-    # 2**21 lanes fill MEMORY_CAP exactly and one more is refused at load;
-    # the 2**63-step rule lets 6.75e15 periods through, whose records
-    # used to fail the run on a 767 PiB allocation (exit 3)
+    # at 256 steps per window and stride 32, a lane streams its records
+    # through a 9-column block (648 bytes) and holds 8,192 bytes of window
+    # noise buffers, so 2**21 lanes fill MEMORY_CAP exactly and one more is
+    # refused at load; the 2**63-step rule lets 6.75e15 periods through,
+    # whose records used to fail the run on a 767 PiB allocation (exit 3)
     assert MEMORY_CAP == 16 * 2**30
     config_from_dict(base_config(kind="ensemble", trajectories=2**21))
     with pytest.raises(ConfigError, match="^trajectories: the run's window noise buffers"):
@@ -569,27 +567,34 @@ def test_memory_cap_is_exact_at_load():
 
 
 def test_memory_cap_counts_the_records_a_batch_allocates():
-    # at stride 4 over 2 periods a lane holds 129 records, 10,320 bytes: more
-    # than its 8,192 bytes of window noise buffers, so the records decide the
-    # cap.  A self-scheduled batch allocates exactly that per lane, and a
-    # scheduled one less, since its lanes share all but beta and delta_m
-    engine = {"steps_per_window": 256, "record_stride": 4}
-    per_lane = 129 * sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
+    # an ensemble's lanes stream their records, delta_m left out, a window's
+    # block at a time: at stride 1 a lane's block of 257 columns, 18,504 bytes,
+    # is more than its 8,192 bytes of window noise buffers, so the blocks decide
+    # the cap.  A streamed batch allocates exactly that per lane, and 3 columns
+    # at one record a window; the ensemble's result and its reference keep
+    # 80 + 128 bytes a record whole
+    engine = {"steps_per_window": 256, "record_stride": 1}
+    column = sum(np.dtype(t).itemsize for name, t in _RECORDED.items() if name != "delta_m")
+    per_lane = 257 * column
     config = config_from_dict(base_config(kind="ensemble", engine=engine,
                                           trajectories=MEMORY_CAP // per_lane))
-    with pytest.raises(ConfigError, match="^trajectories: the run's records"):
+    with pytest.raises(ConfigError, match="^trajectories: the run's record blocks"):
         config_from_dict(base_config(kind="ensemble", engine=engine,
                                      trajectories=MEMORY_CAP // per_lane + 1))
     duration = 2 * config.params.mechanical_period
     seeds = [derive_trajectory_seed(7, i) for i in range(3)]
-    schedule = make_frozen_schedule(twisted_decomposition(2e-3, 4e-4, 0.4), 0.3, 2)
 
-    def record_bytes(options):
-        batch = _batch_run(config.params, config.beta0, 0.0, 0.0, duration, seeds, options)
-        return sum(batch[name].nbytes for name in _RECORDED)
+    def block_bytes(options):
+        batch = _batch_run(config.params, config.beta0, 0.0, 0.0, duration, seeds,
+                           options, lambda lo, hi, block: None)
+        assert "delta_m" not in batch
+        return sum(batch[name].nbytes for name in _RECORDED if name in batch)
 
-    assert record_bytes(config.options()) == 3 * per_lane
-    assert record_bytes(replace(config.options(), schedule=schedule)) < 3 * per_lane
+    assert block_bytes(config.options()) == 3 * per_lane
+    assert block_bytes(replace(config.options(), record_stride=256)) == 3 * 3 * column
+    res = run_ensemble(config.params, config.beta0, duration, 3, 7, config.options())
+    whole = [*vars(res).values(), *vars(res.reference).values()]
+    assert sum(x.nbytes for x in whole if isinstance(x, np.ndarray)) == 513 * (80 + 128)
 
 
 @pytest.mark.parametrize(

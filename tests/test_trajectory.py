@@ -3,6 +3,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -636,6 +637,125 @@ def test_ensemble_abort_report():
     opts = TrajectoryOptions(steps_per_window=256, record_stride=256, schedule=schedule)
     with pytest.raises(EnsembleAbortError):
         run_ensemble(p, 0.0 + 0j, 256.0, 4, 8, opts, v_a0=0.1, v_b0=100.0 + 0.0j)
+
+
+def whole_rows_ensemble(params, beta0, duration, seeds, opts, n_traj, master_seed):
+    """The ensemble's statistics reduced from the whole rows of one batch of
+    ``seeds``, as a reduction after the run computes them."""
+    batch = _batch_run(params, beta0, 0.0, 0.0, duration, seeds, opts)
+    ref = semiclassical_run(params, beta0, duration, opts)
+    beta, times = batch["beta"], batch["times"]
+    n_vals = batch["v_a"] + np.abs(beta) ** 2
+    b2_vals = batch["v_b"] + beta**2
+    dbeta = beta - ref.beta[None, :]
+    histograms = []
+    for target in trajectory.histogram_targets(duration, opts.histogram_times):
+        idx = int(np.argmin(np.abs(times - target)))
+        counts, edges = np.histogram(2.0 * params.g_m * dbeta[:, idx].real,
+                                     bins=opts.histogram_bins)
+        histograms.append((float(times[idx]), edges, counts))
+    return dict(
+        times=times, mean_beta=beta.mean(axis=0), mean_n=n_vals.mean(axis=0),
+        mean_b2=b2_vals.mean(axis=0),
+        var_dbeta_x=trajectory._sample_variance(dbeta.real),
+        var_dbeta_p=trajectory._sample_variance(dbeta.imag),
+        se_beta=trajectory._standard_error(dbeta),
+        se_n=trajectory._standard_error(n_vals),
+        se_b2=trajectory._standard_error(b2_vals),
+        **{f"mean_{name}": batch[name].mean(axis=0)
+           for name in ("pe", "lambda_plus", "lambda_minus", "theta")},
+        histograms=histograms, reference=ref, n_traj=n_traj, master_seed=master_seed,
+    )
+
+
+def assert_bitwise(res, want):
+    """Every field of ``res`` equals ``want``'s bit for bit, dtypes included."""
+    assert {f.name for f in dataclasses.fields(res)} == set(want) | {"aborted"}
+    for name, value in want.items():
+        got = getattr(res, name)
+        if name == "histograms":
+            assert len(got) == len(value)
+            for (t, edges, counts), (t_w, edges_w, counts_w) in zip(got, value):
+                assert t == t_w
+                assert np.array_equal(edges, edges_w) and np.array_equal(counts, counts_w)
+        elif name == "reference":
+            for f in dataclasses.fields(value):
+                assert np.array_equal(getattr(got, f.name), getattr(value, f.name)), f.name
+        elif isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and np.array_equal(got, value), name
+        else:
+            assert got == value, name
+
+
+@pytest.mark.parametrize("n", [7, 33])
+@pytest.mark.parametrize("per_window", [1, 2, 64])
+def test_streamed_statistics_equal_the_whole_rows(n, per_window):
+    # the ensemble reduces each window's block of records as the batch hands it
+    # over; numpy sums a block of two or more columns row by row, as it does the
+    # whole rows, so every field matches bit for bit.  At one record a window
+    # the blocks take 2 columns, and the last 2 (3 periods) or 3 (4 periods)
+    p = tls_noise_params()
+    period = p.mechanical_period
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=256 // per_window,
+                             histogram_times=[0.0, 1.0 * period, 2.5 * period],
+                             histogram_bins=9)
+    seeds = [derive_trajectory_seed(21, i) for i in range(n)]
+    for periods in (3, 4):
+        res = run_ensemble(p, 200j, periods * period, n, 21, opts)
+        assert res.aborted == []
+        assert_bitwise(res, whole_rows_ensemble(p, 200j, periods * period, seeds, opts, n, 21))
+
+
+def test_planted_abort_reruns_the_survivors(monkeypatch):
+    # lane 37 of 100 turns NaN 100 steps into window 1: the ensemble reports it,
+    # then reruns the other 99 seeds, so its statistics are the whole rows' of
+    # those 99 bit for bit, as when every lane's rows were kept to the end
+    p = tls_noise_params()
+    period, steps = p.mechanical_period, 256
+    opts = TrajectoryOptions(steps_per_window=steps, record_stride=8)
+    seeds = [derive_trajectory_seed(4, i) for i in range(100)]
+    planted, lanes = {seeds[37]}, {"hit": [], "window": 0}
+    lane_generators, variance_step = trajectory._lane_generators, trajectory._variance_step
+
+    def planted_generators(batch_seeds):
+        lanes.update(hit=[i for i, s in enumerate(batch_seeds) if s in planted], window=0)
+        return lane_generators(batch_seeds)
+
+    def planted_variance_step(*args):
+        va_rows, vb_rows = variance_step(*args)
+        if lanes["window"] == 1:
+            va_rows[100:, lanes["hit"]] = np.nan
+        lanes["window"] += 1
+        return va_rows, vb_rows
+
+    monkeypatch.setattr(trajectory, "_lane_generators", planted_generators)
+    monkeypatch.setattr(trajectory, "_variance_step", planted_variance_step)
+    res = run_ensemble(p, 200j, 3 * period, 100, 4, opts)
+    assert res.aborted == [(37, (steps + 100) * (period / steps))]
+    survivors = seeds[:37] + seeds[38:]
+    assert_bitwise(res, whole_rows_ensemble(p, 200j, 3 * period, survivors, opts, 100, 4))
+    # two lanes of 100 are more than the 1% an ensemble may lose
+    planted.add(seeds[80])
+    with pytest.raises(EnsembleAbortError, match="^2/100 trajectories aborted"):
+        run_ensemble(p, 200j, 3 * period, 100, 4, opts)
+
+
+def test_ensemble_memory_does_not_grow_with_the_run():
+    # the lanes' records stream through one window's block, so only the mean
+    # rows grow with the run: holding every lane's rows, 16 lanes at one record
+    # a step took 2.5x the peak over 12 periods that they took over 3
+    p = tls_noise_params()
+    opts = TrajectoryOptions(steps_per_window=64, record_stride=1)
+    run_ensemble(p, 200j, p.mechanical_period, 16, 2, opts)  # numpy's first-call caches
+    peaks = []
+    for periods in (3, 12):
+        tracemalloc.start()
+        try:
+            run_ensemble(p, 200j, periods * p.mechanical_period, 16, 2, opts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def _start_ensemble(beta0=1.0, v_a0=0.0, v_b0=0.0):
