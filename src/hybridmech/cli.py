@@ -31,7 +31,7 @@ from .oracle import (
     coherent_density,
     integrate_master,
     kernel_form_rhs,
-    lindblad_rhs,
+    lindblad_generator,
     make_frozen_schedule,
     superoperator,
 )
@@ -113,7 +113,6 @@ class ExperimentConfig:
             steps_per_window=self.steps_per_window,
             record_stride=self.record_stride,
             full_bloch=self.full_bloch,
-            workers=self.workers,
             histogram_bins=self.histogram_bins,
             histogram_times=None if periods is None else [p * period for p in periods],
         )
@@ -360,9 +359,9 @@ def _check_memory(config: ExperimentConfig, windows: int) -> None:
     """Refuse a run whose records, window noise buffers (2 x steps x lanes x 16 bytes),
     sweep or grid points (``_POINT_BYTES`` each) or histogram bins (``_BIN_BYTES`` per
     bin and target) exceed ``MEMORY_CAP``, naming the field one lane breaks it by, else
-    ``trajectories``.  The reference lane keeps whole rows of records, and an ensemble
-    128 bytes a record more, its 12 mean rows and 2 of times; its lanes stream theirs,
-    delta_m left out, a window's block at a time, at least 3 columns wide."""
+    ``trajectories``.  The reference lane keeps whole rows of records, an ensemble 128
+    bytes a record more (12 mean rows, 2 of times), and its lanes a window's block, at
+    least 3 columns wide; every record is a row of ``_RECORDED``."""
     ensemble = config.kind == "ensemble"
     lanes, steps = config.trajectories if ensemble else 1, config.steps_per_window
     row_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
@@ -375,7 +374,7 @@ def _check_memory(config: ExperimentConfig, windows: int) -> None:
         ("records", 1, (windows * steps // config.record_stride + 1)
          * (row_bytes + 128 * ensemble), "duration_periods"),
         ("record blocks", lanes * ensemble, max(steps // config.record_stride + 1, 3)
-         * (row_bytes - 8), "engine.steps_per_window"),
+         * row_bytes, "engine.steps_per_window"),
     ])
     if ensemble:
         targets = len(histogram_targets(config.duration_periods, config.histogram_periods))
@@ -432,7 +431,7 @@ def _run_semiclassical(config: ExperimentConfig, out: Path) -> list[str]:
     record = semiclassical_run(config.params, config.beta0, duration, config.options())
     return [write_csv(out / "semiclassical.csv", {
         "t": record.times, "re_beta": record.beta.real, "im_beta": record.beta.imag,
-        "pe": record.pe, "delta_m": record.delta_m,
+        "pe": record.pe, "delta_m": 2.0 * config.params.g_m * record.beta.real,
     })]
 
 
@@ -541,7 +540,7 @@ def _run_validate(config: ExperimentConfig, out: Path) -> list[str]:
         n_m = 10.0 ** rng.uniform(-1, 1)
         kernels = NoiseKernels(s0=s0, s2=s2)
         decomp = decompose(Gamma, n_m, s0, s2)
-        a = superoperator(lambda x: lindblad_rhs(x, 0.3, decomp, p10), 10)
+        a = superoperator(lindblad_generator(0.3, decomp, p10, 10), 10)
         b = superoperator(
             lambda x: kernel_form_rhs(x, 0.3, Gamma, n_m, kernels, p10), 10
         )

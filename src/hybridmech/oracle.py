@@ -27,6 +27,7 @@ from .spectrum import NoiseKernels, steps_in_window
 from .trajectory import (
     WindowCoefficients,
     _draw_window_noise,
+    _is_integer,
     _lane_generators,
     _standard_error,
     derive_trajectory_seed,
@@ -409,7 +410,7 @@ def _window_plan(
         raise ValueError("kernel_schedule is required: the oracles follow a schedule")
     n_windows, window = resolve_windows(params, duration, schedule)
     steps = steps_in_window(window, dt, "dt")
-    if record_stride < 1 or steps % record_stride != 0:
+    if not _is_integer(record_stride) or record_stride < 1 or steps % record_stride != 0:
         raise ValueError("record_stride must be a positive divisor of the window's steps")
     return n_windows, steps, window / steps
 

@@ -23,18 +23,18 @@ scheduled runs propagate one shared variance lane.  Their amplitude step
 then has constant coefficients, so the steps between two records compose
 into one linear map, whose noise is a 2-D Gaussian drawn exactly from 2
 normals per lane (Kloeden and Platen 1992; Gillespie 1996).  A run records
-the quantities of ``_RECORDED`` at every stride, beta and delta_m per
-trajectory and the others per variance lane; an ensemble without a schedule
-reduces them window by window, so its memory does not grow with the run.  A
-run refuses non-finite initial moments and a ``v_a0`` below
-``-ABORT_VA_TOL``.  The noise-free reference is one more run: a lane without
-generator or channels, damped as the others.
+the quantities of ``_RECORDED`` at every stride, beta per trajectory and
+the others per variance lane; an ensemble without a schedule reduces them
+window by window, so its memory does not grow with the run.  A run refuses
+non-finite initial moments and a ``v_a0`` below ``-ABORT_VA_TOL``.  The
+noise-free reference is one more run: a lane without generator or channels,
+damped as the others.
 
 Reproducibility: trajectory i owns ``Generator(PCG64(seed_i))``, seed_i a
 SplitMix64 mix of (master seed, i) that numpy's SeedSequence hashes, so the
 results do not depend on batch partitioning or execution order.  The
 normals are drawn once per window without a schedule, and once for all the
-records of a scheduled run; ``workers`` is inert.
+records of a scheduled run.
 """
 
 from __future__ import annotations
@@ -72,6 +72,10 @@ MAX_RATE_STEP = 0.1
 _VARIANCE_BLOCK = 32
 
 
+def _is_integer(value) -> bool:  # a grid count: numpy's integers too, but not a bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class TrajectoryAbort(RuntimeError):
     """A trajectory left the physical domain (conditional variance < 0)."""
 
@@ -98,8 +102,8 @@ def derive_trajectory_seed(master_seed: int, index: int) -> int:
 
 def _lane_generators(seeds: Sequence[int]) -> list:
     """``Generator(PCG64(s))`` for each seed, bit for bit: one SeedSequence hash (NEP 19)."""
-    if not all(0 <= s <= _MASK64 for s in seeds):  # numpy raises, or hashes more words
-        return [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+    if not all(type(s) is int and 0 <= s <= _MASK64 for s in seeds):  # numpy's own rules
+        return [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
     def hashmix(v, k, init=0x43B0D7E5, mult=0x931E8875):  # by init * mult**k mod 2**32
         c0, c1 = (init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in (k, k + 1))
@@ -148,12 +152,12 @@ class TrajectoryOptions:
     ``full_bloch`` set, the population comes instead from the Bloch
     equations, advanced by one exact step per engine step with the detuning
     frozen at its value at the start of the step; it excludes a schedule.
-    The options own the engine grid: ``steps_per_window`` must be a positive
-    multiple of the spectrum's ``WINDOW_PANELS`` kernel panels,
-    ``record_stride`` a positive divisor of it, and ``histogram_bins`` at
-    least 1.  A broken rule, or ``full_bloch`` with a schedule, makes
-    construction raise a ``ValueError`` whose message starts with the field's
-    name.
+    The options own the engine grid, three integers (not bools):
+    ``steps_per_window`` must be a positive multiple of the spectrum's
+    ``WINDOW_PANELS`` kernel panels, ``record_stride`` a positive divisor of
+    it, and ``histogram_bins`` at least 1.  A broken rule, or ``full_bloch``
+    with a schedule, makes construction raise a ``ValueError`` whose message
+    starts with the field's name.
 
     ``workers`` has no effect: the batch always runs as one.  It is accepted
     so that older callers and run manifests that set it keep working.
@@ -168,15 +172,15 @@ class TrajectoryOptions:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        steps, stride = self.steps_per_window, self.record_stride
-        if steps < 1 or steps % WINDOW_PANELS != 0:
-            raise ValueError(f"steps_per_window must be a positive multiple of the "
-                             f"{WINDOW_PANELS} kernel panels per window, got {steps}")
-        if stride < 1 or steps % stride != 0:
-            raise ValueError(f"record_stride must be a positive divisor of "
-                             f"steps_per_window = {steps}, got {stride}")
-        if self.histogram_bins < 1:
-            raise ValueError(f"histogram_bins must be at least 1, got {self.histogram_bins}")
+        steps, stride, bins = self.steps_per_window, self.record_stride, self.histogram_bins
+        if not _is_integer(steps) or steps < 1 or steps % WINDOW_PANELS != 0:
+            raise ValueError(f"steps_per_window must be a positive integer multiple of the "
+                             f"{WINDOW_PANELS} kernel panels per window, got {steps!r}")
+        if not _is_integer(stride) or stride < 1 or steps % stride != 0:
+            raise ValueError(f"record_stride must be a positive integer divisor of "
+                             f"steps_per_window = {steps}, got {stride!r}")
+        if not _is_integer(bins) or bins < 1:
+            raise ValueError(f"histogram_bins must be an integer of at least 1, got {bins!r}")
         if self.full_bloch and self.schedule is not None:
             raise ValueError("full_bloch and schedule exclude each other: "
                              "a schedule freezes the population per window")
@@ -190,7 +194,6 @@ class TrajectoryRecord:
     beta: np.ndarray
     v_a: np.ndarray
     v_b: np.ndarray
-    delta_m: np.ndarray
     pe: np.ndarray
     lambda_plus: np.ndarray
     lambda_minus: np.ndarray
@@ -200,10 +203,9 @@ class TrajectoryRecord:
 
 # each recorded quantity and its dtype; with times and seed, a TrajectoryRecord
 _RECORDED = {
-    "beta": complex, "v_a": float, "v_b": complex, "delta_m": float, "pe": float,
+    "beta": complex, "v_a": float, "v_b": complex, "pe": float,
     "lambda_plus": float, "lambda_minus": float, "theta": float,
 }
-_PER_TRAJECTORY = ("beta", "delta_m")  # a row per trajectory, the others per variance lane
 
 
 @dataclass(frozen=True)
@@ -427,14 +429,13 @@ def _batch_run(
     drawn from 2 normals per lane; each lane draws the normals of every record
     at once, after the last window.  A window writes the records of its first
     to its last step, both included, so the last window's last one is the
-    closing record.  beta and delta_m have a row per trajectory; the other
-    records, ``alive`` and ``abort_time`` have one per variance lane, which a
-    schedule's batch shares.  Given a ``sink``, delta_m is not recorded, and a
-    run without a schedule keeps its records in one block, refilled every
-    window, calling ``sink(lo, hi, block)`` on records lo..hi-1, two or more,
-    once they are final; a schedule's go to it whole.  A non-finite initial
-    moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a ``ValueError``
-    naming the argument first.
+    closing record.  beta has a row per trajectory, and the other records,
+    ``alive`` and ``abort_time`` one per variance lane, which a schedule's
+    batch shares.  Given a ``sink``, a run without a schedule refills one
+    block of records a window, and calls ``sink(lo, hi, block)`` on records
+    lo..hi-1, two or more, once they are final; a schedule's go to it whole.
+    A non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a
+    ``ValueError`` naming the argument first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
         if not cmath.isfinite(value):
@@ -472,8 +473,8 @@ def _batch_run(
     n_rec = n_windows * per_window + 1
     # a sink's self-scheduled records refill one block, 3 wide to hold a column
     width = n_rec if sink is None or schedule is not None else max(per_window + 1, 3)
-    rec = {name: np.empty((n if name in _PER_TRAJECTORY else lanes, width), dtype=dtype)
-           for name, dtype in _RECORDED.items() if sink is None or name != "delta_m"}
+    rec = {name: np.empty((n if name == "beta" else lanes, width), dtype=dtype)
+           for name, dtype in _RECORDED.items()}
     rec0 = 0  # the record in rec's column 0
 
     # The detuning is d0 + g2 Re beta.  The step's numbers are 0-d arrays:
@@ -630,8 +631,6 @@ def _batch_run(
         if sink is not None:
             del gens  # 1.2 KB a lane, freed before the last block is reduced
             sink(rec0, n_rec, {name: x[:, : last + 1] for name, x in rec.items()})
-    if sink is None:
-        rec["delta_m"][:] = g2 * rec["beta"].real
 
     rec.update(times=np.arange(n_rec) * stride * dt, alive=alive, abort_time=abort_time)
     return rec
@@ -707,13 +706,13 @@ def run_ensemble(
 
     Per-trajectory seeds derive deterministically from the master seed, and
     all trajectories run as one batch whose lanes do not interact, so each
-    trajectory matches its own :func:`run_trajectory`; ``options.workers``
-    has no effect.  The reference runs first, so that the statistics reduce
-    each block of records the batch hands over; numpy reduces two or more
-    columns row by row, so they equal the whole rows' statistics bit for bit.
-    Fails before the run on a histogram time outside [0, duration] or a
-    refused initial moment, and after it when more than 1% of trajectories
-    abort; when fewer abort, the batch reruns on the survivors' seeds.
+    trajectory matches its own :func:`run_trajectory`.  The reference runs
+    first, so that the statistics reduce each block of records the batch
+    hands over; numpy reduces two or more columns row by row, so they equal
+    the whole rows' statistics bit for bit.  Fails before the run on a
+    histogram time outside [0, duration] or a refused initial moment, and
+    after it when more than 1% of trajectories abort; when fewer abort, the
+    batch reruns on the survivors' seeds.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

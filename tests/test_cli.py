@@ -134,8 +134,13 @@ def test_semiclassical_run_schema_and_determinism(tmp_path):
     data1 = (out1 / "semiclassical.csv").read_bytes()
     data2 = (out2 / "semiclassical.csv").read_bytes()
     assert data1 == data2
-    header = data1.split(b"\n", 1)[0]
-    assert header == b"t,re_beta,im_beta,pe,delta_m"
+    header, *rows = data1.decode().splitlines()
+    assert header == "t,re_beta,im_beta,pe,delta_m"
+    # the engine records no delta_m: the CSV forms it as 2 g_m Re beta, bit for bit
+    g_m = load_config(path).params.g_m
+    for row in rows:
+        t, re_beta, im_beta, pe, delta_m = row.split(",")
+        assert delta_m == repr(2.0 * g_m * float(re_beta))
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["outputs"] == ["semiclassical.csv"]
 
@@ -567,14 +572,15 @@ def test_memory_cap_is_exact_at_load():
 
 
 def test_memory_cap_counts_the_records_a_batch_allocates():
-    # an ensemble's lanes stream their records, delta_m left out, a window's
-    # block at a time: at stride 1 a lane's block of 257 columns, 18,504 bytes,
-    # is more than its 8,192 bytes of window noise buffers, so the blocks decide
-    # the cap.  A streamed batch allocates exactly that per lane, and 3 columns
-    # at one record a window; the ensemble's result and its reference keep
-    # 80 + 128 bytes a record whole
+    # an ensemble's lanes stream their records a window's block at a time: at
+    # stride 1 a lane's block of 257 columns, 18,504 bytes, is more than its
+    # 8,192 bytes of window noise buffers, so the blocks decide the cap.  A
+    # streamed batch allocates exactly that per lane, and 3 columns at one
+    # record a window; the ensemble's result and its reference keep 72 + 128
+    # bytes a record whole.  Streamed or whole, a batch records every quantity
+    # of _RECORDED and no other
     engine = {"steps_per_window": 256, "record_stride": 1}
-    column = sum(np.dtype(t).itemsize for name, t in _RECORDED.items() if name != "delta_m")
+    column = sum(np.dtype(t).itemsize for t in _RECORDED.values())
     per_lane = 257 * column
     config = config_from_dict(base_config(kind="ensemble", engine=engine,
                                           trajectories=MEMORY_CAP // per_lane))
@@ -584,17 +590,23 @@ def test_memory_cap_counts_the_records_a_batch_allocates():
     duration = 2 * config.params.mechanical_period
     seeds = [derive_trajectory_seed(7, i) for i in range(3)]
 
+    recorded = set(_RECORDED) | {"times", "alive", "abort_time"}
+
     def block_bytes(options):
+        blocks = []
         batch = _batch_run(config.params, config.beta0, 0.0, 0.0, duration, seeds,
-                           options, lambda lo, hi, block: None)
-        assert "delta_m" not in batch
-        return sum(batch[name].nbytes for name in _RECORDED if name in batch)
+                           options, lambda lo, hi, block: blocks.append(set(block)))
+        assert blocks and all(block == set(_RECORDED) for block in blocks)
+        assert set(batch) == recorded
+        return sum(batch[name].nbytes for name in _RECORDED)
 
     assert block_bytes(config.options()) == 3 * per_lane
     assert block_bytes(replace(config.options(), record_stride=256)) == 3 * 3 * column
+    rows = _batch_run(config.params, config.beta0, 0.0, 0.0, duration, seeds, config.options())
+    assert set(rows) == recorded
     res = run_ensemble(config.params, config.beta0, duration, 3, 7, config.options())
     whole = [*vars(res).values(), *vars(res.reference).values()]
-    assert sum(x.nbytes for x in whole if isinstance(x, np.ndarray)) == 513 * (80 + 128)
+    assert sum(x.nbytes for x in whole if isinstance(x, np.ndarray)) == 513 * (72 + 128)
 
 
 @pytest.mark.parametrize(

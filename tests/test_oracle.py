@@ -390,10 +390,11 @@ def test_sse_ensemble_matches_master(params):
     assert np.all(np.abs(a.b2 - b.b2) <= 4.0 * sse.se_b2 + 1e-9)
 
 
-@pytest.mark.parametrize("stride", [1000, 3000, 0])
+@pytest.mark.parametrize("stride", [1000, 3000, 0, 64.0, True])
 @pytest.mark.parametrize("integrator", ["master", "sse"])
 def test_record_stride_must_divide_the_window(params, integrator, stride):
-    # 4096 steps per window; both integrators refuse before stepping
+    # 4096 steps per window; both integrators refuse before stepping, a stride
+    # that is not an integer too (sse_ensemble's used to fail at np.empty)
     schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 1)
     period = params.mechanical_period
     with pytest.raises(ValueError, match="record_stride must be a positive divisor"):

@@ -195,14 +195,20 @@ def test_lane_generators_match_numpy_on_drawn_seeds(tmp_path):
 
 
 def test_seeds_outside_64_bits_keep_numpys_behaviour():
-    # run_trajectory takes any int seed: numpy refuses a negative one, and
-    # hashes one above 2**64 from three entropy words; the engine does the same
+    # run_trajectory takes any int seed: numpy refuses a negative one or one
+    # that is not an int, and hashes one above 2**64 from three entropy words;
+    # the engine does the same, and truncates no float to an int
     p = tls_noise_params()
     opts = TrajectoryOptions(steps_per_window=64, record_stride=16)
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
         run_trajectory(p, 1j, 0.0, 0.0, p.mechanical_period, seed=-1, options=opts)
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
         _lane_generators([5, -1])
+    for seed in (1.5, 2.0, np.float64(3.0)):
+        with pytest.raises(TypeError, match="^SeedSequence expects int"):
+            run_trajectory(p, 1j, 0.0, 0.0, p.mechanical_period, seed=seed, options=opts)
+        with pytest.raises(TypeError, match="^SeedSequence expects int"):
+            _lane_generators([5, seed])
     gens = _lane_generators([5, 2**70])
     assert gens[1].bit_generator.random_raw() == 10013647886062870613
     assert gens[0].bit_generator.state == np.random.PCG64(5).state
@@ -324,7 +330,6 @@ def test_decoupled_system_without_coupling():
     p = PhysParams(gamma=1.0, g=1.0, Omega=1e-2, g_m=0.0)
     opts = TrajectoryOptions(steps_per_window=256, record_stride=32)
     rec = run_trajectory(p, 3.0 + 0j, 0.0, 0.0, p.mechanical_period, 5, opts)
-    assert np.all(rec.delta_m == 0.0)
     assert np.all(rec.pe == rec.pe[0])
     assert np.max(np.abs(np.abs(rec.beta) - 3.0)) < 1e-12
 
@@ -936,11 +941,13 @@ def test_abort_time_is_first_step_below_tolerance():
 @pytest.mark.parametrize(
     "field, value",
     [("record_stride", 0), ("record_stride", -4), ("steps_per_window", 0),
-     ("histogram_bins", 0)],
+     ("histogram_bins", 0), ("steps_per_window", 256.0), ("record_stride", 4.0),
+     ("record_stride", True), ("histogram_bins", 41.0)],
 )
 def test_bad_engine_grid_names_field(field, value):
     # these used to fail inside the run: a ZeroDivisionError, numpy's negative
-    # dimensions, or np.histogram after the whole ensemble had run
+    # dimensions, a float where numpy wants an integer, or np.histogram after
+    # the whole ensemble had run
     with pytest.raises(ValueError, match=f"^{field}"):
         TrajectoryOptions(**{field: value})
 
@@ -1065,7 +1072,6 @@ def test_record_map_matches_the_steps_it_composes(monkeypatch, case, stride):
         want = stepwise_scheduled_beta(MAP_PARAMS, start[0], *v_start, duration,
                                        lanes, opts, coeffs)
         assert np.max(np.abs(got["beta"][-1] - want[-1])) <= 1e-12 * np.max(np.abs(want))
-        assert np.array_equal(got["delta_m"], 2.0 * MAP_PARAMS.g_m * got["beta"].real)
         pe = [wc.pe for wc in opts.schedule for _ in range(256 // stride)]
         assert np.all(got["pe"] == pe + [opts.schedule[-1].pe])
         if coeffs:  # L's column j: lane j's increment less lane 2's
@@ -1190,14 +1196,14 @@ def test_schedule_stores_and_reduces_its_shared_fields_once(case):
     # on a schedule the variances, the population and the channel data are
     # every lane's: the batch holds one row of each, the ensemble's means are
     # the schedule's own values bit for bit (the mean of 67 equal rows was
-    # not), and beta and delta_m keep a row per trajectory
+    # not), and beta keeps a row per trajectory
     schedule = MAP_SCHEDULES[case]
     opts = TrajectoryOptions(steps_per_window=256, record_stride=32, schedule=schedule)
     duration = 2 * MAP_PARAMS.mechanical_period
     seeds = [derive_trajectory_seed(5, i) for i in range(67)]
     batch = _batch_run(MAP_PARAMS, 0.8 - 0.4j, 0.3, 0.1j, duration, seeds, opts)
     assert {name: len(batch[name]) for name in _RECORDED} == {
-        name: 67 if name in ("beta", "delta_m") else 1 for name in _RECORDED}
+        name: 67 if name == "beta" else 1 for name in _RECORDED}
     res = run_ensemble(MAP_PARAMS, 0.8 - 0.4j, duration, 67, 5, opts, 0.3, 0.1j)
     for name in ("pe", "lambda_plus", "lambda_minus", "theta"):
         per_window = [wc.pe if name == "pe" else getattr(wc.decomp, name)
