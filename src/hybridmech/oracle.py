@@ -30,7 +30,7 @@ from .trajectory import (
     _is_integer,
     _lane_generators,
     _standard_error,
-    derive_trajectory_seed,
+    _trajectory_seeds,
     resolve_windows,
 )
 
@@ -616,18 +616,16 @@ def sse_ensemble(
     kernel_schedule: Sequence[WindowCoefficients],
     record_stride: int = 16,
 ) -> SseEnsemble:
-    """Average ``n_traj`` >= 1 unraveling trajectories from the amplitude
-    array ``psi0`` (of finite, nonzero norm; normalised here), trajectory i
-    seeded by ``derive_trajectory_seed(master_seed, i)``.  ``dt`` must divide the window
-    and ``record_stride`` the steps per window; one trajectory gives zero
-    standard errors, and its mean is that trajectory."""
-    if n_traj < 1:
-        raise ValueError("n_traj must be at least 1")
+    """Average ``n_traj`` >= 1 unraveling trajectories from the amplitude array
+    ``psi0`` (of finite, nonzero norm; normalised here), trajectory i seeded by
+    ``derive_trajectory_seed(master_seed, i)``, both integers (numpy's too).  ``dt``
+    must divide the window and ``record_stride`` the steps per window; one
+    trajectory gives zero standard errors, and its mean is that trajectory."""
+    seeds = _trajectory_seeds(n_traj, master_seed)
     norm = np.linalg.norm(psi0)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"psi0 must have a finite, positive norm, got {norm}")
     amps = psi0 / norm
-    seeds = [derive_trajectory_seed(master_seed, i) for i in range(n_traj)]
     times, b, n, b2 = _sse_batch(
         params, amps, duration, dt, seeds, kernel_schedule, record_stride
     )

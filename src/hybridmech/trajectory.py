@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -98,6 +98,16 @@ def derive_trajectory_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _trajectory_seeds(n_traj, master_seed) -> list[int]:
+    """An ensemble's trajectory seeds; a ``ValueError`` names the argument unless both
+    are integers (numpy's too, not a bool) and ``n_traj`` is at least 1."""
+    if not _is_integer(n_traj) or n_traj < 1:
+        raise ValueError(f"n_traj must be at least 1, and an integer; got {n_traj!r}")
+    if not _is_integer(master_seed):
+        raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
+    return [derive_trajectory_seed(operator.index(master_seed), i) for i in range(n_traj)]
 
 
 def _lane_generators(seeds: Sequence[int]) -> list:
@@ -367,22 +377,8 @@ def _sqrt_psd(c):
     return (c + s[..., None, None] * np.eye(2)) / np.where(t == 0.0, 1.0, t)[..., None, None]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 # Trajectories drawn per scratch block; it bounds the scratch and changes no draw.
 _DRAW_BLOCK = 32
-
-
-def machine_diagnostics() -> dict:
-    """The numpy version and the CPUs this process may use, as a run manifest
-    records them."""
-    return {"numpy": np.__version__, "nproc": _usable_cpus()}
 
 
 def _draw_window_noise(gens, rows: int, dt: float, out):
@@ -429,10 +425,10 @@ def _batch_run(
     drawn from 2 normals per lane; each lane draws the normals of every record
     at once, after the last window.  A window writes the records of its first
     to its last step, both included, so the last window's last one is the
-    closing record.  beta has a row per trajectory, and the other records,
-    ``alive`` and ``abort_time`` one per variance lane, which a schedule's
-    batch shares.  Given a ``sink``, a run without a schedule refills one
-    block of records a window, and calls ``sink(lo, hi, block)`` on records
+    closing record.  beta has a row per trajectory, and the other records and
+    ``abort_time``, NaN while the lane lives, one per variance lane, which a
+    schedule's batch shares.  Given a ``sink``, a run without a schedule refills
+    one block of records a window, and calls ``sink(lo, hi, block)`` on records
     lo..hi-1, two or more, once they are final; a schedule's go to it whole.
     A non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a
     ``ValueError`` naming the argument first.
@@ -467,7 +463,6 @@ def _batch_run(
     beta = np.full(n, complex(beta0), dtype=complex)
     va = np.full(lanes, float(v_a0))
     vb = np.full(lanes, complex(v_b0), dtype=complex)
-    alive = np.ones(lanes, dtype=bool)
     abort_time = np.full(lanes, np.nan)
 
     n_rec = n_windows * per_window + 1
@@ -534,9 +529,8 @@ def _batch_run(
                     late = hit & (np.arange(steps)[:, None] >= first)
                     va_rows[1:][late] = np.nan
                     vb_rows[1:][late] = np.nan
-                    newly = alive & hit
+                    newly = hit & np.isnan(abort_time)
                     abort_time[newly] = (w * steps + first[newly] + 1) * dt
-                    alive[newly] = False
             else:
                 va_rows, vb_rows = (np.broadcast_to(x, (steps + 1, lanes)) for x in (va, vb))
             # noise coefficients of every step, from the pre-step rows; a NaN
@@ -632,7 +626,7 @@ def _batch_run(
             del gens  # 1.2 KB a lane, freed before the last block is reduced
             sink(rec0, n_rec, {name: x[:, : last + 1] for name, x in rec.items()})
 
-    rec.update(times=np.arange(n_rec) * stride * dt, alive=alive, abort_time=abort_time)
+    rec.update(times=np.arange(n_rec) * stride * dt, abort_time=abort_time)
     return rec
 
 
@@ -654,7 +648,7 @@ def run_trajectory(
     """Run a single stochastic trajectory (same code path as ensembles)."""
     options = options or TrajectoryOptions()
     batch = _batch_run(params, beta0, v_a0, v_b0, duration, [seed], options)
-    if not batch["alive"][0]:
+    if not math.isnan(batch["abort_time"][0]):
         raise TrajectoryAbort(0, float(batch["abort_time"][0]))
     return _record_from_batch(batch, seed)
 
@@ -709,13 +703,13 @@ def run_ensemble(
     trajectory matches its own :func:`run_trajectory`.  The reference runs
     first, so that the statistics reduce each block of records the batch
     hands over; numpy reduces two or more columns row by row, so they equal
-    the whole rows' statistics bit for bit.  Fails before the run on a
-    histogram time outside [0, duration] or a refused initial moment, and
-    after it when more than 1% of trajectories abort; when fewer abort, the
-    batch reruns on the survivors' seeds.
+    the whole rows' statistics bit for bit.  Fails before the run on an
+    ``n_traj`` or ``master_seed`` that ``_trajectory_seeds`` refuses, a histogram
+    time outside [0, duration] or a refused initial moment, and after it when
+    more than 1% of trajectories abort; when fewer abort, the batch reruns on
+    the survivors' seeds.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be at least 1")
+    seeds = _trajectory_seeds(n_traj, master_seed)
     options = options or TrajectoryOptions()
     targets = histogram_targets(duration, options.histogram_times)
     reference = semiclassical_run(params, beta0, duration, options)
@@ -726,10 +720,11 @@ def run_ensemble(
         beta = live["beta"]
         n_vals, b2_vals = live["v_a"] + np.abs(beta) ** 2, live["v_b"] + beta**2
         dbeta = beta - reference.beta[lo:hi]
+        var_x, var_p = _sample_variance(dbeta.real), _sample_variance(dbeta.imag)
         for name, row in dict(
             mean_beta=beta.mean(axis=0), mean_n=n_vals.mean(axis=0),
-            mean_b2=b2_vals.mean(axis=0), var_dbeta_x=_sample_variance(dbeta.real),
-            var_dbeta_p=_sample_variance(dbeta.imag), se_beta=_standard_error(dbeta),
+            mean_b2=b2_vals.mean(axis=0), var_dbeta_x=var_x, var_dbeta_p=var_p,
+            se_beta=np.sqrt(var_x + var_p) / math.sqrt(len(beta)),
             se_n=_standard_error(n_vals), se_b2=_standard_error(b2_vals),
             **{f"mean_{name}": live[name].mean(axis=0)
                for name in ("pe", "lambda_plus", "lambda_minus", "theta")},
@@ -739,17 +734,16 @@ def run_ensemble(
             rows[name][lo:hi] = row
         kept.update((i, dbeta[:, i - lo].copy()) for i in at if lo <= i < hi)
 
-    seeds = [derive_trajectory_seed(master_seed, i) for i in range(n_traj)]
     batch = _batch_run(params, beta0, v_a0, v_b0, duration, seeds, options, sink)
     # a schedule's shared lane aborts every trajectory at once
-    alive, abort_time = (np.broadcast_to(batch[k], n_traj) for k in ("alive", "abort_time"))
-    aborted = [(int(i), float(abort_time[i])) for i in np.flatnonzero(~alive)]
+    abort_time = np.broadcast_to(batch["abort_time"], n_traj)
+    aborted = [(int(i), float(abort_time[i])) for i in np.flatnonzero(~np.isnan(abort_time))]
     if len(aborted) > 0.01 * n_traj:
         raise EnsembleAbortError(
             f"{len(aborted)}/{n_traj} trajectories aborted: {aborted[:10]}"
         )
     if aborted:  # a lane runs bitwise the same in any batch: rewrite rows and kept
-        survivors = [s for s, ok in zip(seeds, alive) if ok]
+        survivors = [s for s, t in zip(seeds, abort_time) if math.isnan(t)]
         batch = _batch_run(params, beta0, v_a0, v_b0, duration, survivors, options, sink)
 
     return EnsembleResult(
@@ -759,8 +753,8 @@ def run_ensemble(
         histograms=[(float(batch["times"][i]), *np.histogram(
             2.0 * params.g_m * kept[i].real, bins=options.histogram_bins)[::-1]) for i in at],
         reference=reference,
-        n_traj=n_traj,
-        master_seed=master_seed,
+        n_traj=operator.index(n_traj),
+        master_seed=operator.index(master_seed),
         aborted=aborted,
     )
 

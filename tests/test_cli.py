@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hybridmech import cli
 from hybridmech.cli import (
     HBAR,
     KB,
@@ -21,6 +22,7 @@ from hybridmech.cli import (
     main,
     write_csv,
 )
+from hybridmech.lindblad import decompose, eigenpairs
 from hybridmech.trajectory import _RECORDED, _batch_run, derive_trajectory_seed, run_ensemble
 
 
@@ -247,6 +249,64 @@ def test_validate_kind_passes(tmp_path):
     assert len(payload["checks"]) == 4
 
 
+def eigenpairs_detail_by_loop(seed):
+    """The eigenpairs_vs_eigh detail from one decompose call and one eigvalsh per
+    sample, each sample's five rng.uniform calls drawn in turn."""
+    rng = np.random.default_rng(seed + 1)
+    worst, min_lam = 0.0, math.inf
+    for _ in range(1000):
+        s0 = 10.0 ** rng.uniform(-3, 3)
+        s2 = s0 * rng.uniform(0, 1) * np.exp(2j * math.pi * rng.uniform())
+        Gamma, n_m = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-2, 3)
+        h11, h22 = Gamma * (n_m + 1) + s0, Gamma * n_m + s0
+        dec = decompose(Gamma, n_m, s0, s2)
+        ref = np.linalg.eigvalsh(np.array([[h11, s2], [np.conj(s2), h22]]))
+        scale = max(h11, 1.0)
+        worst = max(worst, abs(dec.lambda_plus - ref[1]) / scale,
+                    abs(dec.lambda_minus - ref[0]) / scale)
+        min_lam = min(min_lam, dec.lambda_minus)
+    return f"max scaled diff {worst:.3e}, min lambda_minus {min_lam:.3e}"
+
+
+@pytest.mark.parametrize("seed", [4, 15])
+def test_validate_eigenpairs_check_matches_a_loop(tmp_path, seed):
+    # validate draws its 1000 samples in one array and diagonalises them in one
+    # vectorised pass; the loop's samples and results are the same doubles.  At
+    # these seeds, on an AVX-512 CPU, numpy's ** in place of float_power changes
+    # the detail
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(kind="validate", seed=seed))
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    checks = json.loads((out / "validation.json").read_text())["checks"]
+    detail = {c["name"]: c["detail"] for c in checks}["eigenpairs_vs_eigh"]
+    assert detail == eigenpairs_detail_by_loop(seed)
+
+
+def test_validate_failure_exits_4_and_records_the_check(tmp_path, capsys, monkeypatch):
+    # lambda_plus off by a relative 1e-9 fails eigenpairs_vs_eigh's 1e-12 bound
+    def shifted(*args):
+        lam_p, *rest = eigenpairs(*args)
+        return (lam_p * (1.0 + 1e-9), *rest)
+
+    monkeypatch.setattr(cli, "eigenpairs", shifted)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(kind="validate", seed=3))
+    assert main(["--config", str(path), "--out", str(out)]) == 4
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error == {"code": 4, "kind": "validation", "message": "eigenpairs_vs_eigh"}
+    payload = json.loads((out / "validation.json").read_text())
+    assert payload["passed"] is False
+    assert [c["name"] for c in payload["checks"] if not c["passed"]] == ["eigenpairs_vs_eigh"]
+
+
+def test_config_that_is_not_an_object_names_config(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["--config", str(path)]) == 2
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error["message"] == "config: top-level document must be an object"
+
+
 def test_cli_overrides_and_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["--config", str(missing)]) == 2
@@ -447,6 +507,7 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("params", "g"), "x", "params.g"),
         (("engine", "steps_per_window"), "many", "engine.steps_per_window"),
         (("initial", "beta0"), ["a", 1], "initial.beta0"),
+        (("initial", "beta0"), [1, 2, 3], "initial.beta0"),
         (("duration_periods",), None, "duration_periods"),
         (("engine", "histogram_bins"), 0, "engine.histogram_bins"),
         (("params", "g"), math.nan, "params.g"),
@@ -492,7 +553,7 @@ def test_bad_engine_grid_rejected_at_load(tmp_path, capsys):
         (("engine", "histogram_bins"), 4 * 10**12, "engine.histogram_bins"),
     ],
     ids=["Omega-zero", "g-negative", "trajectories-text", "g-text", "steps-text",
-         "beta0-text", "duration-null", "bins-zero", "g-nan", "duration-nan",
+         "beta0-text", "beta0-triple", "duration-null", "bins-zero", "g-nan", "duration-nan",
          "g_m-inf", "beta0-nan", "periods-inf", "engine-list", "initial-text",
          "output-number", "sweep-number", "grid-number", "periods-number",
          "full_bloch-text", "full_bloch-number", "engine-typo", "top-level-typo",
@@ -590,7 +651,7 @@ def test_memory_cap_counts_the_records_a_batch_allocates():
     duration = 2 * config.params.mechanical_period
     seeds = [derive_trajectory_seed(7, i) for i in range(3)]
 
-    recorded = set(_RECORDED) | {"times", "alive", "abort_time"}
+    recorded = set(_RECORDED) | {"times", "abort_time"}
 
     def block_bytes(options):
         blocks = []
@@ -614,8 +675,9 @@ def test_memory_cap_counts_the_records_a_batch_allocates():
     [
         ({"Omega": 0.0, "T_m": 4.0}, "params.Omega"),
         ({"T_q": 0.01, "omega0": 0.0}, "params.omega0"),
+        ({"T_q": 0.01}, "params.omega0"),
     ],
-    ids=["Omega-zero-T_m", "omega0-zero-T_q"],
+    ids=["Omega-zero-T_m", "omega0-zero-T_q", "omega0-missing-T_q"],
 )
 def test_temperature_with_zero_frequency_names_field(
     tmp_path, capsys, params, field_name

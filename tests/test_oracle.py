@@ -7,6 +7,7 @@ from conftest import decomposition_from_set, random_kernel_set
 from hybridmech.bloch import PhysParams
 from hybridmech.lindblad import twisted_decomposition
 from hybridmech.oracle import (
+    FockDensityMatrix,
     TruncationError,
     _b_left,
     _b_right,
@@ -410,22 +411,31 @@ def test_record_stride_must_divide_the_window(params, integrator, stride):
             )
 
 
-@pytest.mark.parametrize("fraction", [0.7, 1 / 300.3, 1 / 100.4],
-                         ids=["0.7T", "T|300.3", "T|100.4"])
+@pytest.mark.parametrize("fraction, message", [
+    (0.7, "^dt=.* must divide the window"), (1 / 300.3, "^dt=.* must divide the window"),
+    (1 / 100.4, "^dt=.* must divide the window"), (0.0, "^dt must be positive"),
+], ids=["0.7T", "T|300.3", "T|100.4", "zero"])
 @pytest.mark.parametrize("caller", ["master", "sse"])
-def test_step_must_divide_the_window(params, caller, fraction):
+def test_step_must_divide_the_window(params, caller, fraction, message):
     # a step of this fraction of the window used to be rounded to one that
     # divides it, or to fail a later check that names no step
     schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 1)
     period = params.mechanical_period
     step = fraction * period
-    with pytest.raises(ValueError, match="^dt=.* must divide the window"):
+    with pytest.raises(ValueError, match=message):
         if caller == "master":
             integrate_master(params, coherent_density(12, 0.5), period, step, schedule,
                              record_stride=1)
         else:
             sse_ensemble(params, coherent_state(12, 0.5), period, step, 1, 1, schedule,
                          record_stride=1)
+
+
+def test_density_matrix_refuses_a_drifted_trace_and_a_negative_eigenvalue():
+    with pytest.raises(RuntimeError, match="^trace drifted by 1.000e-01 at t=0.5"):
+        FockDensityMatrix(np.diag([1.1, 0.0, 0.0, 0.0]).astype(complex), t=0.5).validate()
+    with pytest.raises(RuntimeError, match="^negative eigenvalue -5.000e-01 at t=0.0"):
+        FockDensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)).validate()
 
 
 @pytest.mark.parametrize("integrator", ["master", "sse"])

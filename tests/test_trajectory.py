@@ -10,10 +10,15 @@ import numpy as np
 import pytest
 from conftest import reference_generators, sinusoidal_rates
 
-from hybridmech import trajectory
+from hybridmech import oracle, trajectory
 from hybridmech.bloch import PhysParams, _expm
 from hybridmech.lindblad import QuadratureDecomposition, decompose, twisted_decomposition
-from hybridmech.oracle import make_frozen_schedule, quadrature_variances
+from hybridmech.oracle import (
+    coherent_state,
+    make_frozen_schedule,
+    quadrature_variances,
+    sse_ensemble,
+)
 from hybridmech.trajectory import (
     ABORT_VA_TOL,
     EnsembleAbortError,
@@ -540,13 +545,14 @@ def test_variance_growth_requires_valid_durations():
         (lambda: twisted_decomposition(math.nan, 1e-4, 0.0), "lambda_plus"),
         (lambda: twisted_decomposition(math.inf, 1e-4, 0.0), "lambda_plus"),
         (lambda: twisted_decomposition(1e-3, 1e-4, math.nan), "theta"),
+        (lambda: twisted_decomposition(1e-4, 1e-3, 0.0), "lambda_plus"),
         (lambda: dataclasses.replace(twisted_decomposition(1e-3, 1e-4, 0.0),
                                      v_minus=np.array([math.nan, 1.0])), "v_minus"),
         (lambda: WindowCoefficients(twisted_decomposition(1e-3, 1e-4, 0.0), 3.0), "pe"),
         (lambda: WindowCoefficients(twisted_decomposition(1e-3, 1e-4, 0.0), math.nan),
          "pe"),
     ],
-    ids=["negative-rate", "nan-rate", "inf-rate", "nan-theta", "nan-vector",
+    ids=["negative-rate", "nan-rate", "inf-rate", "nan-theta", "swapped-rates", "nan-vector",
          "pe-3", "nan-pe"],
 )
 def test_schedule_data_must_be_finite(make, field):
@@ -709,6 +715,62 @@ def test_streamed_statistics_equal_the_whole_rows(n, per_window):
         res = run_ensemble(p, 200j, periods * period, n, 21, opts)
         assert res.aborted == []
         assert_bitwise(res, whole_rows_ensemble(p, 200j, periods * period, seeds, opts, n, 21))
+
+
+def run_small_ensemble(runner, n_traj, master_seed):
+    """A cheap ensemble of either Monte Carlo runner."""
+    if runner == "run_ensemble":
+        p = tls_noise_params()
+        opts = TrajectoryOptions(steps_per_window=256, record_stride=64)
+        return run_ensemble(p, 200j, p.mechanical_period, n_traj, master_seed, opts)
+    p = PhysParams(gamma=1.0, g=1.0, Omega=0.05, g_m=0.001)
+    schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 1)
+    period = p.mechanical_period
+    return sse_ensemble(p, coherent_state(12, 0.5), period, period / 512, n_traj,
+                        master_seed, schedule, record_stride=128)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_traj", 4.0), ("n_traj", True), ("n_traj", 0), ("master_seed", 1.5),
+     ("master_seed", True)],
+)
+@pytest.mark.parametrize("runner", ["run_ensemble", "sse_ensemble"])
+def test_ensemble_counts_are_refused_before_any_work(monkeypatch, runner, field, value):
+    # unchecked, n_traj 4.0 runs the reference and then fails in range(), True
+    # fails in np.broadcast_to, master_seed 1.5 fails in derive_trajectory_seed's
+    # &, and True runs as seed 1
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran before the arguments were checked")
+
+    monkeypatch.setattr(trajectory, "_batch_run", no_batch)
+    monkeypatch.setattr(oracle, "_sse_batch", no_batch)
+    args = {"n_traj": 4, "master_seed": 3, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        run_small_ensemble(runner, **args)
+
+
+@pytest.mark.parametrize("runner", ["run_ensemble", "sse_ensemble"])
+def test_numpy_integer_counts_give_the_same_bits(runner):
+    # derive_trajectory_seed overflows on an np.int64 master seed unless given its int
+    got = run_small_ensemble(runner, np.int64(4), np.int64(3))
+    want = run_small_ensemble(runner, 4, 3)
+    if runner == "run_ensemble":
+        assert type(got.master_seed) is int and type(got.n_traj) is int
+        assert_bitwise(got, {f.name: getattr(want, f.name) for f in dataclasses.fields(want)
+                             if f.name != "aborted"})
+    else:
+        for name in ("times", "b", "n", "b2"):
+            assert np.array_equal(getattr(got.moments, name), getattr(want.moments, name))
+        for name in ("se_b", "se_n", "se_b2"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_empty_schedule_is_refused():
+    p = frozen_frame_params()
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=64, schedule=[])
+    with pytest.raises(ValueError, match="^schedule must contain at least one window"):
+        run_ensemble(p, 0j, 1.0, 2, 0, opts)
 
 
 def test_planted_abort_reruns_the_survivors(monkeypatch):
@@ -930,7 +992,7 @@ def test_abort_time_is_first_step_below_tolerance():
         run_trajectory(p, 0j, 0.1, 1.0 + 0j, 64.0, 5, opts)
     assert err.value.time == first + 1.0
     batch = _batch_run(p, 0j, 0.1, 1.0 + 0j, 64.0, [5, 6], opts)
-    assert not batch["alive"].any()
+    assert not np.isnan(batch["abort_time"]).any()
     assert np.all(batch["abort_time"] == first + 1.0)
     # records up to the aborting step are finite, and NaN after it
     assert np.all(np.isfinite(batch["v_a"][:, : first + 1]))
