@@ -360,8 +360,8 @@ def _check_memory(config: ExperimentConfig, windows: int) -> None:
     sweep or grid points (``_POINT_BYTES`` each) or histogram bins (``_BIN_BYTES`` per
     bin and target) exceed ``MEMORY_CAP``, naming the field one lane breaks it by, else
     ``trajectories``.  The reference lane keeps whole rows of records, an ensemble 128
-    bytes a record more (12 mean rows, 2 of times), and its lanes a window's block, at
-    least 3 columns wide; every record is a row of ``_RECORDED``."""
+    bytes a record more (12 mean rows, 2 of times), and its lanes a window's block of
+    ``steps // record_stride + 1`` records; every record is a row of ``_RECORDED``."""
     ensemble = config.kind == "ensemble"
     lanes, steps = config.trajectories if ensemble else 1, config.steps_per_window
     row_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
@@ -373,7 +373,7 @@ def _check_memory(config: ExperimentConfig, windows: int) -> None:
         ("window noise buffers", lanes, 2 * steps * 16, "engine.steps_per_window"),
         ("records", 1, (windows * steps // config.record_stride + 1)
          * (row_bytes + 128 * ensemble), "duration_periods"),
-        ("record blocks", lanes * ensemble, max(steps // config.record_stride + 1, 3)
+        ("record blocks", lanes * ensemble, (steps // config.record_stride + 1)
          * row_bytes, "engine.steps_per_window"),
     ])
     if ensemble:

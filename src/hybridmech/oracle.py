@@ -185,7 +185,9 @@ class FockDensityMatrix:
 def coherent_state(dim: int, beta: complex) -> np.ndarray:
     """Normalised coherent-state amplitudes on the truncated space; raises
     :class:`TruncationError` when the truncation loses more than 1e-6 of the
-    norm."""
+    norm, and ``ValueError`` unless ``dim`` is an integer of at least 1."""
+    if not _is_integer(dim) or dim < 1:
+        raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
     amps = np.empty(dim, dtype=complex)
     amps[0] = 1.0
     for k in range(1, dim):
@@ -203,15 +205,12 @@ def coherent_density(dim: int, beta: complex) -> np.ndarray:
 
 
 def thermal_density(dim: int, n_m: float) -> np.ndarray:
-    """Thermal state, renormalised on the truncation."""
-    if n_m <= 0:
-        pops = np.zeros(dim)
-        pops[0] = 1.0
-    else:
-        ratio = n_m / (n_m + 1.0)
-        pops = ratio ** np.arange(dim)
-        pops /= pops.sum()
-    return np.diag(pops).astype(complex)
+    """Thermal state of ``n_m`` >= 0 quanta (finite, else ``ValueError``),
+    renormalised on the truncation; n_m = 0 gives the vacuum."""
+    if not 0.0 <= n_m < math.inf:
+        raise ValueError(f"n_m must be finite and >= 0, got {n_m}")
+    pops = (n_m / (n_m + 1.0)) ** np.arange(dim)
+    return np.diag(pops / pops.sum()).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +377,7 @@ def moments_from_state(psi: np.ndarray):
 
 def quadrature_variances(mean_b, mean_n, mean_b2):
     """Ensemble variances of X = (b+b†)/√2 and P = (b−b†)/(i√2)."""
-    mean_b = np.asarray(mean_b)
-    mean_n = np.asarray(mean_n)
-    mean_b2 = np.asarray(mean_b2)
+    mean_b, mean_n, mean_b2 = (np.asarray(x) for x in (mean_b, mean_n, mean_b2))
     var_x = np.real(mean_b2) + mean_n + 0.5 - 2.0 * np.real(mean_b) ** 2
     var_p = -np.real(mean_b2) + mean_n + 0.5 - 2.0 * np.imag(mean_b) ** 2
     return var_x, var_p
@@ -439,11 +436,11 @@ def integrate_master(
     _, steps, h = _window_plan(params, duration, dt, kernel_schedule, record_stride)
 
     rho = np.array(rho0, dtype=complex)
+    if rho.ndim != 2 or not 0 < rho.shape[0] == rho.shape[1]:
+        raise ValueError(f"rho0 must be a square (dim, dim) matrix, got shape {rho.shape}")
     dim = rho.shape[0]
 
-    times = []
-    states = []
-    moments = []
+    times, states, moments = [], [], []
 
     def record(t):
         snap = FockDensityMatrix(rho.copy(), t)
@@ -622,6 +619,8 @@ def sse_ensemble(
     must divide the window and ``record_stride`` the steps per window; one
     trajectory gives zero standard errors, and its mean is that trajectory."""
     seeds = _trajectory_seeds(n_traj, master_seed)
+    if np.ndim(psi0) != 1:
+        raise ValueError(f"psi0 must be a 1-D array, got shape {np.shape(psi0)}")
     norm = np.linalg.norm(psi0)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"psi0 must have a finite, positive norm, got {norm}")

@@ -423,13 +423,13 @@ def _batch_run(
     increments, and no scattering channels, so its kicks and variances stay
     zero.  With a schedule, beta moves by one map per record stride, its noise
     drawn from 2 normals per lane; each lane draws the normals of every record
-    at once, after the last window.  A window writes the records of its first
-    to its last step, both included, so the last window's last one is the
-    closing record.  beta has a row per trajectory, and the other records and
-    ``abort_time``, NaN while the lane lives, one per variance lane, which a
-    schedule's batch shares.  Given a ``sink``, a run without a schedule refills
-    one block of records a window, and calls ``sink(lo, hi, block)`` on records
-    lo..hi-1, two or more, once they are final; a schedule's go to it whole.
+    at once, after the last window.  Window w writes records w P .. (w + 1) P,
+    P = steps_per_window // record_stride, both ends included; the next window
+    rewrites the record they share.  beta has a row per trajectory, and the
+    other records and ``abort_time``, NaN while the lane lives, one per variance
+    lane, which a schedule's batch shares.  Given a ``sink``, a run without a
+    schedule refills one block of records a window and hands each window's to
+    ``sink(lo, hi, block)``, records lo..hi-1; a schedule's go to it whole.
     A non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a
     ``ValueError`` naming the argument first.
     """
@@ -466,11 +466,10 @@ def _batch_run(
     abort_time = np.full(lanes, np.nan)
 
     n_rec = n_windows * per_window + 1
-    # a sink's self-scheduled records refill one block, 3 wide to hold a column
-    width = n_rec if sink is None or schedule is not None else max(per_window + 1, 3)
-    rec = {name: np.empty((n if name == "beta" else lanes, width), dtype=dtype)
+    stream = sink is not None and schedule is None  # one block of a window's records
+    rec = {name: np.empty((n if name == "beta" else lanes,
+                           per_window + 1 if stream else n_rec), dtype=dtype)
            for name, dtype in _RECORDED.items()}
-    rec0 = 0  # the record in rec's column 0
 
     # The detuning is d0 + g2 Re beta.  The step's numbers are 0-d arrays:
     # numpy converts a Python number operand on every call.  Kernel input for
@@ -487,11 +486,12 @@ def _batch_run(
     else:
         population = partial(pe_closed_form, params.g, params.gamma)
 
+    a_s, roots = [], []  # on a schedule, each window's a^S and the columns of its L
     if schedule is None:
         # step-major rows, refilled every window; a lane without a generator keeps 0
         dw = tuple(np.zeros((steps, n), dtype=complex) for _ in range(2))
-    else:
-        a_s, roots = [], []  # each window's a^S and the columns of its records' L
+        delta_now = d0 + g2 * beta.real  # the first step's; each step forms the next's
+        pe_now = population(delta_now)
     c_damp = Gamma  # the mean's damping rate, h11 - h22; per window on a schedule
     with np.errstate(invalid="ignore"):
         for w in range(n_windows):
@@ -545,7 +545,8 @@ def _batch_run(
             l_m = sq_m * (np.conjugate(u_m) * va_pre + np.conjugate(w_m) * vb_pre)
             k_p[late] = np.nan
             # records w * per_window .. (w + 1) * per_window; the next rewrites the last
-            cols = slice(w * per_window - rec0, (w + 1) * per_window - rec0 + 1)
+            start = 0 if stream else w * per_window
+            cols = slice(start, start + per_window + 1)
             rec["v_a"][:, cols] = va_rows[::stride].T
             rec["v_b"][:, cols] = vb_rows[::stride].T
             for name, value in (
@@ -588,23 +589,21 @@ def _batch_run(
             # by the array's length, so a lane would depend on its batch
             damp, force = np.array(damp_fac), np.array(rot_half * (-1j * g_m * dt))
             for j in range(steps):
-                delta_now = d0 + g2 * beta.real
-                pe_now = population(delta_now)
                 if j % stride == 0:
-                    i_rec = cols.start + j // stride
-                    rec["beta"][:, i_rec] = beta
-                    rec["pe"][:, i_rec] = pe_now
+                    rec["beta"][:, start + j // stride] = beta
+                    rec["pe"][:, start + j // stride] = pe_now
                 if j % spp == 0:
                     delta_panel[:, j // spp] = delta_now
                 beta = damp * beta + force * pe_now
                 beta += kicks[j]
                 if options.full_bloch:
                     y_bloch = bloch_step_batch(y_bloch, delta_now, params, dt)
-            delta_panel[:, WINDOW_PANELS] = d0 + g2 * beta.real
-            done = cols.stop - 1  # final columns; numpy would sum 1 alone pairwise
-            if sink is not None and done >= 2 and w + 1 < n_windows:
-                sink(rec0, rec0 + done, {name: x[:, :done] for name, x in rec.items()})
-                rec0 += done
+                delta_now = d0 + g2 * beta.real
+                pe_now = population(delta_now)
+            rec["beta"][:, cols.stop - 1], rec["pe"][:, cols.stop - 1] = beta, pe_now
+            delta_panel[:, WINDOW_PANELS] = delta_now
+            if stream:
+                sink(w * per_window, (w + 1) * per_window + 1, rec)
 
         if schedule is not None:
             col = np.stack(roots)  # (windows, records, 2)
@@ -618,13 +617,9 @@ def _batch_run(
             for r in range(n_rec - 1):  # beta_{r+1} = a^S beta_r + increment_r
                 beta = a_s[r // per_window] * beta + rec["beta"][:, r + 1]
                 rec["beta"][:, r + 1] = beta
-        last = n_rec - 1 - rec0
-        rec["beta"][:, last] = beta
-        if schedule is None:
-            rec["pe"][:, last] = population(d0 + g2 * beta.real)
-        if sink is not None:
-            del gens  # 1.2 KB a lane, freed before the last block is reduced
-            sink(rec0, n_rec, {name: x[:, : last + 1] for name, x in rec.items()})
+            if sink is not None:
+                del gens  # 1.2 KB a lane, freed before the records are reduced
+                sink(0, n_rec, rec)
 
     rec.update(times=np.arange(n_rec) * stride * dt, abort_time=abort_time)
     return rec
@@ -645,7 +640,10 @@ def run_trajectory(
     seed: int,
     options: TrajectoryOptions | None = None,
 ) -> TrajectoryRecord:
-    """Run a single stochastic trajectory (same code path as ensembles)."""
+    """Run one stochastic trajectory (same code path as ensembles); refuses a bool seed."""
+    if isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, not a bool; got {seed!r}")
+    seed = operator.index(seed) if isinstance(seed, np.integer) else seed
     options = options or TrajectoryOptions()
     batch = _batch_run(params, beta0, v_a0, v_b0, duration, [seed], options)
     if not math.isnan(batch["abort_time"][0]):
@@ -701,9 +699,10 @@ def run_ensemble(
     Per-trajectory seeds derive deterministically from the master seed, and
     all trajectories run as one batch whose lanes do not interact, so each
     trajectory matches its own :func:`run_trajectory`.  The reference runs
-    first, so that the statistics reduce each block of records the batch
-    hands over; numpy reduces two or more columns row by row, so they equal
-    the whole rows' statistics bit for bit.  Fails before the run on an
+    first, so that the statistics reduce each window's block of records as
+    the batch hands it over, the later block rewriting the record two windows
+    share; numpy reduces a block, two or more columns wide, row by row, so they
+    equal the whole rows' statistics bit for bit.  Fails before the run on an
     ``n_traj`` or ``master_seed`` that ``_trajectory_seeds`` refuses, a histogram
     time outside [0, duration] or a refused initial moment, and after it when
     more than 1% of trajectories abort; when fewer abort, the batch reruns on

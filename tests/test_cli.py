@@ -636,7 +636,7 @@ def test_memory_cap_counts_the_records_a_batch_allocates():
     # an ensemble's lanes stream their records a window's block at a time: at
     # stride 1 a lane's block of 257 columns, 18,504 bytes, is more than its
     # 8,192 bytes of window noise buffers, so the blocks decide the cap.  A
-    # streamed batch allocates exactly that per lane, and 3 columns at one
+    # streamed batch allocates exactly that per lane, and 2 columns at one
     # record a window; the ensemble's result and its reference keep 72 + 128
     # bytes a record whole.  Streamed or whole, a batch records every quantity
     # of _RECORDED and no other
@@ -662,7 +662,7 @@ def test_memory_cap_counts_the_records_a_batch_allocates():
         return sum(batch[name].nbytes for name in _RECORDED)
 
     assert block_bytes(config.options()) == 3 * per_lane
-    assert block_bytes(replace(config.options(), record_stride=256)) == 3 * 3 * column
+    assert block_bytes(replace(config.options(), record_stride=256)) == 3 * 2 * column
     rows = _batch_run(config.params, config.beta0, 0.0, 0.0, duration, seeds, config.options())
     assert set(rows) == recorded
     res = run_ensemble(config.params, config.beta0, duration, 3, 7, config.options())

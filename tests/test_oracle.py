@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import decomposition_from_set, random_kernel_set
+from hybridmech import oracle
 from hybridmech.bloch import PhysParams
 from hybridmech.lindblad import twisted_decomposition
 from hybridmech.oracle import (
@@ -460,6 +461,35 @@ def test_oracles_refuse_no_schedule_and_nan_states(params, integrator):
         run(state, None)
     with pytest.raises(nan_error[0], match=nan_error[1]):
         run(nan_state, schedule)
+
+
+@pytest.mark.parametrize("case, name", [
+    ("master-4x3", "rho0"), ("master-1d", "rho0"), ("sse-2d", "psi0"),
+    ("coherent-dim-0", "dim"), ("thermal-negative", "n_m"), ("thermal-nan", "n_m"),
+])
+def test_initial_states_name_the_argument(params, monkeypatch, case, name):
+    # each used to fail late or not at all: a trace drift of 2 at t=0, numpy's
+    # diag, a broadcast error, an IndexError, the vacuum and a NaN matrix
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the initial state was checked")
+
+    monkeypatch.setattr(oracle, "_rk4_step", no_step)
+    monkeypatch.setattr(oracle, "_sse_batch", no_step)
+    schedule = make_frozen_schedule(twisted_decomposition(1e-3, 1e-4, 0.0), 0.0, 1)
+    period = params.mechanical_period
+    runs = {
+        "master-4x3": lambda: integrate_master(params, np.eye(4, 3), period,
+                                               period / 2048, schedule),
+        "master-1d": lambda: integrate_master(params, np.ones(4) / 4, period,
+                                              period / 2048, schedule),
+        "sse-2d": lambda: sse_ensemble(params, coherent_density(8, 0.5), period,
+                                       period / 2048, 2, 1, schedule),
+        "coherent-dim-0": lambda: coherent_state(0, 0.5),
+        "thermal-negative": lambda: thermal_density(4, -1.0),
+        "thermal-nan": lambda: thermal_density(4, math.nan),
+    }
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        runs[case]()
 
 
 def test_sse_ensemble_trajectory_count(params):

@@ -221,6 +221,22 @@ def test_seeds_outside_64_bits_keep_numpys_behaviour():
     assert record.seed == 2**70 and np.isfinite(record.beta).all()
 
 
+@pytest.mark.parametrize("seed", [True, np.int64(5)], ids=["True", "np.int64(5)"])
+def test_run_trajectory_refuses_a_bool_seed_and_records_a_numpy_one_as_int(seed):
+    # True used to run as seed 1, and np.int64(5) came back as the record's seed
+    p = tls_noise_params()
+    opts = TrajectoryOptions(steps_per_window=64, record_stride=16)
+    if isinstance(seed, bool):
+        with pytest.raises(ValueError, match="^seed must be an integer, not a bool"):
+            run_trajectory(p, 1j, 0.0, 0.0, p.mechanical_period, seed=seed, options=opts)
+        return
+    record = run_trajectory(p, 1j, 0.0, 0.0, p.mechanical_period, seed=seed, options=opts)
+    want = run_trajectory(p, 1j, 0.0, 0.0, p.mechanical_period, seed=5, options=opts)
+    assert type(record.seed) is int and record.seed == 5
+    for name in _RECORDED:
+        assert getattr(record, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def frozen_options(decomp, steps, pe=0.0):
     """One frozen window of the given steps, recorded at every step."""
     schedule = [WindowCoefficients(decomp=decomp, pe=pe)]
@@ -703,8 +719,8 @@ def assert_bitwise(res, want):
 def test_streamed_statistics_equal_the_whole_rows(n, per_window):
     # the ensemble reduces each window's block of records as the batch hands it
     # over; numpy sums a block of two or more columns row by row, as it does the
-    # whole rows, so every field matches bit for bit.  At one record a window
-    # the blocks take 2 columns, and the last 2 (3 periods) or 3 (4 periods)
+    # whole rows, so every field matches bit for bit.  At one record a window,
+    # window w's block takes 2 columns, records w and w + 1
     p = tls_noise_params()
     period = p.mechanical_period
     opts = TrajectoryOptions(steps_per_window=256, record_stride=256 // per_window,
@@ -715,6 +731,34 @@ def test_streamed_statistics_equal_the_whole_rows(n, per_window):
         res = run_ensemble(p, 200j, periods * period, n, 21, opts)
         assert res.aborted == []
         assert_bitwise(res, whole_rows_ensemble(p, 200j, periods * period, seeds, opts, n, 21))
+
+
+@pytest.mark.parametrize("full_bloch", [False, True])
+@pytest.mark.parametrize("per_window", [1, 2, 64])
+def test_each_window_hands_over_its_own_records(per_window, full_bloch):
+    # window w hands the sink records w P .. (w + 1) P, both ends included, so
+    # every block is at least 2 columns wide.  The record two windows share
+    # comes twice, and the later block holds the next window's channel data, as
+    # the whole rows do; so the blocks replayed in order are the whole rows
+    p = tls_noise_params()
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=256 // per_window,
+                             full_bloch=full_bloch)
+    seeds = [derive_trajectory_seed(5, i) for i in range(4)]
+    duration = 3 * p.mechanical_period
+    whole = _batch_run(p, 200j, 0.0, 0.0, duration, seeds, opts)
+    spans, replay = [], {name: np.empty_like(whole[name]) for name in _RECORDED}
+
+    def sink(lo, hi, block):
+        spans.append((lo, hi))
+        assert set(block) == set(_RECORDED)
+        for name, x in block.items():
+            assert x.shape[1] == hi - lo >= 2
+            replay[name][:, lo:hi] = x
+
+    _batch_run(p, 200j, 0.0, 0.0, duration, seeds, opts, sink)
+    assert spans == [(w * per_window, (w + 1) * per_window + 1) for w in range(3)]
+    for name in _RECORDED:
+        assert replay[name].tobytes() == whole[name].tobytes(), name
 
 
 def run_small_ensemble(runner, n_traj, master_seed):
