@@ -11,14 +11,26 @@ import pytest
 from conftest import reference_generators, sinusoidal_rates
 
 from hybridmech import oracle, trajectory
-from hybridmech.bloch import PhysParams, _expm
-from hybridmech.lindblad import QuadratureDecomposition, decompose, twisted_decomposition
+from hybridmech.bloch import (
+    PhysParams,
+    _expm,
+    bloch_steady_state,
+    bloch_step_batch,
+    pe_closed_form,
+)
+from hybridmech.lindblad import (
+    QuadratureDecomposition,
+    decompose,
+    eigenpairs,
+    twisted_decomposition,
+)
 from hybridmech.oracle import (
     coherent_state,
     make_frozen_schedule,
     quadrature_variances,
     sse_ensemble,
 )
+from hybridmech.spectrum import WINDOW_PANELS, panel_kernels
 from hybridmech.trajectory import (
     ABORT_VA_TOL,
     EnsembleAbortError,
@@ -1198,15 +1210,20 @@ def lane_stream(k, m):
 def streamed_normals():
     """Stands in for ``_draw_window_noise`` as each lane's generator would:
     every call hands a lane the next ``4 rows`` normals of its
-    ``lane_stream``, so one call per window and one per run read alike."""
+    ``lane_stream``, so one call per window and one per run read alike.  The
+    draw itself hands them out, to a sink or into a window's increments."""
     used = 0
+
+    class Stream:  # lane k's generator
+        def __init__(self, k):
+            self.k = k
+
+        def standard_normal(self, out):
+            out[...] = lane_stream(self.k, used + np.arange(out.size)).reshape(out.shape)
 
     def draw(gens, rows, dt, out):
         nonlocal used
-        if gens:
-            m = used + np.arange(4 * rows)
-            out(0, len(gens), lane_stream(np.arange(len(gens))[:, None], m)
-                .reshape(len(gens), rows, 4))
+        _draw_window_noise([Stream(k) for k in range(len(gens))], rows, dt, out)
         used += 4 * rows
         return out
 
@@ -1238,6 +1255,96 @@ def test_record_draws_follow_each_lanes_stream(monkeypatch, steps, stride):
     incr = d[:, 1:] - np.repeat([c[0] for c in coeffs], per_window) ** stride * d[:, :-1]
     got = np.stack([incr.real, incr.imag], axis=-1)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def stepwise_self_scheduled(params, beta0, v_a0, v_b0, duration, lanes, options):
+    """The records of a self-scheduled run taken one step at a time, from the
+    module's SDE.  Each window takes its channels from ``panel_kernels`` and
+    ``eigenpairs`` of the detuning its lane recorded over the window before
+    (window 0: the detuning free rotation predicts), and each step is
+    beta <- damp beta + force pe + rot_half (k dW + l conj(dW)), summed over
+    the two channels, with damp = rot (1 - Gamma dt / 2), force = -i g_m dt
+    rot_half, and k and l formed from the step's starting variances.  Lane
+    k's step j in window w reads normals 4 (w steps + j) .. + 3 of its
+    ``lane_stream``, dW = (x0 + i x1, x2 + i x3) sqrt(dt / 2), as
+    ``streamed_normals`` hands them out.  Returns the records of beta, pe,
+    v_a and v_b, (lanes, records) each."""
+    steps, stride, g_m, omega = options.steps_per_window, options.record_stride, \
+        params.g_m, params.Omega
+    n_windows, window = resolve_windows(params, duration, None)
+    dt, spp = window / steps, steps // WINDOW_PANELS
+    rot, rot_half = cmath.exp(-1j * omega * dt), cmath.exp(-0.5j * omega * dt)
+    damp, force = rot * (1.0 - 0.5 * params.Gamma * dt), -1j * g_m * dt * rot_half
+    panel_t = np.arange(WINDOW_PANELS + 1) * (spp * dt)
+    beta = np.full(lanes, complex(beta0))
+    va, vb = np.full(lanes, float(v_a0)), np.full(lanes, complex(v_b0))
+    delta = params.delta0 + 2.0 * g_m * (beta[:, None] * np.exp(-1j * omega * panel_t)).real
+    if options.full_bloch:
+        st0 = bloch_steady_state(params, params.delta0 + 2.0 * g_m * beta0.real)
+        y = np.tile([st0.pe, st0.s.real, st0.s.imag], (lanes, 1))
+    detuning = params.delta0 + 2.0 * g_m * beta.real
+    pe = y[:, 0] if options.full_bloch else pe_closed_form(params.g, params.gamma, detuning)
+    out = {name: [] for name in ("beta", "pe", "v_a", "v_b")}
+    for w in range(n_windows):
+        s0, s2 = panel_kernels(params, delta, np.exp(-2j * omega * panel_t))
+        lam_p, lam_m, v_p, v_m, _ = eigenpairs(params.Gamma, params.n_m, s0, s2)
+        va_rows, vb_rows = _variance_step(va, vb, dt, steps, omega, lam_p, lam_m,
+                                          *v_p.T, *v_m.T)
+        x = lane_stream(np.arange(lanes)[:, None], 4 * steps * w + np.arange(4 * steps))
+        x = x.reshape(lanes, steps, 2, 2) * math.sqrt(0.5 * dt)
+        dws = x[..., 0] + 1j * x[..., 1]  # (lanes, steps, channel)
+        for j in range(steps):
+            if j % stride == 0:
+                for name, value in zip(out, (beta, pe, va_rows[j], vb_rows[j])):
+                    out[name].append(value)
+            if j % spp == 0:
+                delta[:, j // spp] = detuning
+            kick = 0.0
+            for lam, (u, v), dw in zip((lam_p, lam_m), (v_p.T, v_m.T), dws[:, j].T):
+                k = u * vb_rows[j] + v * (va_rows[j] + 1.0)
+                l = np.conj(u) * va_rows[j] + np.conj(v) * vb_rows[j]
+                kick = kick + np.sqrt(lam) * (k * dw + l * np.conj(dw))
+            beta = damp * beta + force * pe + rot_half * kick
+            if options.full_bloch:
+                y = bloch_step_batch(y, detuning, params, dt)
+            detuning = params.delta0 + 2.0 * g_m * beta.real
+            pe = y[:, 0] if options.full_bloch else pe_closed_form(params.g, params.gamma,
+                                                                   detuning)
+        delta[:, -1] = detuning
+        va, vb = va_rows[-1], vb_rows[-1]
+    for name, value in zip(out, (beta, pe, va, vb)):
+        out[name].append(value)
+    return {name: np.stack(rows, axis=1) for name, rows in out.items()}
+
+
+@pytest.mark.parametrize("full_bloch", [False, True])
+def test_self_scheduled_steps_follow_the_sde(monkeypatch, full_bloch):
+    # three one-period windows of three lanes, whole rows and through a sink,
+    # against the SDE stepped one step at a time.  Each of these moves a
+    # record by far more than 1e-12 of its largest value: l_m dW_m in place
+    # of l_m conj(dW_m), the kicks or the force without their half turn, and
+    # the mean damped at Gamma / 4
+    p = PhysParams(gamma=1.0, g=1.0, Omega=0.01, g_m=5e-3, Gamma=1e-3, n_m=1.0)
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=32, full_bloch=full_bloch)
+    start, duration = (30j, 0.3, 0.1 + 0.05j), 3 * p.mechanical_period
+    seeds = [derive_trajectory_seed(9, i) for i in range(3)]
+    want = stepwise_self_scheduled(p, *start, duration, 3, opts)
+    monkeypatch.setattr(trajectory, "_draw_window_noise", streamed_normals())
+    whole = _batch_run(p, *start, duration, seeds, opts)
+    replay = {name: np.empty_like(whole[name]) for name in _RECORDED}
+
+    def sink(lo, hi, block):
+        for name, x in block.items():
+            replay[name][:, lo:hi] = x
+
+    monkeypatch.setattr(trajectory, "_draw_window_noise", streamed_normals())
+    _batch_run(p, *start, duration, seeds, opts, sink)
+    assert np.isnan(whole["abort_time"]).all()
+    for got in (whole, replay):
+        for name, value in want.items():
+            assert got[name].shape == value.shape, name
+            err = np.max(np.abs(got[name] - value))
+            assert err <= 1e-12 * np.max(np.abs(value)), (name, err)
 
 
 def test_record_increments_sample_their_covariance():
