@@ -359,11 +359,11 @@ def _check_memory(config: ExperimentConfig, windows: int) -> None:
     """Refuse a run whose records, window noise buffers (2 x steps x lanes x 16 bytes),
     sweep or grid points (``_POINT_BYTES`` each) or histogram bins (``_BIN_BYTES`` per
     bin and target) exceed ``MEMORY_CAP``, naming the field one lane breaks it by, else
-    ``trajectories``.  The reference lane keeps whole rows of records, an ensemble 128
-    bytes a record more (12 mean rows, 2 of times), and its lanes a window's block of
-    ``steps // record_stride + 1`` records; every record is a row of ``_RECORDED``."""
+    ``trajectories``.  The reference lane, an ensemble batch's last, keeps whole rows of
+    records, an ensemble 128 bytes a record more (12 mean rows, 2 of times), and every
+    lane a window's block of ``steps // record_stride + 1`` rows of ``_RECORDED``."""
     ensemble = config.kind == "ensemble"
-    lanes, steps = config.trajectories if ensemble else 1, config.steps_per_window
+    lanes, steps = config.trajectories + 1 if ensemble else 1, config.steps_per_window
     row_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
     sizes = {  # (what, lanes, bytes per lane, the field one lane breaks the cap by)
         "spectra": [("sweep", 1, config.sweep["points"] * _POINT_BYTES, "sweep.points")],

@@ -27,8 +27,8 @@ the quantities of ``_RECORDED`` at every stride, beta per trajectory and
 the others per variance lane; an ensemble without a schedule reduces them
 window by window, so its memory does not grow with the run.  A run refuses
 non-finite initial moments and a ``v_a0`` below ``-ABORT_VA_TOL``.  The
-noise-free reference is one more run: a lane without generator or channels,
-damped as the others.
+noise-free reference is the last lane of an ensemble's batch: a lane without
+generator or channels, damped as the others.
 
 Reproducibility: trajectory i owns ``Generator(PCG64(seed_i))``, seed_i a
 SplitMix64 mix of (master seed, i) that numpy's SeedSequence hashes, so the
@@ -269,6 +269,12 @@ def resolve_windows(
     return len(schedule), duration / len(schedule)
 
 
+def _record_times(params: PhysParams, duration: float, options: TrajectoryOptions):
+    n_windows, window = resolve_windows(params, duration, options.schedule)
+    steps, stride = options.steps_per_window, options.record_stride
+    return np.arange(n_windows * (steps // stride) + 1) * stride * (window / steps)
+
+
 def _check_step(params: PhysParams, window: float, steps: int, lam_max: float) -> None:
     """Step-size preconditions of ``steps`` steps per ``window``: every slow
     scale must be well resolved, else ``ValueError`` naming the smallest
@@ -411,26 +417,27 @@ def _batch_run(
     v_a0: float,
     v_b0: complex,
     duration: float,
-    seeds: Sequence[int] | None,
+    seeds: Sequence[int | None],
     options: TrajectoryOptions,
     sink=None,
 ) -> dict:
     """Run a batch of trajectories on a shared grid; returns raw arrays.
 
     Every lane damps at one rate per window, h11 - h22 of the dissipation
-    matrix: Gamma, or on a schedule the window's.  ``seeds is None`` gives the
-    semiclassical reference: one lane that has no generator, so it draws no
-    increments, and no scattering channels, so its kicks and variances stay
-    zero.  With a schedule, beta moves by one map per record stride, its noise
-    drawn from 2 normals per lane; each lane draws the normals of every record
-    at once, after the last window.  Window w writes records w P .. (w + 1) P,
-    P = steps_per_window // record_stride, both ends included; the next window
-    rewrites the record they share.  beta has a row per trajectory, and the
-    other records and ``abort_time``, NaN while the lane lives, one per variance
-    lane, which a schedule's batch shares.  Given a ``sink``, a run without a
-    schedule refills one block of records a window and hands each window's to
-    ``sink(lo, hi, block)``, records lo..hi-1; a schedule's go to it whole.
-    A non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a
+    matrix: Gamma, or on a schedule the window's.  A ``None`` seed, after the
+    others, gives a noise-free reference lane: it has no generator, so it draws
+    no increments, and no scattering channel, so it takes no kick; a batch of
+    such lanes alone has no channels and zero variances.  With a schedule,
+    beta moves by one map per record stride, its noise drawn from 2 normals per
+    lane; each lane draws the normals of every record at once, after the last
+    window.  Window w writes records w P .. (w + 1) P, P = steps_per_window //
+    record_stride, both ends included; the next window rewrites the record they
+    share.  beta has a row per trajectory, and the other records and
+    ``abort_time``, NaN while the lane lives, one per variance lane, which a
+    schedule's batch shares.  Given a ``sink``, a run without a schedule refills
+    one block of records a window and hands each window's to ``sink(lo, hi,
+    block)``, records lo..hi-1; a schedule's go to it whole.  A non-finite
+    initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a
     ``ValueError`` naming the argument first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
@@ -438,8 +445,8 @@ def _batch_run(
             raise ValueError(f"{name} must be finite, got {value}")
     if not -ABORT_VA_TOL <= v_a0 < math.inf:
         raise ValueError(f"v_a0 must be finite and >= -{ABORT_VA_TOL}, got {v_a0}")
-    noise = seeds is not None
-    n = len(seeds) if noise else 1
+    n = len(seeds)
+    gens = _lane_generators([s for s in seeds if s is not None])  # the first len(gens) lanes
     schedule = options.schedule
     lanes = 1 if schedule is not None else n
     n_windows, window = resolve_windows(params, duration, schedule)
@@ -457,8 +464,6 @@ def _batch_run(
     per_window = steps // stride
     panel_rel_t = np.arange(WINDOW_PANELS + 1) * (spp * dt)
     panel_phases = np.exp(-2j * omega * panel_rel_t)
-
-    gens = _lane_generators(seeds or ())
 
     beta = np.full(n, complex(beta0), dtype=complex)
     va = np.full(lanes, float(v_a0))
@@ -503,11 +508,12 @@ def _batch_run(
                 )
                 c_damp = (lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2)
                           + lam_m * (np.abs(u_m) ** 2 - np.abs(w_m) ** 2))[0]
-            elif noise:
+            elif gens:
                 s0, s2 = panel_kernels(params, delta_panel, panel_phases)
                 lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, params.n_m, s0, s2)
                 (u_p, w_p), (u_m, w_m) = v_p.T, v_m.T
-            if not noise:  # the noise-free reference scatters through no channel
+                lam_p[len(gens):] = lam_m[len(gens):] = 0.0
+            if not gens:  # a batch of references alone scatters through no channel
                 lam_p = lam_m = theta_w = np.zeros(lanes)
                 u_p = w_p = u_m = w_m = np.zeros(lanes, dtype=complex)
             # fmax skips the NaN rates of aborted lanes
@@ -515,7 +521,7 @@ def _batch_run(
                         max(np.fmax.reduce(lam_p, initial=0.0), c_damp))
             damp_fac = rot * (1.0 - 0.5 * c_damp * dt)
             late = False
-            if noise:
+            if gens:
                 va_rows, vb_rows = _variance_step(
                     va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m
                 )
@@ -621,7 +627,7 @@ def _batch_run(
                 del gens  # 1.2 KB a lane, freed before the records are reduced
                 sink(0, n_rec, rec)
 
-    rec.update(times=np.arange(n_rec) * stride * dt, abort_time=abort_time)
+    rec.update(times=_record_times(params, duration, options), abort_time=abort_time)
     return rec
 
 
@@ -640,9 +646,9 @@ def run_trajectory(
     seed: int,
     options: TrajectoryOptions | None = None,
 ) -> TrajectoryRecord:
-    """Run one stochastic trajectory (same code path as ensembles); refuses a bool seed."""
-    if isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, not a bool; got {seed!r}")
+    """Run one stochastic trajectory (the ensembles' code path); refuses a bool or None seed."""
+    if seed is None or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, not a bool or None; got {seed!r}")
     seed = operator.index(seed) if isinstance(seed, np.integer) else seed
     options = options or TrajectoryOptions()
     batch = _batch_run(params, beta0, v_a0, v_b0, duration, [seed], options)
@@ -661,11 +667,11 @@ def semiclassical_run(
 
     It damps as the trajectories do, at h11 - h22 of the dissipation matrix:
     Gamma without a schedule, so its amplitude decays as exp(-Gamma t / 2) as
-    an ensemble's mean does.  It scatters through no channel, so it carries
-    no emitter noise and its variances and channel records are zero.
+    an ensemble's mean does, whose batch carries it as its last lane.  It
+    scatters through no channel: no emitter noise, zero variances and channels.
     """
     options = options or TrajectoryOptions()
-    batch = _batch_run(params, beta0, 0.0, 0.0, duration, None, options)
+    batch = _batch_run(params, beta0, 0.0, 0.0, duration, [None], options)
     return _record_from_batch(batch, None)
 
 
@@ -698,11 +704,12 @@ def run_ensemble(
 
     Per-trajectory seeds derive deterministically from the master seed, and
     all trajectories run as one batch whose lanes do not interact, so each
-    trajectory matches its own :func:`run_trajectory`.  The reference runs
-    first, so that the statistics reduce each window's block of records as
-    the batch hands it over, the later block rewriting the record two windows
-    share; numpy reduces a block, two or more columns wide, row by row, so they
-    equal the whole rows' statistics bit for bit.  Fails before the run on an
+    trajectory matches its own :func:`run_trajectory`.  The batch's last lane
+    is the reference, :func:`semiclassical_run` bit for bit, so the statistics
+    reduce each window's block of records against its last row as the batch
+    hands it over, the later block rewriting the record two windows share;
+    numpy reduces a block, two or more columns wide, row by row, so they equal
+    the whole rows' statistics bit for bit.  Fails before the run on an
     ``n_traj`` or ``master_seed`` that ``_trajectory_seeds`` refuses, a histogram
     time outside [0, duration] or a refused initial moment, and after it when
     more than 1% of trajectories abort; when fewer abort, the batch reruns on
@@ -711,14 +718,17 @@ def run_ensemble(
     seeds = _trajectory_seeds(n_traj, master_seed)
     options = options or TrajectoryOptions()
     targets = histogram_targets(duration, options.histogram_times)
-    reference = semiclassical_run(params, beta0, duration, options)
-    at = [int(np.argmin(np.abs(reference.times - t))) for t in targets]
+    times = _record_times(params, duration, options)
+    at = [int(np.argmin(np.abs(times - t))) for t in targets]
+    reference = {name: np.zeros(len(times), dtype) for name, dtype in _RECORDED.items()}
     rows, kept = {}, {}  # the statistics rows, and the lanes' dbeta at the records `at`
 
-    def sink(lo, hi, live):
+    def sink(lo, hi, block):  # the reference is the last row; a shared row stays
+        reference["beta"][lo:hi], reference["pe"][lo:hi] = block["beta"][-1], block["pe"][-1]
+        live = {name: x[: len(block["beta"]) - 1] for name, x in block.items()}
         beta = live["beta"]
         n_vals, b2_vals = live["v_a"] + np.abs(beta) ** 2, live["v_b"] + beta**2
-        dbeta = beta - reference.beta[lo:hi]
+        dbeta = beta - reference["beta"][lo:hi]
         var_x, var_p = _sample_variance(dbeta.real), _sample_variance(dbeta.imag)
         for name, row in dict(
             mean_beta=beta.mean(axis=0), mean_n=n_vals.mean(axis=0),
@@ -729,13 +739,13 @@ def run_ensemble(
                for name in ("pe", "lambda_plus", "lambda_minus", "theta")},
         ).items():
             if name not in rows:
-                rows[name] = np.empty(len(reference.times), row.dtype)
+                rows[name] = np.empty(len(times), row.dtype)
             rows[name][lo:hi] = row
         kept.update((i, dbeta[:, i - lo].copy()) for i in at if lo <= i < hi)
 
-    batch = _batch_run(params, beta0, v_a0, v_b0, duration, seeds, options, sink)
+    batch = _batch_run(params, beta0, v_a0, v_b0, duration, seeds + [None], options, sink)
     # a schedule's shared lane aborts every trajectory at once
-    abort_time = np.broadcast_to(batch["abort_time"], n_traj)
+    abort_time = np.broadcast_to(batch["abort_time"][:n_traj], n_traj)
     aborted = [(int(i), float(abort_time[i])) for i in np.flatnonzero(~np.isnan(abort_time))]
     if len(aborted) > 0.01 * n_traj:
         raise EnsembleAbortError(
@@ -743,15 +753,15 @@ def run_ensemble(
         )
     if aborted:  # a lane runs bitwise the same in any batch: rewrite rows and kept
         survivors = [s for s, t in zip(seeds, abort_time) if math.isnan(t)]
-        batch = _batch_run(params, beta0, v_a0, v_b0, duration, survivors, options, sink)
+        _batch_run(params, beta0, v_a0, v_b0, duration, survivors + [None], options, sink)
 
     return EnsembleResult(
-        times=batch["times"],
+        times=times,
         **rows,
         # (time, edges, counts) of the induced detuning 2 g_m Re dbeta at each target
-        histograms=[(float(batch["times"][i]), *np.histogram(
+        histograms=[(float(times[i]), *np.histogram(
             2.0 * params.g_m * kept[i].real, bins=options.histogram_bins)[::-1]) for i in at],
-        reference=reference,
+        reference=TrajectoryRecord(times=times, seed=None, **reference),
         n_traj=operator.index(n_traj),
         master_seed=operator.index(master_seed),
         aborted=aborted,

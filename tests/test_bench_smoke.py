@@ -48,37 +48,36 @@ def traced_smoke_run(name, tmp_path, monkeypatch):
 
 def test_scheduled_smoke_trace_counts(tmp_path, monkeypatch):
     # 200 trajectories over 2 windows of 4 records: 2 normals per lane per
-    # record in one draw per batch, one shared variance lane per window, and
-    # the ensemble's batch plus the reference's
+    # record in the batch's one draw, one shared variance lane per window, and
+    # one batch, whose last lane is the reference: it draws nothing
     workload, tracer, metrics, result = traced_smoke_run(
         "scheduled_ensemble", tmp_path, monkeypatch
     )
     assert metrics["trajectory.draw_noise.normals"] == 3_200
-    assert tracer.totals["trajectory.draw_noise"]["calls"] == 2
+    assert tracer.totals["trajectory.draw_noise"]["calls"] == 1
     assert metrics["trajectory.variance_step.lane_steps"] == 2
-    assert metrics["trajectory.batch_run.calls"] == 2
+    assert metrics["trajectory.batch_run.calls"] == 1
     assert tracer.absent == []
     assert all(ok for ok, _ in workload.check(result))
 
 
 def test_self_scheduled_smoke_trace_counts(tmp_path, monkeypatch):
-    # 32 trajectories over 12 one-period windows of 128 steps: 4 normals per
-    # lane-step in one draw per window of each batch, none for the reference
-    # lane, which has no generator; one variance call per window over the 32
-    # lanes; the ensemble's batch plus
-    # the reference's; the kernels and eigenpairs once per window of the
-    # ensemble alone; and the population at each of the 1,536 steps and the
-    # closing record, in both batches
+    # 32 trajectories over 12 one-period windows of 128 steps, in one batch
+    # whose 33rd and last lane is the reference: 4 normals per lane-step in
+    # one draw per window, none for the reference, which has no generator;
+    # one variance call per window over the 33 lanes, the reference's without
+    # channels; the kernels and eigenpairs once per window; and the population
+    # before the first step and after each of the 1,536
     workload, tracer, metrics, result = traced_smoke_run(
         "long_run", tmp_path, monkeypatch
     )
     assert metrics["trajectory.draw_noise.normals"] == 196_608
-    assert tracer.totals["trajectory.draw_noise"]["calls"] == 24
-    assert metrics["trajectory.variance_step.lane_steps"] == 384
-    assert metrics["trajectory.batch_run.calls"] == 2
+    assert tracer.totals["trajectory.draw_noise"]["calls"] == 12
+    assert metrics["trajectory.variance_step.lane_steps"] == 396
+    assert metrics["trajectory.batch_run.calls"] == 1
     assert metrics["lindblad.eigenpairs.calls"] == 12
     assert metrics["spectrum.spectrum_closed_form.calls"] == 12
-    assert metrics["bloch.pe_closed_form.calls"] == 3_074
+    assert metrics["bloch.pe_closed_form.calls"] == 1_537
     assert tracer.absent == []
     assert all(ok for ok, _ in workload.check(result))
 

@@ -233,12 +233,13 @@ def test_seeds_outside_64_bits_keep_numpys_behaviour():
     assert record.seed == 2**70 and np.isfinite(record.beta).all()
 
 
-@pytest.mark.parametrize("seed", [True, np.int64(5)], ids=["True", "np.int64(5)"])
+@pytest.mark.parametrize("seed", [True, None, np.int64(5)], ids=["True", "None", "np.int64(5)"])
 def test_run_trajectory_refuses_a_bool_seed_and_records_a_numpy_one_as_int(seed):
-    # True used to run as seed 1, and np.int64(5) came back as the record's seed
+    # True used to run as seed 1, and np.int64(5) came back as the record's
+    # seed; a None seed marks a batch's noise-free lane, so it is refused too
     p = tls_noise_params()
     opts = TrajectoryOptions(steps_per_window=64, record_stride=16)
-    if isinstance(seed, bool):
+    if seed is None or isinstance(seed, bool):
         with pytest.raises(ValueError, match="^seed must be an integer, not a bool"):
             run_trajectory(p, 1j, 0.0, 0.0, p.mechanical_period, seed=seed, options=opts)
         return
@@ -863,6 +864,67 @@ def test_planted_abort_reruns_the_survivors(monkeypatch):
         run_ensemble(p, 200j, 3 * period, 100, 4, opts)
 
 
+def test_abort_tolerance_is_the_edge_of_an_abort(monkeypatch):
+    # 100 steps into window 1, v_a dips to -0.5e-9 in lane 12 and to -2e-9 in
+    # lane 61: only lane 61 lies below -ABORT_VA_TOL, so it alone aborts, at
+    # that step.  A tolerance of 1e-8 aborts neither, and one of 1e-10 both
+    p = tls_noise_params()
+    period, steps = p.mechanical_period, 256
+    opts = TrajectoryOptions(steps_per_window=steps, record_stride=8)
+    seeds = [derive_trajectory_seed(4, i) for i in range(100)]
+    dips, state = {seeds[12]: -0.5e-9, seeds[61]: -2e-9}, {"lanes": [], "window": 0}
+    lane_generators, variance_step = trajectory._lane_generators, trajectory._variance_step
+
+    def planted_generators(batch_seeds):
+        state.update(lanes=[(i, dips[s]) for i, s in enumerate(batch_seeds) if s in dips],
+                     window=0)
+        return lane_generators(batch_seeds)
+
+    def planted_variance_step(*args):
+        va_rows, vb_rows = variance_step(*args)
+        if state["window"] == 1:
+            for i, dip in state["lanes"]:
+                va_rows[100, i] = dip
+        state["window"] += 1
+        return va_rows, vb_rows
+
+    monkeypatch.setattr(trajectory, "_lane_generators", planted_generators)
+    monkeypatch.setattr(trajectory, "_variance_step", planted_variance_step)
+    res = run_ensemble(p, 200j, 3 * period, 100, 4, opts)
+    assert res.aborted == [(61, (steps + 100) * (period / steps))]
+
+
+@pytest.mark.parametrize("case", ["self-scheduled", "full_bloch", "schedule", "rerun"])
+def test_ensemble_reference_is_the_semiclassical_run(monkeypatch, case):
+    # the batch's last lane is the reference: every field of its record is
+    # semiclassical_run's, bit for bit, also after a rerun on the survivors
+    # (lane 3 turns NaN 100 steps into window 1)
+    p, schedule = (MAP_PARAMS, MAP_SCHEDULES["damped"]) if case == "schedule" else (
+        tls_noise_params(), None)
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=16, schedule=schedule,
+                             full_bloch=case == "full_bloch")
+    duration = 2 * p.mechanical_period
+    want = semiclassical_run(p, 200j, duration, opts)
+    variance_step, windows = trajectory._variance_step, []
+
+    def planted_variance_step(*args):
+        va_rows, vb_rows = variance_step(*args)
+        if len(windows) == 1:
+            va_rows[100:, 3] = np.nan
+        windows.append(1)
+        return va_rows, vb_rows
+
+    if case == "rerun":
+        monkeypatch.setattr(trajectory, "_variance_step", planted_variance_step)
+    res = run_ensemble(p, 200j, duration, 100 if case == "rerun" else 5, 7, opts)
+    assert len(res.aborted) == (case == "rerun")
+    assert res.reference.seed is None
+    for f in dataclasses.fields(want):
+        got, value = getattr(res.reference, f.name), getattr(want, f.name)
+        if f.name != "seed":
+            assert got.dtype == value.dtype and np.array_equal(got, value), f.name
+
+
 def test_ensemble_memory_does_not_grow_with_the_run():
     # the lanes' records stream through one window's block, so only the mean
     # rows grow with the run: holding every lane's rows, 16 lanes at one record
@@ -1074,8 +1136,8 @@ def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options,
                             coeffs=None):
     """The amplitude records of a scheduled run taken one step at a time, as
     the engine took them before it composed each record stride into one map:
-    beta <- damp beta + rot_half (force + k dW + l conj(dW)).  ``seeds`` None
-    gives the noise-free reference, which damps as the lanes do but scatters
+    beta <- damp beta + rot_half (force + k dW + l conj(dW)).  ``seeds``
+    [None] gives the noise-free reference, which damps as the lanes do but scatters
     through no channel.  With
     a list ``coeffs``, the increments dW are zero instead of drawn, and each
     window appends to it its damp and its steps' k_p, l_p, k_m and l_m."""
@@ -1083,9 +1145,9 @@ def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options,
     _, window = resolve_windows(params, duration, schedule)
     dt, omega = window / steps, params.Omega
     rot, rot_half = cmath.exp(-1j * omega * dt), cmath.exp(-0.5j * omega * dt)
-    noise = seeds is not None
-    gens = reference_generators(seeds or ())
-    beta = np.full(len(gens) if noise else 1, complex(beta0))
+    noise = seeds != [None]
+    gens = reference_generators(seeds if noise else ())
+    beta = np.full(len(seeds), complex(beta0))
     va, vb = np.array([float(v_a0)]), np.array([complex(v_b0)])
     out = []
     for wc in schedule:
@@ -1184,7 +1246,7 @@ def test_record_map_matches_the_steps_it_composes(monkeypatch, case, stride):
     duration = 2 * MAP_PARAMS.mechanical_period
     start = (0.8 - 0.4j, 0.3, 0.1 + 0.05j)
     seeds = [derive_trajectory_seed(77, i) for i in range(3)]
-    for lanes, v_start in ((seeds, start[1:]), (None, (0.0, 0.0))):
+    for lanes, v_start in ((seeds, start[1:]), ([None], (0.0, 0.0))):
         coeffs = []
         got = _batch_run(MAP_PARAMS, start[0], *v_start, duration, lanes, opts)
         want = stepwise_scheduled_beta(MAP_PARAMS, start[0], *v_start, duration,
