@@ -450,8 +450,7 @@ def _batch_run(
     schedule = options.schedule
     lanes = 1 if schedule is not None else n
     n_windows, window = resolve_windows(params, duration, schedule)
-    steps = options.steps_per_window
-    stride = options.record_stride
+    steps, stride = options.steps_per_window, options.record_stride
     if schedule is None and not options.full_bloch and params.n_q != 0:
         raise ValueError(f"n_q = {params.n_q:.3g} needs full_bloch: the closed-form "
                          "population holds for n_q = 0 only")
@@ -468,6 +467,7 @@ def _batch_run(
     beta = np.full(n, complex(beta0), dtype=complex)
     va = np.full(lanes, float(v_a0))
     vb = np.full(lanes, complex(v_b0), dtype=complex)
+    va[len(gens):] = vb[len(gens):] = 0.0  # a reference's own lane starts at zero
     abort_time = np.full(lanes, np.nan)
 
     n_rec = n_windows * per_window + 1
@@ -512,7 +512,7 @@ def _batch_run(
                 s0, s2 = panel_kernels(params, delta_panel, panel_phases)
                 lam_p, lam_m, v_p, v_m, theta_w = eigenpairs(Gamma, params.n_m, s0, s2)
                 (u_p, w_p), (u_m, w_m) = v_p.T, v_m.T
-                lam_p[len(gens):] = lam_m[len(gens):] = 0.0
+                lam_p[len(gens):] = lam_m[len(gens):] = 0.0  # the references': no channel
             if not gens:  # a batch of references alone scatters through no channel
                 lam_p = lam_m = theta_w = np.zeros(lanes)
                 u_p = w_p = u_m = w_m = np.zeros(lanes, dtype=complex)
