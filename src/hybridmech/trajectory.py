@@ -467,7 +467,7 @@ def _batch_run(
     beta = np.full(n, complex(beta0), dtype=complex)
     va = np.full(lanes, float(v_a0))
     vb = np.full(lanes, complex(v_b0), dtype=complex)
-    va[len(gens):] = vb[len(gens):] = 0.0  # a reference's own lane starts at zero
+    va[len(gens):] = vb[len(gens):] = 0.0  # the references start from zero variances
     abort_time = np.full(lanes, np.nan)
 
     n_rec = n_windows * per_window + 1

@@ -899,8 +899,9 @@ def test_ensemble_reference_is_the_semiclassical_run(monkeypatch, case):
     # the batch's last lane is the reference: every field of its record is
     # semiclassical_run's, bit for bit, also after a rerun on the survivors
     # (lane 3 turns NaN 100 steps into window 1).  The lanes start at v_a0 =
-    # -ABORT_VA_TOL, the lowest allowed; the reference's lane starts at zero:
-    # from their start, its rotation alone can fall below it by roundoff
+    # -ABORT_VA_TOL, the lowest allowed; the reference's lane starts at zero,
+    # since from theirs its rotation alone can fall below the tolerance by
+    # roundoff
     p, schedule = (MAP_PARAMS, MAP_SCHEDULES["damped"]) if case == "schedule" else (
         tls_noise_params(), None)
     opts = TrajectoryOptions(steps_per_window=256, record_stride=16, schedule=schedule,
