@@ -41,6 +41,7 @@ from .trajectory import (
     _RECORDED,
     TrajectoryOptions,
     _check_step,
+    _window_bytes,
     histogram_targets,
     resolve_windows,
     run_ensemble,
@@ -356,37 +357,34 @@ def _check_kind(config: ExperimentConfig, n_q_field: str) -> None:
 
 
 def _check_memory(config: ExperimentConfig, windows: int) -> None:
-    """Refuse a run whose records, window noise buffers (2 x steps x lanes x 16 bytes),
-    sweep or grid points (``_POINT_BYTES`` each) or histogram bins (``_BIN_BYTES`` per
-    bin and target) exceed ``MEMORY_CAP``, naming the field one lane breaks it by, else
-    ``trajectories``.  The reference lane, an ensemble batch's last, keeps whole rows of
-    records, an ensemble 128 bytes a record more (12 mean rows, 2 of times), and every
-    lane a window's block of ``steps // record_stride + 1`` rows of ``_RECORDED``."""
+    """Refuse a run whose window working set (``_window_bytes`` of every lane),
+    records, sweep or grid points (``_POINT_BYTES`` each) or histogram bins
+    (``_BIN_BYTES`` per bin and target) exceed ``MEMORY_CAP``, naming the field one
+    lane breaks it by, else ``trajectories``.  An ensemble's batch has a lane per
+    trajectory and the reference lane, its last, which keeps whole rows of records,
+    an ensemble 128 bytes a record more (12 mean rows, 2 of times)."""
     ensemble = config.kind == "ensemble"
     lanes, steps = config.trajectories + 1 if ensemble else 1, config.steps_per_window
     row_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
-    sizes = {  # (what, lanes, bytes per lane, the field one lane breaks the cap by)
-        "spectra": [("sweep", 1, config.sweep["points"] * _POINT_BYTES, "sweep.points")],
-        "phase-diagram": [("grid", 1, config.grid["points"]**2 * _POINT_BYTES,
-                           "grid.points")],
+    one, window = (sum(_window_bytes(k, steps, config.record_stride).values())
+                   for k in (1, lanes))
+    sizes = {  # (what, bytes, the field that breaks the cap)
+        "spectra": [("sweep", config.sweep["points"] * _POINT_BYTES, "sweep.points")],
+        "phase-diagram": [("grid", config.grid["points"]**2 * _POINT_BYTES, "grid.points")],
     }.get(config.kind, [
-        ("window noise buffers", lanes, 2 * steps * 16, "engine.steps_per_window"),
-        ("records", 1, (windows * steps // config.record_stride + 1)
+        ("window working set", window,
+         "engine.steps_per_window" if one > MEMORY_CAP else "trajectories"),
+        ("records", (windows * steps // config.record_stride + 1)
          * (row_bytes + 128 * ensemble), "duration_periods"),
-        ("record blocks", lanes * ensemble, (steps // config.record_stride + 1)
-         * row_bytes, "engine.steps_per_window"),
     ])
     if ensemble:
         targets = len(histogram_targets(config.duration_periods, config.histogram_periods))
-        sizes.append(("histograms", 1, targets * config.histogram_bins * _BIN_BYTES,
+        sizes.append(("histograms", targets * config.histogram_bins * _BIN_BYTES,
                       "engine.histogram_bins"))
-    for what, count, per_lane, field_name in sizes:
-        if count * per_lane > MEMORY_CAP:
-            raise ConfigError(
-                field_name if per_lane > MEMORY_CAP else "trajectories",
-                f"the run's {what} would take {count * per_lane / 2**30:.3g} GiB, "
-                f"above the {MEMORY_CAP // 2**30} GiB cap",
-            )
+    for what, size, field_name in sizes:
+        if size > MEMORY_CAP:
+            raise ConfigError(field_name, f"the run's {what} would take {size / 2**30:.3g} "
+                              f"GiB, above the {MEMORY_CAP // 2**30} GiB cap")
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ generator or channels, damped as the others.
 Reproducibility: trajectory i owns ``Generator(PCG64(seed_i))``, seed_i a
 SplitMix64 mix of (master seed, i) that numpy's SeedSequence hashes, so the
 results do not depend on batch partitioning or execution order.  The
-normals are drawn once per window without a schedule, and once for all the
-records of a scheduled run.
+normals are drawn once for all the records of a scheduled run, and without
+a schedule once per window, each block of 32 trajectories turned into kicks
+as it is drawn, so a window holds no noise rows (``_window_bytes``).
 """
 
 from __future__ import annotations
@@ -352,9 +353,10 @@ def _variance_step(va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m):
     Returns (steps + 1, lanes) rows of v_a and v_b; row j is the state after
     j steps of length dt.  The one-step propagator exp(dt H) and its powers
     up to _VARIANCE_BLOCK are formed once.  Each block of _VARIANCE_BLOCK
-    steps maps its first row by the powers P^0 .. P^_VARIANCE_BLOCK at once,
-    so its last row starts the next block.  Blocks keep the powers, whose
-    entries grow like exp(|H| t), close to the identity.
+    steps maps its first W by the powers P^0 .. P^_VARIANCE_BLOCK at once and
+    fills its rows of v_a and v_b; its last W starts the next block.  Blocks
+    keep the powers, whose entries grow like exp(|H| t), close to the
+    identity, and W's rows, with their temporaries, to a block's size.
     """
     h = _riccati_generator(omega, ((lam_p, u_p, w_p), (lam_m, u_m, w_m)))
     phi = _expm(dt * h)[:, :, None]
@@ -363,16 +365,19 @@ def _variance_step(va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m):
     k = 2
     while k < _VARIANCE_BLOCK:  # P^k .. P^(2k - 1) from P^0 .. P^(k - 1) and P^k
         step = _matmul(powers[:, :, k - 1 : k], phi)
+        # one product: at 256 steps its temporary, a window's largest array, lifts
+        # glibc's mmap threshold (in products of 4 powers 50 windows faulted 58x)
         powers[:, :, k : 2 * k] = _matmul(powers[:, :, :k], step)
         k *= 2
     powers[:, :, k:] = _matmul(powers[:, :, k - 1 : k], phi)
-    x, y, z = np.empty((3, steps + 1) + np.shape(va))  # W's entries per row
-    x[0], y[0], z[0] = va + vb.real, vb.imag, va - vb.real
+    va_rows, vb_rows = (np.empty((steps + 1,) + np.shape(va), t) for t in (float, complex))
+    w = va + vb.real, vb.imag, va - vb.real  # W's entries
     for start in range(0, steps, _VARIANCE_BLOCK):
         block = slice(start, min(start + _VARIANCE_BLOCK, steps) + 1)
-        x[block], y[block], z[block] = _riccati_map(
-            powers[:, :, : block.stop - start], x[start], y[start], z[start])
-    return 0.5 * (x + z), 0.5 * (x - z) + 1j * y
+        x, y, z = _riccati_map(powers[:, :, : block.stop - start], *w)
+        va_rows[block], vb_rows[block] = 0.5 * (x + z), 0.5 * (x - z) + 1j * y
+        w = x[-1], y[-1], z[-1]
+    return va_rows, vb_rows
 
 
 def _sqrt_psd(c):
@@ -411,6 +416,25 @@ def _draw_window_noise(gens, rows: int, dt: float, out):
     return out
 
 
+def _window_bytes(lanes: int, steps: int, stride: int) -> dict[str, int]:
+    """The bytes one self-scheduled window of ``lanes`` lanes allocates, by what
+    holds them: each lane's generator, detunings and moments, its kick and variance
+    rows, the variance step's powers and last doubling product (more than the map's
+    temporaries), a draw block's normals and the 4 complex rows that turn them into
+    kicks, and a sink's block of records.  The variance step's and the draw block's
+    bytes are never held at once, so the sum bounds the window's peak, but for some
+    30 KB that grow with neither lanes nor steps."""
+    row_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
+    return {
+        "lane state": 2048 * lanes,
+        "kick rows": 16 * steps * lanes,
+        "variance rows": 24 * (steps + 1) * lanes,
+        "variance powers": 8 * (16 * (_VARIANCE_BLOCK + 1) + 40 * _VARIANCE_BLOCK) * lanes,
+        "draw block": (32 + 4 * 16) * steps * min(_DRAW_BLOCK, lanes),
+        "record block": (steps // stride + 1) * row_bytes * lanes,
+    }
+
+
 def _batch_run(
     params: PhysParams,
     beta0: complex,
@@ -436,9 +460,10 @@ def _batch_run(
     ``abort_time``, NaN while the lane lives, one per variance lane, which a
     schedule's batch shares.  Given a ``sink``, a run without a schedule refills
     one block of records a window and hands each window's to ``sink(lo, hi,
-    block)``, records lo..hi-1; a schedule's go to it whole.  A non-finite
-    initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``, raises a
-    ``ValueError`` naming the argument first.
+    block)``, records lo..hi-1; a schedule's go to it whole.  A window without a
+    schedule holds its variance rows and the run's (steps, n) kick rows, whose
+    draw blocks form their own kicks.  A non-finite initial moment, or ``v_a0``
+    below ``-ABORT_VA_TOL``, raises a ``ValueError`` naming the argument first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
         if not cmath.isfinite(value):
@@ -492,9 +517,10 @@ def _batch_run(
         population = partial(pe_closed_form, params.g, params.gamma)
 
     a_s, roots = [], []  # on a schedule, each window's a^S and the columns of its L
+    scale = math.sqrt(0.5 * dt)  # dW = (x0 + i x1) scale, from two normals
     if schedule is None:
-        # step-major rows, refilled every window; a lane without a generator keeps 0
-        dw = tuple(np.zeros((steps, n), dtype=complex) for _ in range(2))
+        # step-major, refilled every window; a lane without a generator keeps 0
+        kicks = np.zeros((steps, n), dtype=complex)
         delta_now = d0 + g2 * beta.real  # the first step's; each step forms the next's
         pe_now = population(delta_now)
     c_damp = Gamma  # the mean's damping rate, h11 - h22; per window on a schedule
@@ -520,7 +546,7 @@ def _batch_run(
             _check_step(params, window, steps,
                         max(np.fmax.reduce(lam_p, initial=0.0), c_damp))
             damp_fac = rot * (1.0 - 0.5 * c_damp * dt)
-            late = False
+            late = None
             if gens:
                 va_rows, vb_rows = _variance_step(
                     va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m
@@ -539,17 +565,23 @@ def _batch_run(
                     abort_time[newly] = (w * steps + first[newly] + 1) * dt
             else:
                 va_rows, vb_rows = (np.broadcast_to(x, (steps + 1, lanes)) for x in (va, vb))
-            # noise coefficients of every step, from the pre-step rows; a NaN
-            # one makes the aborting step leave the amplitude NaN
-            va_pre, vb_pre = va_rows[:-1], vb_rows[:-1]
             sq_p, sq_m = np.sqrt(lam_p), np.sqrt(lam_m)
             if schedule is None:  # the step takes its kicks turned by half a step
                 sq_p, sq_m = rot_half * sq_p, rot_half * sq_m
-            k_p = sq_p * (u_p * vb_pre + w_p * (va_pre + 1.0))
-            l_p = sq_p * (np.conjugate(u_p) * va_pre + np.conjugate(w_p) * vb_pre)
-            k_m = sq_m * (u_m * vb_pre + w_m * (va_pre + 1.0))
-            l_m = sq_m * (np.conjugate(u_m) * va_pre + np.conjugate(w_m) * vb_pre)
-            k_p[late] = np.nan
+
+            def coefficient(i, lo, hi):
+                # k_p, l_p, k_m or l_m (i = 0 .. 3), a channel's kick k dW + l conj(dW),
+                # of lanes lo..hi-1 at every step, from the pre-step rows; a NaN k_p
+                # makes the aborting step leave the amplitude NaN
+                va_pre, vb_pre = va_rows[:-1, lo:hi], vb_rows[:-1, lo:hi]
+                sq, u, v = (x[lo:hi] for x in ((sq_p, u_p, w_p), (sq_m, u_m, w_m))[i // 2])
+                if i % 2:
+                    return sq * (np.conjugate(u) * va_pre + np.conjugate(v) * vb_pre)
+                k = sq * (u * vb_pre + v * (va_pre + 1.0))
+                if i == 0 and late is not None:
+                    k[late[:, lo:hi]] = np.nan
+                return k
+
             # records w * per_window .. (w + 1) * per_window; the next rewrites the last
             start = 0 if stream else w * per_window
             cols = slice(start, start + per_window + 1)
@@ -570,27 +602,27 @@ def _batch_run(
                     (-1j * g_m * schedule[w].pe * dt) * rot_half * decay.sum())
                 # k dW + l conj(dW) = sqrt(dt / 2) ((k + l) x0 + i (k - l) x1): a record's
                 # kicks W x have covariance C = W W^T, so L y draws them, L L^T = C
+                k_p, l_p, k_m, l_m = (coefficient(i, 0, lanes) for i in range(4))
                 wts = np.concatenate(
                     [k_p + l_p, 1j * (k_p - l_p), k_m + l_m, 1j * (k_m - l_m)], axis=1
-                ) * (rot_half * math.sqrt(0.5 * dt) * np.tile(decay, per_window)[:, None])
+                ) * (rot_half * scale * np.tile(decay, per_window)[:, None])
                 w_rec = wts.view(float).reshape(per_window, -1, 2)  # W^T per record
                 roots.append(np.array([1.0, 1j]) @ _sqrt_psd(
                     np.einsum("rki,rkj->rij", w_rec, w_rec)))
                 a_s.append(powers[-1])
                 rec["pe"][:, cols] = schedule[w].pe
                 continue
-            dw_p, dw_m = _draw_window_noise(gens, steps, dt, dw)
-            # k_p dW_p + l_p conj(dW_p) + k_m dW_m + l_m conj(dW_m), summed in that
-            # order in k_p's storage, so no window-sized array is added
-            kicks = np.multiply(k_p, dw_p, out=k_p)
-            kicks += l_p * np.conjugate(dw_p)
-            kicks += k_m * dw_m
-            kicks += l_m * np.conjugate(dw_m)
-            # the variance rows go before the next window's variance step; the
-            # k and l rows stay until the next window replaces them, since freeing
-            # them here too made the allocator return the pages and fault them in
-            # again every window
-            del va_rows, vb_rows, va_pre, vb_pre
+
+            def kick(lo, hi, x):  # k_p dW_p + l_p conj(dW_p) + k_m dW_m + l_m conj(dW_m)
+                dw_p, dw_m = np.multiply(x, scale, out=x).view(complex).T  # (steps, hi - lo)
+                total = coefficient(0, lo, hi) * dw_p
+                total += coefficient(1, lo, hi) * np.conjugate(dw_p)
+                total += coefficient(2, lo, hi) * dw_m
+                total += coefficient(3, lo, hi) * np.conjugate(dw_m)
+                kicks[:, lo:hi] = total
+
+            _draw_window_noise(gens, steps, dt, kick)
+            del va_rows, vb_rows  # before the next window's variance step
             # complex products out of place: numpy's in-place a *= c rounds
             # by the array's length, so a lane would depend on its batch
             damp, force = np.array(damp_fac), np.array(rot_half * (-1j * g_m * dt))

@@ -23,7 +23,13 @@ from hybridmech.cli import (
     write_csv,
 )
 from hybridmech.lindblad import decompose, eigenpairs
-from hybridmech.trajectory import _RECORDED, _batch_run, derive_trajectory_seed, run_ensemble
+from hybridmech.trajectory import (
+    _RECORDED,
+    _batch_run,
+    _window_bytes,
+    derive_trajectory_seed,
+    run_ensemble,
+)
 
 
 def base_config(**overrides):
@@ -610,16 +616,18 @@ def test_phase_diagram_grid_overflow_refused_at_load(tmp_path, capsys, params, g
 
 
 def test_memory_cap_is_exact_at_load():
-    # at 256 steps per window and stride 32, a lane streams its records
-    # through a 9-column block (648 bytes) and holds 8,192 bytes of window
-    # noise buffers, so 2**21 lanes fill MEMORY_CAP exactly: 2**21 - 1
-    # trajectories and the reference lane.  One more trajectory is refused at
-    # load; the 2**63-step rule lets 6.75e15 periods through, whose records
-    # used to fail the run on a 767 PiB allocation (exit 3)
+    # at 256 steps per window and stride 32, a lane's window holds 27,424
+    # bytes: 2,048 of lane state, 4,096 of kick rows, 6,168 of variance rows,
+    # 14,464 of the variance step's powers and its 9-column record block (648);
+    # the draw block adds 786,432 bytes.  So 626,425 lanes fit in MEMORY_CAP:
+    # 626,424 trajectories and the reference lane (2**21 - 1 when the cap
+    # counted only a window's noise).  One more trajectory is refused at load;
+    # the 2**63-step rule lets 6.75e15 periods through, whose records used to
+    # fail the run on a 767 PiB allocation (exit 3)
     assert MEMORY_CAP == 16 * 2**30
-    config_from_dict(base_config(kind="ensemble", trajectories=2**21 - 1))
-    with pytest.raises(ConfigError, match="^trajectories: the run's window noise buffers"):
-        config_from_dict(base_config(kind="ensemble", trajectories=2**21))
+    config_from_dict(base_config(kind="ensemble", trajectories=626_424))
+    with pytest.raises(ConfigError, match="^trajectories: the run's window working set"):
+        config_from_dict(base_config(kind="ensemble", trajectories=626_425))
     # one lane: the semiclassical kind runs a single reference lane
     config_from_dict(base_config(kind="semiclassical", trajectories=2**40))
     with pytest.raises(ConfigError, match="^duration_periods: the run's records"):
@@ -635,20 +643,21 @@ def test_memory_cap_is_exact_at_load():
 
 def test_memory_cap_counts_the_records_a_batch_allocates():
     # an ensemble's lanes stream their records a window's block at a time: at
-    # stride 1 a lane's block of 257 columns, 18,504 bytes, is more than its
-    # 8,192 bytes of window noise buffers, so the blocks decide the cap, the
-    # reference lane counted.  A streamed batch allocates exactly that per
-    # lane, and 2 columns at one record a window; the ensemble's result and
-    # its reference keep 72 + 128 bytes a record whole.  Streamed or whole, a
-    # batch records every quantity of _RECORDED and no other
+    # stride 1 a lane's block of 257 columns, 18,504 bytes, is the largest
+    # term of its window's 45,280 bytes, so 379,396 lanes fit in the cap with
+    # the draw block's 786,432 bytes, the reference lane counted.  A streamed
+    # batch allocates exactly that block per lane, and 2 columns at one record
+    # a window; the ensemble's result and its reference keep 72 + 128 bytes a
+    # record whole.  Streamed or whole, a batch records every quantity of
+    # _RECORDED and no other
     engine = {"steps_per_window": 256, "record_stride": 1}
     column = sum(np.dtype(t).itemsize for t in _RECORDED.values())
     per_lane = 257 * column
+    assert _window_bytes(1, 256, 1)["record block"] == per_lane
     config = config_from_dict(base_config(kind="ensemble", engine=engine,
-                                          trajectories=MEMORY_CAP // per_lane - 1))
-    with pytest.raises(ConfigError, match="^trajectories: the run's record blocks"):
-        config_from_dict(base_config(kind="ensemble", engine=engine,
-                                     trajectories=MEMORY_CAP // per_lane))
+                                          trajectories=379_395))
+    with pytest.raises(ConfigError, match="^trajectories: the run's window working set"):
+        config_from_dict(base_config(kind="ensemble", engine=engine, trajectories=379_396))
     duration = 2 * config.params.mechanical_period
     seeds = [derive_trajectory_seed(7, i) for i in range(3)]
 

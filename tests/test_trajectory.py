@@ -947,6 +947,77 @@ def test_ensemble_memory_does_not_grow_with_the_run():
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("lanes, steps, full_bloch",
+                         [(50, 4096, False), (200, 4096, False), (50, 1024, True)])
+def test_window_footprint_is_bounded_by_window_bytes(lanes, steps, full_bloch):
+    # one window of long_run's parameters with a sink, stride = steps, the
+    # reference lane last: the tracemalloc peak lies within 15% below
+    # _window_bytes' total, and at 200 lanes under 64 bytes a lane-step.  The
+    # whole-window noise, k and l rows took 137 bytes a lane-step at 200 lanes
+    p = tls_noise_params()
+    seeds = [derive_trajectory_seed(5, i) for i in range(lanes - 1)] + [None]
+
+    def window(steps):
+        opts = TrajectoryOptions(steps_per_window=steps, record_stride=steps,
+                                 full_bloch=full_bloch)
+        _batch_run(p, 200j, 0.0, 0.0, p.mechanical_period, seeds, opts, lambda *block: None)
+
+    window(256)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        window(steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    total = sum(trajectory._window_bytes(lanes, steps, steps).values())
+    assert 0.85 * total < peak <= total, (peak, total)
+    if lanes == 200:
+        assert peak < 64 * lanes * steps, peak / (lanes * steps)
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+@pytest.mark.parametrize("full_bloch", [False, True])
+def test_draw_block_split_changes_no_bit(monkeypatch, block, full_bloch):
+    # 67 trajectories and the reference drawn and kicked in blocks of 1, 7 or
+    # 256 lanes give the default 32-lane split's records bit for bit, whole
+    # rows and through a sink.  100 steps into window 1, v_a dips to -2e-9 in
+    # lane 65, in the default split's third block: the step that takes it
+    # there, to t = 356 dt, has a NaN kick, so beta is NaN from record 89 on
+    p = tls_noise_params()
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=4, full_bloch=full_bloch)
+    seeds = [derive_trajectory_seed(6, i) for i in range(67)] + [None]
+    variance_step = trajectory._variance_step
+
+    def runs():
+        windows = []
+
+        def planted_variance_step(*args):
+            va_rows, vb_rows = variance_step(*args)
+            if len(windows) % 3 == 1:  # window 1 of each run
+                va_rows[100, 65] = -2e-9
+            windows.append(1)
+            return va_rows, vb_rows
+
+        monkeypatch.setattr(trajectory, "_variance_step", planted_variance_step)
+        whole = _batch_run(p, 200j, 0.0, 0.0, 3 * p.mechanical_period, seeds, opts)
+        blocks = []
+        _batch_run(p, 200j, 0.0, 0.0, 3 * p.mechanical_period, seeds, opts,
+                   lambda lo, hi, rec: blocks.append({k: x.copy() for k, x in rec.items()}))
+        return whole, blocks
+
+    want = runs()
+    monkeypatch.setattr(trajectory, "_DRAW_BLOCK", block)
+    got = runs()
+    assert np.isnan(want[0]["abort_time"]).sum() == 67
+    assert np.isfinite(want[0]["beta"][65, 88]) and np.isnan(want[0]["beta"][65, 89:]).all()
+    for name, value in want[0].items():
+        assert np.array_equal(got[0][name], value, equal_nan=True), name
+    assert len(got[1]) == len(want[1]) == 3
+    for got_block, want_block in zip(*(r[1] for r in (got, want))):
+        for name, value in want_block.items():
+            assert np.array_equal(got_block[name], value, equal_nan=True), name
+
+
 def _start_ensemble(beta0=1.0, v_a0=0.0, v_b0=0.0):
     p = tls_noise_params()
     run_ensemble(p, beta0, p.mechanical_period, 8, 3, v_a0=v_a0, v_b0=v_b0)
