@@ -24,8 +24,8 @@ then has constant coefficients, so the steps between two records compose
 into one linear map, whose noise is a 2-D Gaussian drawn exactly from 2
 normals per lane (Kloeden and Platen 1992; Gillespie 1996).  A run records
 the quantities of ``_RECORDED`` at every stride, beta per trajectory and
-the others per variance lane; an ensemble without a schedule reduces them
-window by window, so its memory does not grow with the run.  A run refuses
+the others per variance lane; an ensemble reduces them window by window, and
+holds every lane's records only on a schedule.  A run refuses
 non-finite initial moments and a ``v_a0`` below ``-ABORT_VA_TOL``.  The
 noise-free reference is the last lane of an ensemble's batch: a lane without
 generator or channels, damped as the others.
@@ -93,12 +93,17 @@ class EnsembleAbortError(RuntimeError):
     """More than the tolerated fraction of trajectories aborted."""
 
 
+def _splitmix64(master_seed: int, positions) -> list[int]:
+    """SplitMix64's outputs at ``positions`` of ``master_seed``'s stream; uint64 wraps."""
+    z = np.asarray(positions, np.uint64) * _GOLDEN + (master_seed & _MASK64)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return (z ^ (z >> 31)).tolist()
+
+
 def derive_trajectory_seed(master_seed: int, index: int) -> int:
     """Per-trajectory seed: SplitMix64 output at stream position index+1."""
-    z = (master_seed + (index + 1) * _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    return _splitmix64(master_seed, [(index + 1) & _MASK64])[0]
 
 
 def _trajectory_seeds(n_traj, master_seed) -> list[int]:
@@ -108,35 +113,46 @@ def _trajectory_seeds(n_traj, master_seed) -> list[int]:
         raise ValueError(f"n_traj must be at least 1, and an integer; got {n_traj!r}")
     if not _is_integer(master_seed):
         raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
-    return [derive_trajectory_seed(operator.index(master_seed), i) for i in range(n_traj)]
+    return _splitmix64(operator.index(master_seed), np.arange(1, n_traj + 1, dtype=np.uint64))
 
 
-def _lane_generators(seeds: Sequence[int]) -> list:
-    """``Generator(PCG64(s))`` for each seed, bit for bit: one SeedSequence hash (NEP 19)."""
-    if not all(type(s) is int and 0 <= s <= _MASK64 for s in seeds):  # numpy's own rules
-        return [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-
+def _lane_streams(seeds: Sequence[int]):
+    """Lane k's ``Generator(PCG64(seeds[k]))`` at ``[k]``, bit for bit, built anew from
+    the lane's 4 state words, which one SeedSequence hash (NEP 19) gives every lane at
+    once: a lane that draws once holds its generator, about 2.1 KB of RSS, to draw."""
     def hashmix(v, k, init=0x43B0D7E5, mult=0x931E8875):  # by init * mult**k mod 2**32
         c0, c1 = (init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in (k, k + 1))
         v = (v ^ c0) * c1
         return v ^ (v >> 16)
 
-    s = np.array(seeds, dtype=np.uint64)  # 2 entropy words; a missing one hashes as a 0
-    pool = [hashmix(x.astype("u4"), k) for k, x in enumerate([s, s >> 32, 0 * s, 0 * s])]
-    for k, (i, j) in enumerate([(i, j) for i in range(4) for j in range(4) if i != j], 4):
-        x = 0xCA01F9DD * pool[j] - 0x4973F715 * hashmix(pool[i], k)
-        pool[j] = x ^ (x >> 16)
-    state = np.stack([hashmix(pool[k % 4], k, 0x8B51F9DD, 0x58F38DED) for k in range(8)],
-                     axis=1).astype("<u4").view("<u8").astype(np.uint64)  # 4 per PCG64
+    if all(type(s) is int and 0 <= s <= _MASK64 for s in seeds):  # else numpy's own hash
+        s = np.array(seeds, dtype=np.uint64)  # 2 entropy words; a missing one hashes as 0
+        pool = [hashmix(x.astype("u4"), k) for k, x in enumerate([s, s >> 32, 0 * s, 0 * s])]
+        for k, (i, j) in enumerate([(i, j) for i in range(4) for j in range(4) if i != j], 4):
+            x = 0xCA01F9DD * pool[j] - 0x4973F715 * hashmix(pool[i], k)
+            pool[j] = x ^ (x >> 16)
+        words = np.stack([hashmix(pool[k % 4], k, 0x8B51F9DD, 0x58F38DED) for k in range(8)],
+                         axis=1).astype("<u4").view("<u8").astype(np.uint64)  # 4 per PCG64
+    else:
+        words = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
 
-    class Words(np.random.bit_generator.ISeedSequence):  # numpy.random loads on first use
-        def __init__(self, words):
-            self.words = words
+    class Words(int, np.random.bit_generator.ISeedSequence):  # numpy.random loads on use
+        def generate_state(self, n_words, dtype=np.uint32):  # lane self's, 4 for a PCG64
+            return words[self]
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
+    class Lanes:
+        def __len__(self):
+            return len(words)
 
-    return [np.random.Generator(np.random.PCG64(Words(x))) for x in state]
+        def __getitem__(self, k):
+            return np.random.Generator(np.random.PCG64(Words(k)))
+
+    return Lanes()
+
+
+def _lane_generators(seeds: Sequence[int]) -> list:
+    """Every lane's generator of ``_lane_streams``, for runs that draw again and again."""
+    return list(_lane_streams(seeds))
 
 
 @dataclass(frozen=True)
@@ -393,13 +409,14 @@ _DRAW_BLOCK = 32
 
 
 def _draw_window_noise(gens, rows: int, dt: float, out):
-    """Draw ``(rows, 4)`` normals per trajectory, and pass each 32-trajectory
-    block to ``out`` as it is drawn.  ``rows`` counts the steps of a window
-    without a schedule, and on a schedule the half-records of the whole run,
-    ceil(P / 2) per window of P records.  Returns ``out``: a sink
-    ``out(lo, hi, x)`` of trajectories lo..hi-1's normals, or ``(dw_p, dw_m)``,
-    two (rows, n) arrays to fill row-major with complex Wiener increments,
-    trajectory i's ``(x0 + i x1, x2 + i x3) * sqrt(dt / 2)``."""
+    """Draw ``(rows, 4)`` normals per trajectory, each from its ``gens[k]``, which a
+    lane that draws once builds at the lookup, and pass each 32-trajectory block to
+    ``out`` as it is drawn.  ``rows`` counts the steps of a window without a
+    schedule, and on a schedule the half-records of the whole run, ceil(P / 2) per
+    window of P records.  Returns ``out``: a sink ``out(lo, hi, x)`` of trajectories
+    lo..hi-1's normals, or ``(dw_p, dw_m)``, two (rows, n) arrays to fill row-major
+    with complex Wiener increments, trajectory i's ``(x0 + i x1, x2 + i x3) *
+    sqrt(dt / 2)``."""
     scale = math.sqrt(0.5 * dt)
 
     def fill(lo, hi, x):
@@ -447,23 +464,23 @@ def _batch_run(
 ) -> dict:
     """Run a batch of trajectories on a shared grid; returns raw arrays.
 
-    Every lane damps at one rate per window, h11 - h22 of the dissipation
-    matrix: Gamma, or on a schedule the window's.  A ``None`` seed, after the
-    others, gives a noise-free reference lane: it has no generator, so it draws
-    no increments, and no scattering channel, so it takes no kick; a batch of
-    such lanes alone has no channels and zero variances.  With a schedule,
-    beta moves by one map per record stride, its noise drawn from 2 normals per
-    lane; each lane draws the normals of every record at once, after the last
-    window.  Window w writes records w P .. (w + 1) P, P = steps_per_window //
-    record_stride, both ends included; the next window rewrites the record they
-    share.  beta has a row per trajectory, and the other records and
-    ``abort_time``, NaN while the lane lives, one per variance lane, which a
-    schedule's batch shares.  Given a ``sink``, a run without a schedule refills
-    one block of records a window and hands each window's to ``sink(lo, hi,
-    block)``, records lo..hi-1; a schedule's go to it whole.  A window without a
-    schedule holds its variance rows and the run's (steps, n) kick rows, whose
-    draw blocks form their own kicks.  A non-finite initial moment, or ``v_a0``
-    below ``-ABORT_VA_TOL``, raises a ``ValueError`` naming the argument first.
+    Every lane damps at one rate per window, h11 - h22 of the dissipation matrix:
+    Gamma, or on a schedule the window's.  A ``None`` seed, after the others, gives
+    a noise-free reference lane: it has no generator, so it draws no increments, and
+    no scattering channel, so it takes no kick; a batch of such lanes alone has no
+    channels and zero variances.  With a schedule, beta moves by one map per record
+    stride, its noise drawn from 2 normals per lane; each lane builds its generator
+    to draw the normals of every record at once, after the last window.  Window w
+    writes records w P .. (w + 1) P, P = steps_per_window // record_stride, both
+    ends included; the next window rewrites the record they share.  beta has a row
+    per trajectory, and the other records and ``abort_time``, NaN while the lane
+    lives, one per variance lane, which a schedule's batch shares.  Given a
+    ``sink``, a batch hands it window w's records lo..hi-1 as ``sink(lo, hi,
+    block)``: as the window ends, in one refilled block, or on a schedule after the
+    record map, as views of the whole rows.  A window without a schedule holds its
+    variance rows and the run's (steps, n) kick rows, whose draw blocks form their
+    own kicks.  A non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``,
+    raises a ``ValueError`` naming the argument first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
         if not cmath.isfinite(value):
@@ -471,8 +488,8 @@ def _batch_run(
     if not -ABORT_VA_TOL <= v_a0 < math.inf:
         raise ValueError(f"v_a0 must be finite and >= -{ABORT_VA_TOL}, got {v_a0}")
     n = len(seeds)
-    gens = _lane_generators([s for s in seeds if s is not None])  # the first len(gens) lanes
-    schedule = options.schedule
+    schedule = options.schedule  # the first len(gens) lanes draw; on a schedule once each
+    gens = (_lane_streams if schedule else _lane_generators)(seeds[: n - seeds.count(None)])
     lanes = 1 if schedule is not None else n
     n_windows, window = resolve_windows(params, duration, schedule)
     steps, stride = options.steps_per_window, options.record_stride
@@ -502,10 +519,8 @@ def _batch_run(
            for name, dtype in _RECORDED.items()}
 
     # The detuning is d0 + g2 Re beta.  The step's numbers are 0-d arrays:
-    # numpy converts a Python number operand on every call.  Kernel input for
-    # window 0: the detuning predicted from free rotation.
+    # numpy converts a Python number operand on every call.
     d0, g2 = np.array(delta0), np.array(2.0 * g_m)
-    delta_panel = d0 + g2 * np.real(beta[:, None] * np.exp(-1j * omega * panel_rel_t))
 
     if options.full_bloch:
         st0 = bloch_steady_state(params, delta0 + 2.0 * g_m * beta0.real)
@@ -521,6 +536,8 @@ def _batch_run(
     if schedule is None:
         # step-major, refilled every window; a lane without a generator keeps 0
         kicks = np.zeros((steps, n), dtype=complex)
+        # kernel input for window 0: the detuning predicted from free rotation
+        delta_panel = d0 + g2 * np.real(beta[:, None] * np.exp(-1j * omega * panel_rel_t))
         delta_now = d0 + g2 * beta.real  # the first step's; each step forms the next's
         pe_now = population(delta_now)
     c_damp = Gamma  # the mean's damping rate, h11 - h22; per window on a schedule
@@ -529,9 +546,7 @@ def _batch_run(
             if schedule is not None:
                 d = schedule[w].decomp
                 data = d.lambda_plus, d.lambda_minus, *d.v_plus, *d.v_minus, d.theta
-                lam_p, lam_m, u_p, w_p, u_m, w_m, theta_w = (
-                    np.full(lanes, x) for x in data
-                )
+                lam_p, lam_m, u_p, w_p, u_m, w_m, theta_w = (np.full(lanes, x) for x in data)
                 c_damp = (lam_p * (np.abs(u_p) ** 2 - np.abs(w_p) ** 2)
                           + lam_m * (np.abs(u_m) ** 2 - np.abs(w_m) ** 2))[0]
             elif gens:
@@ -655,9 +670,9 @@ def _batch_run(
             for r in range(n_rec - 1):  # beta_{r+1} = a^S beta_r + increment_r
                 beta = a_s[r // per_window] * beta + rec["beta"][:, r + 1]
                 rec["beta"][:, r + 1] = beta
-            if sink is not None:
-                del gens  # 1.2 KB a lane, freed before the records are reduced
-                sink(0, n_rec, rec)
+            for w in range(n_windows if sink is not None else 0):  # as without a schedule
+                cols = slice(w * per_window, (w + 1) * per_window + 1)
+                sink(cols.start, cols.stop, {name: x[:, cols] for name, x in rec.items()})
 
     rec.update(times=_record_times(params, duration, options), abort_time=abort_time)
     return rec

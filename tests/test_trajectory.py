@@ -173,6 +173,24 @@ def test_seed_derivation_is_stable():
     assert derive_trajectory_seed(12345, 0) != derive_trajectory_seed(12345, 1)
 
 
+@pytest.mark.parametrize("n", [1, 2000])
+@pytest.mark.parametrize("master_seed", [1112, 0, -5, 2**64 - 1, 2**70 + 3])
+def test_trajectory_seeds_are_splitmix64(n, master_seed):
+    # an ensemble's seeds, formed at once in uint64 arithmetic, are SplitMix64
+    # written out in Python ints, masked to 64 bits, and derive_trajectory_seed's;
+    # they come as ints, which the lanes' vectorised seeding requires
+    def splitmix64(i, mask=2**64 - 1):
+        z = (master_seed + (i + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    seeds = trajectory._trajectory_seeds(n, master_seed)
+    assert seeds == [splitmix64(i) for i in range(n)]
+    assert seeds[-1] == derive_trajectory_seed(master_seed, n - 1)
+    assert all(type(s) is int for s in seeds)
+
+
 def assert_streams_match_numpy(seeds):
     """Each lane's generator has numpy's state and first normals for its seed."""
     gens = _lane_generators(seeds)
@@ -729,21 +747,67 @@ def assert_bitwise(res, want):
 
 @pytest.mark.parametrize("n", [7, 33])
 @pytest.mark.parametrize("per_window", [1, 2, 64])
-def test_streamed_statistics_equal_the_whole_rows(n, per_window):
+def test_streamed_statistics_equal_the_whole_rows(monkeypatch, n, per_window):
     # the ensemble reduces each window's block of records as the batch hands it
-    # over; numpy sums a block of two or more columns row by row, as it does the
-    # whole rows, so every field matches bit for bit.  At one record a window,
-    # window w's block takes 2 columns, records w and w + 1
-    p = tls_noise_params()
-    period = p.mechanical_period
-    opts = TrajectoryOptions(steps_per_window=256, record_stride=256 // per_window,
-                             histogram_times=[0.0, 1.0 * period, 2.5 * period],
-                             histogram_bins=9)
-    seeds = [derive_trajectory_seed(21, i) for i in range(n)]
-    for periods in (3, 4):
-        res = run_ensemble(p, 200j, periods * period, n, 21, opts)
-        assert res.aborted == []
-        assert_bitwise(res, whole_rows_ensemble(p, 200j, periods * period, seeds, opts, n, 21))
+    # over, with a schedule or without; numpy sums a block of two or more
+    # columns row by row, as it does the whole rows, so every field matches bit
+    # for bit.  At one record a window, window w's block takes 2 columns,
+    # records w and w + 1.  A schedule's lanes share their variances, so only a
+    # planted abort strikes one lane of its batch: lane n of 100 aborts, and
+    # the rerun on the other 99 rewrites every row
+    seeds = [derive_trajectory_seed(21, i) for i in range(100)]
+    for p, schedules in ((tls_noise_params(), None),
+                         (MAP_PARAMS, MAP_SCHEDULES["damped"] * 2)):
+        period = p.mechanical_period
+        for periods in (3, 4):
+            opts = TrajectoryOptions(
+                steps_per_window=256, record_stride=256 // per_window,
+                histogram_times=[0.0, 1.0 * period, 2.5 * period], histogram_bins=9,
+                schedule=schedules and schedules[:periods])
+            duration = periods * period
+            res = run_ensemble(p, 200j, duration, n, 21, opts)
+            assert res.aborted == []
+            assert_bitwise(res, whole_rows_ensemble(p, 200j, duration, seeds[:n], opts, n, 21))
+    batch_run, batches = trajectory._batch_run, []
+
+    def planted_batch_run(*args):
+        batch = batch_run(*args)
+        if not batches:
+            batch["abort_time"] = np.where(np.arange(len(args[5])) == n, 3.5, np.nan)
+        batches.append(args[5])
+        return batch
+
+    monkeypatch.setattr(trajectory, "_batch_run", planted_batch_run)
+    res = run_ensemble(p, 200j, duration, 100, 21, opts)
+    survivors = seeds[:n] + seeds[n + 1 :]
+    assert res.aborted == [(n, 3.5)] and batches[1] == survivors + [None]
+    assert_bitwise(res, whole_rows_ensemble(p, 200j, duration, survivors, opts, 100, 21))
+
+
+@pytest.mark.parametrize("case", ["self-scheduled", "schedule"])
+def test_reduction_is_the_sample_statistics_of_the_lanes(case):
+    # at every record, var_dbeta_x and var_dbeta_p are np.var(ddof=1) of the
+    # lanes' dbeta, beta less the reference's, and se_n and se_b2 are sqrt(s^2
+    # / n), s^2 the squared deviations of n = v_a + |beta|^2 and b2 = v_b +
+    # beta^2 from their means, summed over the lanes and divided by n - 1.  A
+    # variance over n in place of n - 1 is 3% low at these 34 lanes
+    p, schedule = ((MAP_PARAMS, MAP_SCHEDULES["damped"]) if case == "schedule"
+                   else (tls_noise_params(), None))
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=32, schedule=schedule)
+    n, start, duration = 34, (200j, 0.3, 0.1j), 2 * p.mechanical_period
+    res = run_ensemble(p, start[0], duration, n, 8, opts, *start[1:])
+    seeds = [derive_trajectory_seed(8, i) for i in range(n)] + [None]
+    batch = _batch_run(p, *start, duration, seeds, opts)
+    beta, v_a, v_b = batch["beta"][:n], batch["v_a"][:n], batch["v_b"][:n]
+    dbeta = beta - batch["beta"][n]
+    assert np.ptp(dbeta[:, -1].real) > 0 and np.ptp(dbeta[:, -1].imag) > 0
+    np.testing.assert_allclose(res.var_dbeta_x, np.var(dbeta.real, axis=0, ddof=1),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.var_dbeta_p, np.var(dbeta.imag, axis=0, ddof=1),
+                               rtol=1e-12, atol=0)
+    for name, x in (("se_n", v_a + np.abs(beta) ** 2), ("se_b2", v_b + beta**2)):
+        s2 = (np.abs(x - x.mean(axis=0)) ** 2).sum(axis=0) / (n - 1)
+        np.testing.assert_allclose(getattr(res, name), np.sqrt(s2 / n), rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("full_bloch", [False, True])
@@ -752,26 +816,31 @@ def test_each_window_hands_over_its_own_records(per_window, full_bloch):
     # window w hands the sink records w P .. (w + 1) P, both ends included, so
     # every block is at least 2 columns wide.  The record two windows share
     # comes twice, and the later block holds the next window's channel data, as
-    # the whole rows do; so the blocks replayed in order are the whole rows
-    p = tls_noise_params()
-    opts = TrajectoryOptions(steps_per_window=256, record_stride=256 // per_window,
-                             full_bloch=full_bloch)
+    # the whole rows do; so the blocks replayed in order are the whole rows.  A
+    # schedule's batch, which excludes full_bloch, hands them over in the same
+    # way after its record map
+    cases = [(tls_noise_params(), None)]
+    if not full_bloch:
+        cases.append((MAP_PARAMS, MAP_SCHEDULES["two-windows"] + MAP_SCHEDULES["damped"][:1]))
     seeds = [derive_trajectory_seed(5, i) for i in range(4)]
-    duration = 3 * p.mechanical_period
-    whole = _batch_run(p, 200j, 0.0, 0.0, duration, seeds, opts)
-    spans, replay = [], {name: np.empty_like(whole[name]) for name in _RECORDED}
+    for p, schedule in cases:
+        opts = TrajectoryOptions(steps_per_window=256, record_stride=256 // per_window,
+                                 full_bloch=full_bloch, schedule=schedule)
+        duration = 3 * p.mechanical_period
+        whole = _batch_run(p, 200j, 0.0, 0.0, duration, seeds, opts)
+        spans, replay = [], {name: np.empty_like(whole[name]) for name in _RECORDED}
 
-    def sink(lo, hi, block):
-        spans.append((lo, hi))
-        assert set(block) == set(_RECORDED)
-        for name, x in block.items():
-            assert x.shape[1] == hi - lo >= 2
-            replay[name][:, lo:hi] = x
+        def sink(lo, hi, block):
+            spans.append((lo, hi))
+            assert set(block) == set(_RECORDED)
+            for name, x in block.items():
+                assert x.shape[1] == hi - lo >= 2
+                replay[name][:, lo:hi] = x
 
-    _batch_run(p, 200j, 0.0, 0.0, duration, seeds, opts, sink)
-    assert spans == [(w * per_window, (w + 1) * per_window + 1) for w in range(3)]
-    for name in _RECORDED:
-        assert replay[name].tobytes() == whole[name].tobytes(), name
+        _batch_run(p, 200j, 0.0, 0.0, duration, seeds, opts, sink)
+        assert spans == [(w * per_window, (w + 1) * per_window + 1) for w in range(3)]
+        for name in _RECORDED:
+            assert replay[name].tobytes() == whole[name].tobytes(), name
 
 
 def run_small_ensemble(runner, n_traj, master_seed):
@@ -945,6 +1014,25 @@ def test_ensemble_memory_does_not_grow_with_the_run():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_scheduled_ensemble_holds_its_records_and_one_draw_block():
+    # criterion 6's schedule at 2,000 lanes: the beta records, 41 a lane, take
+    # 656 B a lane, and the run peaks at about 1.4 KB a lane with one window's
+    # reduction.  A generator for every lane, the whole run's reduction at once
+    # and a panel-detuning table it never reads took 3.3 KB
+    params = PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
+    schedule = make_frozen_schedule(twisted_decomposition(5e-3, 5e-4, 0.0), 0.0, 5)
+    opts = TrajectoryOptions(steps_per_window=1024, record_stride=128, schedule=schedule)
+    duration = 5 * 2.0 * math.pi / 0.01
+    run_ensemble(params, 1.0 + 0j, duration, 200, 1112, opts)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        run_ensemble(params, 1.0 + 0j, duration, 2000, 1112, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 2000, peak / 2000
 
 
 @pytest.mark.parametrize("lanes, steps, full_bloch",
