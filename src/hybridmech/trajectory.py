@@ -119,7 +119,7 @@ def _trajectory_seeds(n_traj, master_seed) -> list[int]:
 def _lane_streams(seeds: Sequence[int]):
     """Lane k's ``Generator(PCG64(seeds[k]))`` at ``[k]``, bit for bit, built anew from
     the lane's 4 state words, which one SeedSequence hash (NEP 19) gives every lane at
-    once: a lane that draws once holds its generator, about 2.1 KB of RSS, to draw."""
+    once: a lane that draws once holds its generator, about 0.6 KB, only to draw."""
     def hashmix(v, k, init=0x43B0D7E5, mult=0x931E8875):  # by init * mult**k mod 2**32
         c0, c1 = (init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in (k, k + 1))
         v = (v ^ c0) * c1
@@ -754,13 +754,13 @@ def run_ensemble(
     trajectory matches its own :func:`run_trajectory`.  The batch's last lane
     is the reference, :func:`semiclassical_run` bit for bit, so the statistics
     reduce each window's block of records against its last row as the batch
-    hands it over, the later block rewriting the record two windows share;
-    numpy reduces a block, two or more columns wide, row by row, so they equal
-    the whole rows' statistics bit for bit.  Fails before the run on an
-    ``n_traj`` or ``master_seed`` that ``_trajectory_seeds`` refuses, a histogram
-    time outside [0, duration] or a refused initial moment, and after it when
-    more than 1% of trajectories abort; when fewer abort, the batch reruns on
-    the survivors' seeds.
+    hands it over, on a schedule too, the later block rewriting the record two
+    windows share; numpy reduces a block, two or more columns wide, row by
+    row, so they equal the whole rows' statistics bit for bit.  Fails before
+    the run on an ``n_traj`` or ``master_seed`` that ``_trajectory_seeds``
+    refuses, a histogram time outside [0, duration] or a refused initial
+    moment, and after it when more than 1% of trajectories abort; when fewer
+    abort, the batch reruns on the survivors' seeds.
     """
     seeds = _trajectory_seeds(n_traj, master_seed)
     options = options or TrajectoryOptions()
