@@ -182,17 +182,31 @@ class FockDensityMatrix:
             raise TruncationError(len(self.entries), self.top_population())
 
 
+def _check_dim(dim) -> None:
+    if not _is_integer(dim) or dim < 1:
+        raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
+
+
 def coherent_state(dim: int, beta: complex) -> np.ndarray:
     """Normalised coherent-state amplitudes on the truncated space; raises
     :class:`TruncationError` when the truncation loses more than 1e-6 of the
-    norm, and ``ValueError`` unless ``dim`` is an integer of at least 1."""
-    if not _is_integer(dim) or dim < 1:
-        raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
+    norm, and ``ValueError`` unless ``dim`` is an integer of at least 1 and
+    ``beta`` is finite."""
+    _check_dim(dim)
+    if not cmath.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     amps = np.empty(dim, dtype=complex)
     amps[0] = 1.0
-    for k in range(1, dim):
-        amps[k] = amps[k - 1] * beta / math.sqrt(k)
-    amps *= math.exp(-0.5 * abs(beta) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone below
+        for k in range(1, dim):
+            amps[k] = amps[k - 1] * beta / math.sqrt(k)
+    if np.isfinite(amps).all() and abs(beta) < 1e154:  # and |beta|^2 fits a float
+        amps *= math.exp(-0.5 * abs(beta) ** 2)
+    else:  # beta^k / sqrt(k!) overflowed: each amplitude from its logarithm
+        k, r = np.arange(dim), abs(beta)
+        log_k_fact = np.cumsum(np.log(np.maximum(k, 1)))
+        amps = np.exp(k * math.log(r) - 0.5 * log_k_fact - 0.5 * r * r)
+        amps = amps * np.exp(1j * cmath.phase(beta) * k)
     norm = np.linalg.norm(amps)
     if norm < 1.0 - 1e-6:
         raise TruncationError(dim, 1.0 - norm**2)
@@ -206,7 +220,9 @@ def coherent_density(dim: int, beta: complex) -> np.ndarray:
 
 def thermal_density(dim: int, n_m: float) -> np.ndarray:
     """Thermal state of ``n_m`` >= 0 quanta (finite, else ``ValueError``),
-    renormalised on the truncation; n_m = 0 gives the vacuum."""
+    renormalised on the truncation; n_m = 0 gives the vacuum.  ``dim`` follows
+    :func:`coherent_state`'s rule."""
+    _check_dim(dim)
     if not 0.0 <= n_m < math.inf:
         raise ValueError(f"n_m must be finite and >= 0, got {n_m}")
     pops = (n_m / (n_m + 1.0)) ** np.arange(dim)
@@ -499,8 +515,9 @@ def _sse_batch(
 
     The free rotation is removed exactly by time-dependent channel
     coefficients; the remaining drift, drift-restoration and noise terms take
-    one Euler-Maruyama step per dt, followed by explicit renormalisation.
-    Returns per-trajectory moment arrays in the lab frame.
+    one Euler-Maruyama step per dt, followed by explicit renormalisation; a sink
+    scales the normals ``_draw_window_noise`` draws per chunk to (dW_+, dW_-) =
+    (x0 + i x1, x2 + i x3) sqrt(dt / 2).  Returns per-trajectory lab-frame moments.
     """
     n_windows, steps, h = _window_plan(params, duration, dt, schedule, record_stride)
     lam_max = max(wc.decomp.lambda_plus for wc in schedule)
@@ -533,7 +550,11 @@ def _sse_batch(
         i_rec += 1
 
     chunk = min(SSE_NOISE_CHUNK, steps)
-    noise = np.empty((2, chunk, n), dtype=complex)
+    noise = np.empty((2, chunk, n), dtype=complex)  # (dW_+, dW_-) of a chunk's steps
+
+    def fill(lo, hi, x):
+        noise[:, : x.shape[1], lo:hi] = np.multiply(x, math.sqrt(0.5 * h), out=x).view(complex).T
+
     zc, z = zs = np.empty((2, n), dtype=complex)  # conj(z) and z of the step
     levels = np.arange(dim, dtype=float)
     s2 = np.sqrt(levels[2:] * (levels[2:] - 1.0))[:, None]
@@ -554,8 +575,7 @@ def _sse_batch(
         q2c = np.conjugate(q2)
         for j in range(steps):
             if j % chunk == 0:
-                m = min(chunk, steps - j)
-                _draw_window_noise(gens, m, h, (noise[0, :m], noise[1, :m]))
+                _draw_window_noise(gens, min(chunk, steps - j), fill)
             c = mix @ noise[:, j % chunk]  # (nu, nw)
             t = (w * steps + j) * h
             ph = cmath.exp(-1j * omega * t)

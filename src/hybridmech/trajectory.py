@@ -408,29 +408,19 @@ def _sqrt_psd(c):
 _DRAW_BLOCK = 32
 
 
-def _draw_window_noise(gens, rows: int, dt: float, out):
+def _draw_window_noise(gens, rows: int, sink) -> None:
     """Draw ``(rows, 4)`` normals per trajectory, each from its ``gens[k]``, which a
-    lane that draws once builds at the lookup, and pass each 32-trajectory block to
-    ``out`` as it is drawn.  ``rows`` counts the steps of a window without a
-    schedule, and on a schedule the half-records of the whole run, ceil(P / 2) per
-    window of P records.  Returns ``out``: a sink ``out(lo, hi, x)`` of trajectories
-    lo..hi-1's normals, or ``(dw_p, dw_m)``, two (rows, n) arrays to fill row-major
-    with complex Wiener increments, trajectory i's ``(x0 + i x1, x2 + i x3) *
-    sqrt(dt / 2)``."""
-    scale = math.sqrt(0.5 * dt)
-
-    def fill(lo, hi, x):
-        z = np.multiply(x, scale, out=x).view(complex)  # x0 + i x1 and x2 + i x3
-        out[0][:, lo:hi], out[1][:, lo:hi] = z[:, :, 0].T, z[:, :, 1].T
-
-    sink = fill if isinstance(out, tuple) else out
+    lane that draws once builds at the lookup, and hand each block of at most 32
+    trajectories lo..hi-1 raw to ``sink(lo, hi, x)``, x (hi - lo, rows, 4), which
+    the next block refills.  ``rows`` counts the steps of a window without a
+    schedule, on a schedule the half-records of the whole run, ceil(P / 2) per
+    window of P records, and in the unraveling the steps of a noise chunk."""
     x = np.empty((min(_DRAW_BLOCK, len(gens)), rows, 4))
     for start in range(0, len(gens), _DRAW_BLOCK):
         stop = min(start + _DRAW_BLOCK, len(gens))
         for k in range(start, stop):
             gens[k].standard_normal(out=x[k - start])
         sink(start, stop, x[: stop - start])
-    return out
 
 
 def _window_bytes(lanes: int, steps: int, stride: int) -> dict[str, int]:
@@ -477,10 +467,10 @@ def _batch_run(
     lives, one per variance lane, which a schedule's batch shares.  Given a
     ``sink``, a batch hands it window w's records lo..hi-1 as ``sink(lo, hi,
     block)``: as the window ends, in one refilled block, or on a schedule after the
-    record map, as views of the whole rows.  A window without a schedule holds its
-    variance rows and the run's (steps, n) kick rows, whose draw blocks form their
-    own kicks.  A non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``,
-    raises a ``ValueError`` naming the argument first.
+    record map, as views of the whole rows.  The sink a batch passes
+    ``_draw_window_noise`` forms each block's kicks into the run's (steps, n) kick
+    rows, or on a schedule adds L y to beta.  A non-finite initial moment, or
+    ``v_a0`` below ``-ABORT_VA_TOL``, raises a ``ValueError`` naming it first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
         if not cmath.isfinite(value):
@@ -636,7 +626,7 @@ def _batch_run(
                 total += coefficient(3, lo, hi) * np.conjugate(dw_m)
                 kicks[:, lo:hi] = total
 
-            _draw_window_noise(gens, steps, dt, kick)
+            _draw_window_noise(gens, steps, kick)
             del va_rows, vb_rows  # before the next window's variance step
             # complex products out of place: numpy's in-place a *= c rounds
             # by the array's length, so a lane would depend on its batch
@@ -665,7 +655,7 @@ def _batch_run(
                 x = x.reshape(hi - lo, n_windows, -1, 2)[:, :, :per_window]
                 rec["beta"][lo:hi, 1:] += (x * col).sum(-1).reshape(hi - lo, -1)
 
-            _draw_window_noise(gens, n_windows * -(-per_window // 2), dt, kick)
+            _draw_window_noise(gens, n_windows * -(-per_window // 2), kick)
             rec["beta"][:, 0] = beta
             for r in range(n_rec - 1):  # beta_{r+1} = a^S beta_r + increment_r
                 beta = a_s[r // per_window] * beta + rec["beta"][:, r + 1]

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -466,10 +467,14 @@ def test_oracles_refuse_no_schedule_and_nan_states(params, integrator):
 @pytest.mark.parametrize("case, name", [
     ("master-4x3", "rho0"), ("master-1d", "rho0"), ("sse-2d", "psi0"),
     ("coherent-dim-0", "dim"), ("thermal-negative", "n_m"), ("thermal-nan", "n_m"),
+    ("coherent-nan", "beta"), ("coherent-inf", "beta"), ("thermal-dim-0", "dim"),
+    ("thermal-dim-negative", "dim"), ("thermal-dim-float", "dim"), ("thermal-dim-bool", "dim"),
 ])
 def test_initial_states_name_the_argument(params, monkeypatch, case, name):
     # each used to fail late or not at all: a trace drift of 2 at t=0, numpy's
-    # diag, a broadcast error, an IndexError, the vacuum and a NaN matrix
+    # diag, a broadcast error, an IndexError, the vacuum, a NaN matrix, an
+    # all-NaN state (which failed later as a trace drift of nan), and thermal
+    # matrices of shape (0, 0), (0, 0), (3, 3) and (1, 1)
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran before the initial state was checked")
 
@@ -487,9 +492,36 @@ def test_initial_states_name_the_argument(params, monkeypatch, case, name):
         "coherent-dim-0": lambda: coherent_state(0, 0.5),
         "thermal-negative": lambda: thermal_density(4, -1.0),
         "thermal-nan": lambda: thermal_density(4, math.nan),
+        "coherent-nan": lambda: coherent_state(10, math.nan),
+        "coherent-inf": lambda: coherent_density(10, complex(0.5, math.inf)),
+        "thermal-dim-0": lambda: thermal_density(0, 1.0),
+        "thermal-dim-negative": lambda: thermal_density(-1, 1.0),
+        "thermal-dim-float": lambda: thermal_density(2.5, 1.0),
+        "thermal-dim-bool": lambda: thermal_density(True, 1.0),
     }
     with pytest.raises(ValueError, match=f"^{name} must"):
         runs[case]()
+
+
+@pytest.mark.parametrize("dim, beta", [(10, 1e200), (10, 1e100), (2, 1.4e154), (1, 1e200)])
+def test_coherent_state_past_float_range_is_truncated(dim, beta):
+    # beta^k / sqrt(k!) or |beta|^2 past the float range used to raise a bare
+    # OverflowError or return an all-NaN state; the state keeps none of its norm
+    with pytest.raises(TruncationError, match=f"^population 1.000e\\+00 .* at dim={dim};"):
+        coherent_state(dim, beta)
+
+
+def test_coherent_state_whose_amplitudes_overflow_a_float():
+    # at |beta|^2 = 1450 the unnormalised amplitudes beta^k / sqrt(k!) pass
+    # 1e308, and dim 1800 holds the state: its amplitudes come from their
+    # logarithms, with <b> = beta and <n> = |beta|^2
+    beta = math.sqrt(1450.0) * cmath.exp(0.3j)
+    psi = coherent_state(1800, beta)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+    mean_b, mean_n, mean_b2 = moments_from_state(psi[:, None])
+    assert abs(mean_b[0] - beta) <= 1e-9 * abs(beta)
+    assert mean_n[0] == pytest.approx(1450.0, rel=1e-9)
+    assert abs(mean_b2[0] - beta**2) <= 1e-9 * abs(beta) ** 2
 
 
 def test_sse_ensemble_trajectory_count(params):

@@ -59,10 +59,21 @@ def frozen_frame_params():
     return PhysParams(gamma=1.0, g=1.0, Omega=1e-9, g_m=0.0)
 
 
+def draw_increments(gens, steps, dt):
+    """(dw_p, dw_m), (steps, len(gens)) each, from the next normals of ``gens``
+    that ``_draw_window_noise`` hands its sink: trajectory i's (x0 + i x1,
+    x2 + i x3) sqrt(dt / 2), formed as the engine forms its kicks' increments."""
+    dw = np.empty((2, steps, len(gens)), dtype=complex)
+
+    def sink(lo, hi, x):
+        dw[:, :, lo:hi] = np.multiply(x, math.sqrt(0.5 * dt), out=x).view(complex).T
+
+    _draw_window_noise(gens, steps, sink)
+    return dw[0], dw[1]
+
+
 def draw_window(seeds, steps, dt):
-    gens = reference_generators(seeds)
-    buf = tuple(np.empty((steps, len(seeds)), dtype=complex) for _ in range(2))
-    return _draw_window_noise(gens, steps, dt, buf)
+    return draw_increments(reference_generators(seeds), steps, dt)
 
 
 def test_complex_wiener_moments():
@@ -115,20 +126,14 @@ def test_window_draw_matches_per_trajectory_formula(n, steps, parts):
     pieces = [draw_window(seeds[lo:hi], steps, dt) for lo, hi in zip(bounds, bounds[1:])]
     got = [np.concatenate([piece[c] for piece in pieces], axis=1) for c in range(2)]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # the SSE passes the first steps of a (2, chunk, n) buffer
-    gens = reference_generators(seeds)
-    noise = np.full((2, steps + 7, n), np.nan + 0j)
-    _draw_window_noise(gens, steps, dt, (noise[0, :steps], noise[1, :steps]))
-    assert all(np.array_equal(noise[c, :steps], want[c]) for c in range(2))
-    assert np.isnan(noise[:, steps:]).all()
-    # a scheduled run passes a sink, which gets each block's normals once
+    # the sink gets each block's raw normals once
     blocks, raw = [], np.full((n, steps, 4), np.nan)
 
     def sink(lo, hi, x):
         blocks.append((lo, hi))
         raw[lo:hi] = x
 
-    _draw_window_noise(reference_generators(seeds), steps, dt, sink)
+    assert _draw_window_noise(reference_generators(seeds), steps, sink) is None
     assert sorted(blocks) == [(lo, min(lo + 32, n)) for lo in range(0, n, 32)]
     want_raw = [gen.standard_normal((steps, 4)) for gen in reference_generators(seeds)]
     assert np.array_equal(raw, np.stack(want_raw))
@@ -1334,11 +1339,10 @@ def stepwise_scheduled_beta(params, beta0, v_a0, v_b0, duration, seeds, options,
             k_m = np.sqrt(lam_m) * (u_m * vb_pre + w_m * (va_pre + 1.0))
             l_m = np.sqrt(lam_m) * (np.conj(u_m) * va_pre + np.conj(w_m) * vb_pre)
             k_p[late] = np.nan
-            buf = tuple(np.zeros((steps, len(gens)), dtype=complex) for _ in range(2))
             if coeffs is None:
-                dw_p, dw_m = _draw_window_noise(gens, steps, dt, buf)
+                dw_p, dw_m = draw_increments(gens, steps, dt)
             else:
-                dw_p, dw_m = buf
+                dw_p = dw_m = np.zeros((steps, len(gens)), dtype=complex)
                 coeffs.append((damp[0], k_p[:, 0], l_p[:, 0], k_m[:, 0], l_m[:, 0]))
             va, vb = va_rows[-1], vb_rows[-1]
         for j in range(steps):
@@ -1366,14 +1370,14 @@ MAP_SCHEDULES = {
 }
 
 
-def planted_normals(gens, rows, dt, out):
+def planted_normals(gens, rows, sink):
     """Stands in for a scheduled run's draws, one call for all its records:
     each record reads a pair of a lane's normals, here (1, 0) in lane 0,
     (0, 1) in lane 1 and (0, 0) in lane 2."""
     if gens:
         x = np.zeros((3, rows, 2, 2))
         x[0, :, :, 0] = x[1, :, :, 1] = 1.0
-        out(0, 3, x.reshape(3, rows, 4))
+        sink(0, 3, x.reshape(3, rows, 4))
 
 
 def stride_covariances(coeffs, params, duration, options):
@@ -1436,7 +1440,7 @@ def streamed_normals():
     """Stands in for ``_draw_window_noise`` as each lane's generator would:
     every call hands a lane the next ``4 rows`` normals of its
     ``lane_stream``, so one call per window and one per run read alike.  The
-    draw itself hands them out, to a sink or into a window's increments."""
+    draw itself hands them to the caller's sink."""
     used = 0
 
     class Stream:  # lane k's generator
@@ -1446,11 +1450,10 @@ def streamed_normals():
         def standard_normal(self, out):
             out[...] = lane_stream(self.k, used + np.arange(out.size)).reshape(out.shape)
 
-    def draw(gens, rows, dt, out):
+    def draw(gens, rows, sink):
         nonlocal used
-        _draw_window_noise([Stream(k) for k in range(len(gens))], rows, dt, out)
+        _draw_window_noise([Stream(k) for k in range(len(gens))], rows, sink)
         used += 4 * rows
-        return out
 
     return draw
 
