@@ -136,9 +136,10 @@ def pe_closed_form(g: float, gamma, delta):
 
 def _matmul(a, b):
     """Matrix product of entry-major stacks (a[i, k] holds entry (i, k) of
-    every lane), as one sum of products: every lane gets the same arithmetic,
-    whatever the batch it runs in."""
-    return np.sum(a[:, :, None] * b[None], axis=1)
+    every lane), as one einsum that sums the products in order of k, with no
+    temporary: every lane gets the same arithmetic, whatever the batch it runs
+    in (a[:, 0] b[0] + a[:, 1] b[1] + ..., bit for bit)."""
+    return np.einsum("ik...,kj...->ij...", a, b)
 
 
 def _expm(m):

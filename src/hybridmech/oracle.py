@@ -45,13 +45,9 @@ SSE_NOISE_CHUNK = 512  # steps of Wiener increments the unraveling draws at once
 class TruncationError(RuntimeError):
     """Fock-space truncation too small for the requested evolution."""
 
-    def __init__(self, dim: int, population: float):
+    def __init__(self, dim: int, loss: str):
         suggested = max(dim + 8, int(1.5 * dim))
-        super().__init__(
-            f"population {population:.3e} in the top two Fock levels exceeds "
-            f"{TRUNCATION_TOL:.0e} of the trace at dim={dim}; "
-            f"rerun with dim >= {suggested}"
-        )
+        super().__init__(f"{loss} at dim={dim}; rerun with dim >= {suggested}")
         self.dim = dim
         self.suggested = suggested
 
@@ -179,7 +175,9 @@ class FockDensityMatrix:
                 f"negative eigenvalue {self.min_eigenvalue():.3e} at t={self.t}"
             )
         if not self.top_population() <= TRUNCATION_TOL:
-            raise TruncationError(len(self.entries), self.top_population())
+            raise TruncationError(len(self.entries), (
+                f"population {self.top_population():.3e} in the top two Fock levels "
+                f"exceeds {TRUNCATION_TOL:.0e} of the trace"))
 
 
 def _check_dim(dim) -> None:
@@ -209,7 +207,8 @@ def coherent_state(dim: int, beta: complex) -> np.ndarray:
         amps = amps * np.exp(1j * cmath.phase(beta) * k)
     norm = np.linalg.norm(amps)
     if norm < 1.0 - 1e-6:
-        raise TruncationError(dim, 1.0 - norm**2)
+        raise TruncationError(dim, f"norm {1.0 - norm:.3e} lost to the truncation "
+                                   f"exceeds {TRUNCATION_TOL:.0e}")
     return amps / norm
 
 

@@ -363,15 +363,15 @@ def _riccati_map(p, x, y, z):
     )
 
 
-def _variance_step(va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m):
+def _variance_step(va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m, rows=None):
     """Exact conditional variances across one window of frozen channel data.
 
-    Returns (steps + 1, lanes) rows of v_a and v_b; row j is the state after
-    j steps of length dt.  The one-step propagator exp(dt H) and its powers
-    up to _VARIANCE_BLOCK are formed once.  Each block of _VARIANCE_BLOCK
-    steps maps its first W by the powers P^0 .. P^_VARIANCE_BLOCK at once and
-    fills its rows of v_a and v_b; its last W starts the next block.  Blocks
-    keep the powers, whose entries grow like exp(|H| t), close to the
+    Returns (steps + 1, lanes) rows of v_a and v_b, in ``rows`` if given; row j
+    is the state after j steps of length dt.  The one-step propagator exp(dt H)
+    and its powers up to _VARIANCE_BLOCK are formed once.  Each block of
+    _VARIANCE_BLOCK steps maps its first W by the powers P^0 .. P^_VARIANCE_BLOCK
+    at once and fills its rows of v_a and v_b; its last W starts the next block.
+    Blocks keep the powers, whose entries grow like exp(|H| t), close to the
     identity, and W's rows, with their temporaries, to a block's size.
     """
     h = _riccati_generator(omega, ((lam_p, u_p, w_p), (lam_m, u_m, w_m)))
@@ -386,7 +386,8 @@ def _variance_step(va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m):
         powers[:, :, k : 2 * k] = _matmul(powers[:, :, :k], step)
         k *= 2
     powers[:, :, k:] = _matmul(powers[:, :, k - 1 : k], phi)
-    va_rows, vb_rows = (np.empty((steps + 1,) + np.shape(va), t) for t in (float, complex))
+    shape = (steps + 1,) + np.shape(va)
+    va_rows, vb_rows = rows or (np.empty(shape, float), np.empty(shape, complex))
     w = va + vb.real, vb.imag, va - vb.real  # W's entries
     for start in range(0, steps, _VARIANCE_BLOCK):
         block = slice(start, min(start + _VARIANCE_BLOCK, steps) + 1)
@@ -402,6 +403,19 @@ def _sqrt_psd(c):
     s = np.sqrt(np.maximum(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0], 0.0))
     t = np.sqrt(c[..., 0, 0] + c[..., 1, 1] + 2.0 * s)
     return (c + s[..., None, None] * np.eye(2)) / np.where(t == 0.0, 1.0, t)[..., None, None]
+
+
+def _kick_map(scale, channels):
+    """Each lane's kick map, (lanes, 4, 3) complex: row j holds normal j's part of
+    E1, E2 and E3, where the kick sum k dW + l conj(dW) over the channels (sq, u, w),
+    k = sq (u v_b + w (v_a + 1)) and l = sq (conj(u) v_a + conj(w) v_b), is
+    v_a E1 + v_b E2 + E3.  A channel's dW = (x0 + i x1) scale reads its two normals,
+    and a term A dW + B conj(dW) reads them through scale (A + B, i (A - B))."""
+    rows = []
+    for sq, u, w in channels:
+        a, b = sq * np.array([w, u, w]), sq * np.array([np.conjugate(u), np.conjugate(w), 0 * w])
+        rows += [scale * (a + b), scale * 1j * (a - b)]
+    return np.ascontiguousarray(np.moveaxis(np.array(rows), -1, 0))
 
 
 # Trajectories drawn per scratch block; it bounds the scratch and changes no draw.
@@ -427,17 +441,17 @@ def _window_bytes(lanes: int, steps: int, stride: int) -> dict[str, int]:
     """The bytes one self-scheduled window of ``lanes`` lanes allocates, by what
     holds them: each lane's generator, detunings and moments, its kick and variance
     rows, the variance step's powers and last doubling product (more than the map's
-    temporaries), a draw block's normals and the 4 complex rows that turn them into
-    kicks, and a sink's block of records.  The variance step's and the draw block's
-    bytes are never held at once, so the sum bounds the window's peak, but for some
-    30 KB that grow with neither lanes nor steps."""
+    temporaries), a draw block's normals and the 3 complex parts E1, E2 and E3 that
+    ``_kick_map`` forms from them, and a sink's block of records.  The variance step's
+    and the draw block's bytes are never held at once, so the sum bounds the window's
+    peak, but for numpy's buffers, some 400 KB that grow with neither lanes nor steps."""
     row_bytes = sum(np.dtype(dtype).itemsize for dtype in _RECORDED.values())
     return {
         "lane state": 2048 * lanes,
         "kick rows": 16 * steps * lanes,
         "variance rows": 24 * (steps + 1) * lanes,
         "variance powers": 8 * (16 * (_VARIANCE_BLOCK + 1) + 40 * _VARIANCE_BLOCK) * lanes,
-        "draw block": (32 + 4 * 16) * steps * min(_DRAW_BLOCK, lanes),
+        "draw block": (32 + 3 * 16) * steps * min(_DRAW_BLOCK, lanes),
         "record block": (steps // stride + 1) * row_bytes * lanes,
     }
 
@@ -468,9 +482,10 @@ def _batch_run(
     ``sink``, a batch hands it window w's records lo..hi-1 as ``sink(lo, hi,
     block)``: as the window ends, in one refilled block, or on a schedule after the
     record map, as views of the whole rows.  The sink a batch passes
-    ``_draw_window_noise`` forms each block's kicks into the run's (steps, n) kick
-    rows, or on a schedule adds L y to beta.  A non-finite initial moment, or
-    ``v_a0`` below ``-ABORT_VA_TOL``, raises a ``ValueError`` naming it first.
+    ``_draw_window_noise`` maps each block's normals by the window's ``_kick_map``
+    into the (steps, n) kick rows, or on a schedule adds L y to beta, L from the
+    same map.  A non-finite initial moment, or ``v_a0`` below ``-ABORT_VA_TOL``,
+    raises a ``ValueError`` naming it first.
     """
     for name, value in (("beta0", beta0), ("v_b0", v_b0)):
         if not cmath.isfinite(value):
@@ -524,13 +539,13 @@ def _batch_run(
     a_s, roots = [], []  # on a schedule, each window's a^S and the columns of its L
     scale = math.sqrt(0.5 * dt)  # dW = (x0 + i x1) scale, from two normals
     if schedule is None:
-        # step-major, refilled every window; a lane without a generator keeps 0
-        kicks = np.zeros((steps, n), dtype=complex)
         # kernel input for window 0: the detuning predicted from free rotation
         delta_panel = d0 + g2 * np.real(beta[:, None] * np.exp(-1j * omega * panel_rel_t))
         delta_now = d0 + g2 * beta.real  # the first step's; each step forms the next's
         pe_now = population(delta_now)
     c_damp = Gamma  # the mean's damping rate, h11 - h22; per window on a schedule
+    # one pair of variance rows a run: rows allocated per window cost glibc's trim and re-fault
+    rows = tuple(np.empty((steps + 1, lanes), t) for t in (float, complex))
     with np.errstate(invalid="ignore"):
         for w in range(n_windows):
             if schedule is not None:
@@ -554,7 +569,7 @@ def _batch_run(
             late = None
             if gens:
                 va_rows, vb_rows = _variance_step(
-                    va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m
+                    va, vb, dt, steps, omega, lam_p, lam_m, u_p, w_p, u_m, w_m, rows
                 )
                 # a lane aborts at the first step that leaves v_a below
                 # tolerance or NaN (~(va >= -tol) is True for NaN); from that
@@ -570,22 +585,10 @@ def _batch_run(
                     abort_time[newly] = (w * steps + first[newly] + 1) * dt
             else:
                 va_rows, vb_rows = (np.broadcast_to(x, (steps + 1, lanes)) for x in (va, vb))
-            sq_p, sq_m = np.sqrt(lam_p), np.sqrt(lam_m)
-            if schedule is None:  # the step takes its kicks turned by half a step
-                sq_p, sq_m = rot_half * sq_p, rot_half * sq_m
-
-            def coefficient(i, lo, hi):
-                # k_p, l_p, k_m or l_m (i = 0 .. 3), a channel's kick k dW + l conj(dW),
-                # of lanes lo..hi-1 at every step, from the pre-step rows; a NaN k_p
-                # makes the aborting step leave the amplitude NaN
-                va_pre, vb_pre = va_rows[:-1, lo:hi], vb_rows[:-1, lo:hi]
-                sq, u, v = (x[lo:hi] for x in ((sq_p, u_p, w_p), (sq_m, u_m, w_m))[i // 2])
-                if i % 2:
-                    return sq * (np.conjugate(u) * va_pre + np.conjugate(v) * vb_pre)
-                k = sq * (u * vb_pre + v * (va_pre + 1.0))
-                if i == 0 and late is not None:
-                    k[late[:, lo:hi]] = np.nan
-                return k
+            # kicks turned by half a step, read at each step's pre-step variances
+            kmap = _kick_map(scale, ((rot_half * np.sqrt(lam_p), u_p, w_p),
+                                     (rot_half * np.sqrt(lam_m), u_m, w_m)))
+            va_pre, vb_pre = va_rows[:-1], vb_rows[:-1]
 
             # records w * per_window .. (w + 1) * per_window; the next rewrites the last
             start = 0 if stream else w * per_window
@@ -605,12 +608,13 @@ def _batch_run(
                 # record r's increment gathers in slot r + 1: the drift now, L y later
                 rec["beta"][:, cols.start + 1 : cols.stop] = (
                     (-1j * g_m * schedule[w].pe * dt) * rot_half * decay.sum())
-                # k dW + l conj(dW) = sqrt(dt / 2) ((k + l) x0 + i (k - l) x1): a record's
-                # kicks W x have covariance C = W W^T, so L y draws them, L L^T = C
-                k_p, l_p, k_m, l_m = (coefficient(i, 0, lanes) for i in range(4))
-                wts = np.concatenate(
-                    [k_p + l_p, 1j * (k_p - l_p), k_m + l_m, 1j * (k_m - l_m)], axis=1
-                ) * (rot_half * scale * np.tile(decay, per_window)[:, None])
+                # W (steps, 1, 4), the kick map at the pre-step rows, weighs the normals:
+                # a record's kicks W x have covariance C = W W^T, so L y draws them, L L^T = C
+                wts = va_pre[..., None] * kmap[..., 0] + vb_pre[..., None] * kmap[..., 1]
+                wts += kmap[..., 2]
+                if late is not None:  # the aborting step leaves the amplitude NaN
+                    wts[late] = np.nan
+                wts *= np.tile(decay, per_window)[:, None, None]
                 w_rec = wts.view(float).reshape(per_window, -1, 2)  # W^T per record
                 roots.append(np.array([1.0, 1j]) @ _sqrt_psd(
                     np.einsum("rki,rkj->rij", w_rec, w_rec)))
@@ -618,16 +622,20 @@ def _batch_run(
                 rec["pe"][:, cols] = schedule[w].pe
                 continue
 
-            def kick(lo, hi, x):  # k_p dW_p + l_p conj(dW_p) + k_m dW_m + l_m conj(dW_m)
-                dw_p, dw_m = np.multiply(x, scale, out=x).view(complex).T  # (steps, hi - lo)
-                total = coefficient(0, lo, hi) * dw_p
-                total += coefficient(1, lo, hi) * np.conjugate(dw_p)
-                total += coefficient(2, lo, hi) * dw_m
-                total += coefficient(3, lo, hi) * np.conjugate(dw_m)
-                kicks[:, lo:hi] = total
+            def kick(lo, hi, x):  # v_a E1 + v_b E2 + E3, with E = x kmap lane by lane
+                e = np.empty((steps, hi - lo, 6))  # step-major, as the kick rows
+                np.matmul(x, kmap[lo:hi].view(float), out=e.transpose(1, 0, 2))
+                e = e.view(complex)  # E1, E2 and E3 on the last axis
+                out = kicks[:, lo:hi]
+                np.multiply(vb_pre[:, lo:hi], e[..., 1], out=out)  # out of place; the
+                e[..., 0] *= va_pre[:, lo:hi]  # real factor rounds each part once
+                out += e[..., 0]
+                out += e[..., 2]
 
+            kicks = np.zeros((steps, n), dtype=complex)  # a lane without a generator keeps 0
             _draw_window_noise(gens, steps, kick)
-            del va_rows, vb_rows  # before the next window's variance step
+            if late is not None:  # the aborting step leaves the amplitude NaN
+                kicks[late] = np.nan
             # complex products out of place: numpy's in-place a *= c rounds
             # by the array's length, so a lane would depend on its batch
             damp, force = np.array(damp_fac), np.array(rot_half * (-1j * g_m * dt))
@@ -645,6 +653,7 @@ def _batch_run(
                 pe_now = population(delta_now)
             rec["beta"][:, cols.stop - 1], rec["pe"][:, cols.stop - 1] = beta, pe_now
             delta_panel[:, WINDOW_PANELS] = delta_now
+            del kicks  # before the sink's reduction and the next window's variance step
             if stream:
                 sink(w * per_window, (w + 1) * per_window + 1, rec)
 

@@ -6,6 +6,7 @@ import pytest
 from hybridmech.bloch import (
     BlochVector,
     PhysParams,
+    _matmul,
     bloch_steady_state,
     bloch_step_batch,
     pe_closed_form,
@@ -198,3 +199,31 @@ def test_adiabatic_following_of_closed_form():
     mask = times > 10.0
     target = pe_closed_form(p.g, p.gamma, np.array([delta_fn(t) for t in times]))
     assert np.max(np.abs(pe[mask] - target[mask])) <= 0.02
+
+
+@pytest.mark.parametrize("lanes", [1, 31, 33, 201])
+def test_matmul_is_the_ordered_sum_of_products(lanes):
+    # entry-major 4x4 stacks as the variance step multiplies them: slices
+    # powers[:, :, :k] of 33 powers against a one-power stack.  Each product
+    # is a[:, 0] b[0] + a[:, 1] b[1] + a[:, 2] b[2] + a[:, 3] b[3] in this
+    # order, bit for bit, and a lane alone gets its bits in the batch.  A
+    # fused multiply-add, or a sum in another order, fails here first
+    rng = np.random.default_rng(lanes)
+    powers = rng.standard_normal((4, 4, 33, lanes))
+    step = rng.standard_normal((4, 4, 1, lanes))
+
+    def ordered(a, b):
+        total = a[:, 0, None] * b[None, 0]
+        for k in range(1, 4):
+            total = total + a[:, k, None] * b[None, k]
+        return total
+
+    for k in (1, 2, 16, 33):
+        got = _matmul(powers[:, :, :k], step)
+        assert got.shape == (4, 4, k, lanes)
+        assert got.tobytes() == ordered(powers[:, :, :k], step).tobytes(), k
+        for lane in {0, lanes // 2, lanes - 1}:
+            alone = _matmul(powers[:, :, :k, lane : lane + 1], step[..., lane : lane + 1])
+            assert alone.tobytes() == np.ascontiguousarray(got[..., lane : lane + 1]).tobytes()
+    squares = _matmul(step[:, :, 0], step[:, :, 0])  # one power, as _expm squares
+    assert squares.tobytes() == ordered(step[:, :, 0], step[:, :, 0]).tobytes()

@@ -615,19 +615,31 @@ def test_phase_diagram_grid_overflow_refused_at_load(tmp_path, capsys, params, g
     assert payload["error"]["message"].startswith(field_name + ":")
 
 
+def most_trajectories(engine: dict) -> int:
+    """The largest trajectory count whose window working set, ``_window_bytes``
+    summed over the trajectories and the reference lane, fits in MEMORY_CAP."""
+    def window(lanes):
+        return sum(_window_bytes(lanes, engine["steps_per_window"],
+                                 engine["record_stride"]).values())
+
+    fits, breaks = 1, 2**40  # bisect the lane count: the sum grows with it
+    while breaks - fits > 1:
+        mid = (fits + breaks) // 2
+        fits, breaks = (mid, breaks) if window(mid) <= MEMORY_CAP else (fits, mid)
+    return fits - 1
+
+
 def test_memory_cap_is_exact_at_load():
-    # at 256 steps per window and stride 32, a lane's window holds 27,424
-    # bytes: 2,048 of lane state, 4,096 of kick rows, 6,168 of variance rows,
-    # 14,464 of the variance step's powers and its 9-column record block (648);
-    # the draw block adds 786,432 bytes.  So 626,425 lanes fit in MEMORY_CAP:
-    # 626,424 trajectories and the reference lane (2**21 - 1 when the cap
-    # counted only a window's noise).  One more trajectory is refused at load;
-    # the 2**63-step rule lets 6.75e15 periods through, whose records used to
-    # fail the run on a 767 PiB allocation (exit 3)
+    # at 256 steps per window and stride 32, the largest count of trajectories
+    # whose lanes, the reference lane with them, fit their _window_bytes in
+    # MEMORY_CAP loads, and one more is refused at load; the 2**63-step rule
+    # lets 6.75e15 periods through, whose records used to fail the run on a
+    # 767 PiB allocation (exit 3)
     assert MEMORY_CAP == 16 * 2**30
-    config_from_dict(base_config(kind="ensemble", trajectories=626_424))
+    most = most_trajectories(base_config()["engine"])
+    config_from_dict(base_config(kind="ensemble", trajectories=most))
     with pytest.raises(ConfigError, match="^trajectories: the run's window working set"):
-        config_from_dict(base_config(kind="ensemble", trajectories=626_425))
+        config_from_dict(base_config(kind="ensemble", trajectories=most + 1))
     # one lane: the semiclassical kind runs a single reference lane
     config_from_dict(base_config(kind="semiclassical", trajectories=2**40))
     with pytest.raises(ConfigError, match="^duration_periods: the run's records"):
@@ -644,20 +656,19 @@ def test_memory_cap_is_exact_at_load():
 def test_memory_cap_counts_the_records_a_batch_allocates():
     # an ensemble's lanes stream their records a window's block at a time: at
     # stride 1 a lane's block of 257 columns, 18,504 bytes, is the largest
-    # term of its window's 45,280 bytes, so 379,396 lanes fit in the cap with
-    # the draw block's 786,432 bytes, the reference lane counted.  A streamed
-    # batch allocates exactly that block per lane, and 2 columns at one record
-    # a window; the ensemble's result and its reference keep 72 + 128 bytes a
-    # record whole.  Streamed or whole, a batch records every quantity of
-    # _RECORDED and no other
+    # term of its window, and the cap admits trajectories up to the sum of
+    # _window_bytes.  A streamed batch allocates exactly that block per lane,
+    # and 2 columns at one record a window; the ensemble's result and its
+    # reference keep 72 + 128 bytes a record whole.  Streamed or whole, a
+    # batch records every quantity of _RECORDED and no other
     engine = {"steps_per_window": 256, "record_stride": 1}
     column = sum(np.dtype(t).itemsize for t in _RECORDED.values())
     per_lane = 257 * column
     assert _window_bytes(1, 256, 1)["record block"] == per_lane
-    config = config_from_dict(base_config(kind="ensemble", engine=engine,
-                                          trajectories=379_395))
+    most = most_trajectories(engine)
+    config = config_from_dict(base_config(kind="ensemble", engine=engine, trajectories=most))
     with pytest.raises(ConfigError, match="^trajectories: the run's window working set"):
-        config_from_dict(base_config(kind="ensemble", engine=engine, trajectories=379_396))
+        config_from_dict(base_config(kind="ensemble", engine=engine, trajectories=most + 1))
     duration = 2 * config.params.mechanical_period
     seeds = [derive_trajectory_seed(7, i) for i in range(3)]
 

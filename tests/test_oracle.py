@@ -507,8 +507,24 @@ def test_initial_states_name_the_argument(params, monkeypatch, case, name):
 def test_coherent_state_past_float_range_is_truncated(dim, beta):
     # beta^k / sqrt(k!) or |beta|^2 past the float range used to raise a bare
     # OverflowError or return an all-NaN state; the state keeps none of its norm
-    with pytest.raises(TruncationError, match=f"^population 1.000e\\+00 .* at dim={dim};"):
+    with pytest.raises(TruncationError,
+                       match=f"^norm 1.000e\\+00 lost to the truncation .* at dim={dim};"):
         coherent_state(dim, beta)
+
+
+def test_truncation_error_names_what_the_truncation_lost():
+    # coherent_state reports the norm it lost, which it used to report as the
+    # population of the top two Fock levels, of a one-level space too; a
+    # density matrix's check reports that population
+    with pytest.raises(TruncationError) as err:
+        coherent_state(1, 0.5)
+    assert str(err.value) == ("norm 1.175e-01 lost to the truncation exceeds 1e-06 at dim=1; "
+                              "rerun with dim >= 9")
+    assert (err.value.dim, err.value.suggested) == (1, 9)
+    rho = FockDensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex), 0.0)
+    with pytest.raises(TruncationError, match=r"^population 5\.000e-01 in the top two Fock "
+                       r"levels exceeds 1e-06 of the trace at dim=3; rerun with dim >= 11$"):
+        rho.validate()
 
 
 def test_coherent_state_whose_amplitudes_overflow_a_float():

@@ -1111,6 +1111,42 @@ def test_draw_block_split_changes_no_bit(monkeypatch, block, full_bloch):
             assert np.array_equal(got_block[name], value, equal_nan=True), name
 
 
+@pytest.mark.parametrize("n", [1, 33, 67])
+def test_mid_window_abort_leaves_the_other_lanes_as_alone(monkeypatch, n):
+    # n trajectories and the reference, the last trajectory in a partial draw
+    # block but at n = 1.  100 steps into window 1 its v_a dips to -2e-9, so
+    # the kick of the step that takes it there, to t = 356 dt, is NaN, and
+    # its beta is NaN from record 89 on.  Every other trajectory gives the
+    # records of its run alone bit for bit, and the reference its beta and pe,
+    # the records an ensemble takes from it
+    p = tls_noise_params()
+    opts = TrajectoryOptions(steps_per_window=256, record_stride=4)
+    seeds = [derive_trajectory_seed(8, i) for i in range(n)] + [None]
+    variance_step = trajectory._variance_step
+    windows = []
+
+    def planted_variance_step(*args):
+        va_rows, vb_rows = variance_step(*args)
+        if va_rows.shape[1] == n + 1 and len(windows) == 1:
+            va_rows[100, n - 1] = -2e-9
+        windows.append(1)
+        return va_rows, vb_rows
+
+    monkeypatch.setattr(trajectory, "_variance_step", planted_variance_step)
+    batch = _batch_run(p, 200j, 0.0, 0.0, 2 * p.mechanical_period, seeds, opts)
+    dt = p.mechanical_period / 256
+    assert batch["abort_time"][n - 1] == 356 * dt
+    assert np.isfinite(batch["beta"][n - 1, :89]).all()
+    assert np.isnan(batch["beta"][n - 1, 89:]).all()
+    for lane, seed in enumerate(seeds):
+        if lane == n - 1:
+            continue
+        alone = _batch_run(p, 200j, 0.0, 0.0, 2 * p.mechanical_period, [seed], opts)
+        assert math.isnan(alone["abort_time"][0])
+        for name in _RECORDED if seed is not None else ("beta", "pe"):
+            assert np.array_equal(batch[name][lane], alone[name][0]), (lane, name)
+
+
 def _start_ensemble(beta0=1.0, v_a0=0.0, v_b0=0.0):
     p = tls_noise_params()
     run_ensemble(p, beta0, p.mechanical_period, 8, 3, v_a0=v_a0, v_b0=v_b0)
